@@ -11,13 +11,8 @@
 //! [`antidote_serve::ServeMetrics::summary_line`] shape `serve_bench`
 //! prints.
 //!
-//! Knobs (the repo-wide warn-and-ignore convention):
-//!
-//! - `ANTIDOTE_HTTP_BENCH_REQUESTS` — arrivals to generate (default 96;
-//!   24 with `--smoke`);
-//! - `ANTIDOTE_HTTP_BENCH_CLIENTS` — concurrent client connections
-//!   (default 4);
-//! - `ANTIDOTE_HTTP_BENCH_SEED` — trace seed (default 42).
+//! The load is fixed: 96 arrivals (24 with `--smoke`) from trace seed
+//! 42, replayed over 4 concurrent client connections.
 //!
 //! `--smoke` gates CI: it fails the process if any request dies an
 //! *untyped* death (socket error, malformed response), if any status
@@ -36,7 +31,7 @@ use antidote_data::Split;
 use antidote_http::{
     HttpConfig, HttpServer, InferApiResponse, ModelRegistry, ModelSource, ModelSpec, RateConfig,
 };
-use antidote_models::{QuantizedVgg, Vgg, VggConfig};
+use antidote_models::{Vgg, VggConfig};
 use antidote_serve::{ModelFactory, Priority, QuantMode, ServeConfig};
 use antidote_tensor::Tensor;
 use rand::rngs::SmallRng;
@@ -78,11 +73,7 @@ fn registry(seed: u64) -> ModelRegistry {
     };
     let calib = calibrate(&mut fresh_vgg(seed), &calib_split, 4, 2, CalibrationMethod::MinMax);
     let int8: ModelFactory = Arc::new(move |_| {
-        Box::new(QuantizedVgg::from_vgg(
-            &fresh_vgg(seed),
-            calib.input_scale,
-            &calib.tap_scales,
-        ))
+        Box::new(fresh_vgg(seed).quantize(calib.input_scale, &calib.tap_scales))
     });
     ModelRegistry::start(vec![
         ModelSpec {
@@ -336,10 +327,9 @@ fn main() {
         // needs the flight recorder live regardless of ANTIDOTE_OBS.
         antidote_obs::set_enabled(true);
     }
-    let parse_env = antidote_obs::env::parse_or::<usize>;
-    let requests = parse_env("ANTIDOTE_HTTP_BENCH_REQUESTS", if smoke { 24 } else { 96 });
-    let clients = parse_env("ANTIDOTE_HTTP_BENCH_CLIENTS", 4).max(1);
-    let seed = antidote_obs::env::parse_or("ANTIDOTE_HTTP_BENCH_SEED", 42u64);
+    let requests: usize = if smoke { 24 } else { 96 };
+    let clients = 4usize;
+    let seed = 42u64;
 
     // All bench clients share the loopback IP and therefore one token
     // bucket; a generous limit keeps 429s out of the happy path (the

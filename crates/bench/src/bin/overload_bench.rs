@@ -25,8 +25,8 @@
 //! Results go to `results/overload.json` + `results/overload.txt`
 //! (atomic tmp-sibling + rename). `--smoke` shrinks every phase for CI.
 //!
-//! Knobs: `ANTIDOTE_OVERLOAD_SEED` (trace + chaos seed) plus the
-//! standard `ANTIDOTE_SERVE_*` engine overrides. Setting the
+//! Knobs: the standard `ANTIDOTE_SERVE_*` engine overrides (the trace
+//! and chaos seed is fixed). Setting the
 //! `ANTIDOTE_CHAOS_*` knobs replaces the chaos phase's built-in kill
 //! schedule; the main phases always run kill-free.
 
@@ -295,7 +295,7 @@ fn write_results(report: &OverloadReport) {
 fn main() -> ExitCode {
     antidote_obs::init_from_env();
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let seed: u64 = antidote_obs::env::parse_or("ANTIDOTE_OVERLOAD_SEED", 0x00DD_10AD);
+    let seed: u64 = 0x00DD_10AD;
     // Phase lengths: seconds in full mode, sub-second in smoke.
     let secs = |full: f64| Duration::from_secs_f64(if smoke { full * 0.3 } else { full });
 

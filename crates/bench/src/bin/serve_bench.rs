@@ -18,9 +18,9 @@
 //!   `ANTIDOTE_SERVE_MAX_WAIT_MS`, `ANTIDOTE_SERVE_QUEUE_CAP`,
 //!   `ANTIDOTE_SERVE_DEADLINE_MS`, `ANTIDOTE_SERVE_QUANT`
 //!   (`off`/`int8` — int8-quantized replicas; see
-//!   `ServeConfig::from_env`);
-//! - load: `ANTIDOTE_SERVE_BENCH_REQUESTS` (total arrivals),
-//!   `ANTIDOTE_SERVE_BENCH_SEED`.
+//!   `ServeConfig::from_env`).
+//!
+//! The load is fixed: 96 trace arrivals (24 with `--smoke`), seed 42.
 //!
 //! `--smoke` runs a small deterministic workload and exits non-zero if
 //! any request fails or any budget is exceeded — CI uses it as the
@@ -34,7 +34,7 @@ use antidote_bench::trace::{
 use antidote_core::quant::{calibrate, CalibrationMethod};
 use antidote_core::PruneSchedule;
 use antidote_data::Split;
-use antidote_models::{QuantizedVgg, Vgg, VggConfig};
+use antidote_models::{Vgg, VggConfig};
 use antidote_serve::{
     percentile, ModelFactory, Priority, QuantMode, ServeConfig, ServeEngine, ServeMetrics,
 };
@@ -61,7 +61,7 @@ fn fresh_vgg(seed: u64) -> Vgg {
 }
 
 /// Replica factory honoring `ANTIDOTE_SERVE_QUANT`: fp32 replicas by
-/// default, int8 `QuantizedVgg` replicas when the mode says so. Int8
+/// default, int8-quantized `Vgg` replicas when the mode says so. Int8
 /// calibration runs once up front on a deterministic synthetic split
 /// matching the load generator's input distribution, so every worker
 /// quantizes against identical scales (replicas must stay identical).
@@ -83,17 +83,11 @@ fn factory(seed: u64, quant: QuantMode) -> ModelFactory {
                 CalibrationMethod::MinMax,
             );
             Arc::new(move |_worker| {
-                Box::new(QuantizedVgg::from_vgg(
-                    &fresh_vgg(seed),
-                    calib.input_scale,
-                    &calib.tap_scales,
-                ))
+                Box::new(fresh_vgg(seed).quantize(calib.input_scale, &calib.tap_scales))
             })
         }
     }
 }
-
-use antidote_obs::env::parse_or as parse_env;
 
 /// The four budget tiers, expressed as floor→dense fractions and
 /// equally weighted in the mix — every batch window sees a spread of
@@ -177,9 +171,8 @@ fn print_summary(label: &str, out: &LoadOutcome) {
 fn main() {
     antidote_obs::init_from_env();
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let requests: usize =
-        parse_env("ANTIDOTE_SERVE_BENCH_REQUESTS", if smoke { 24usize } else { 96 });
-    let seed: u64 = parse_env("ANTIDOTE_SERVE_BENCH_SEED", 42u64);
+    let requests: usize = if smoke { 24 } else { 96 };
+    let seed = 42u64;
     let mut cfg = ServeConfig {
         workers: 4,
         max_batch: 8,

@@ -4,8 +4,9 @@
 //! the absmax the int8 range `[-127·s, 127·s]` should cover. This
 //! module runs a few held-out batches through the *fp32* network, hooks
 //! every feature tap, records the observed activation ranges, and turns
-//! them into [`Calibration`] scales for
-//! [`antidote_models::QuantizedVgg`].
+//! them into the [`Calibration`] scales that
+//! [`antidote_models::Vgg::quantize`] — the `Vgg → Vgg` int8 transform —
+//! consumes.
 //!
 //! Two range estimators are offered:
 //!
@@ -23,7 +24,7 @@
 //! runs can eyeball calibration stability.
 
 use antidote_data::{BatchIter, Split};
-use antidote_models::{FeatureHook, Network, QuantizedVgg, TapInfo, Vgg};
+use antidote_models::{FeatureHook, Network, TapInfo, Vgg};
 use antidote_nn::masked::FeatureMask;
 use antidote_nn::Mode;
 use antidote_tensor::quant::scale_for_absmax;
@@ -156,16 +157,17 @@ pub fn calibrate(
     }
 }
 
-/// Convenience: calibrate `vgg` on `split` and return its int8 twin.
+/// Convenience: calibrate `vgg` on `split` and return it transformed to
+/// int8 (an eval-only [`Vgg`] with quantized convs).
 pub fn quantize_vgg(
     vgg: &mut Vgg,
     split: &Split,
     batch_size: usize,
     max_batches: usize,
     method: CalibrationMethod,
-) -> QuantizedVgg {
+) -> Vgg {
     let calib = calibrate(vgg, split, batch_size, max_batches, method);
-    QuantizedVgg::from_vgg(vgg, calib.input_scale, &calib.tap_scales)
+    vgg.quantize(calib.input_scale, &calib.tap_scales)
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use antidote_http::{
     ErrorBody, HttpConfig, HttpServer, InferApiResponse, ModelRegistry, ModelSource, ModelSpec,
     RateConfig,
 };
-use antidote_models::{QuantizedVgg, Vgg, VggConfig};
+use antidote_models::{Vgg, VggConfig};
 use antidote_serve::{ModelFactory, QuantMode, ServeConfig};
 use antidote_tensor::Tensor;
 use rand::rngs::SmallRng;
@@ -51,11 +51,7 @@ fn twin_registry(seed: u64) -> ModelRegistry {
     };
     let calib = calibrate(&mut fresh_vgg(seed), &calib_split, 2, 2, CalibrationMethod::MinMax);
     let int8: ModelFactory = Arc::new(move |_| {
-        Box::new(QuantizedVgg::from_vgg(
-            &fresh_vgg(seed),
-            calib.input_scale,
-            &calib.tap_scales,
-        ))
+        Box::new(fresh_vgg(seed).quantize(calib.input_scale, &calib.tap_scales))
     });
     ModelRegistry::start(vec![
         ModelSpec {

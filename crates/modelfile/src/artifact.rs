@@ -1,15 +1,15 @@
 //! Model-level view of an `.adm` file: one dtype-aware entry point
-//! ([`ModelArtifact::load`]) that hides the fp32/int8 parallel type
-//! twins behind a single artifact type, plus the checkpoint → artifact
-//! conversion the `convert` binary wraps.
+//! ([`ModelArtifact::load`]) that builds the same [`Vgg`] type from
+//! either weight domain, plus the checkpoint → artifact conversion the
+//! `convert` binary wraps.
 
 use crate::container::{Container, ContainerBuilder, KvValue};
 use crate::error::ModelFileError;
 use antidote_core::checkpoint::{restore_tensors, Checkpoint};
-use antidote_core::quant::{calibrate, CalibrationMethod};
+use antidote_core::quant::{quantize_vgg, CalibrationMethod};
 use antidote_data::SynthConfig;
 use antidote_models::{
-    BnParts, Network, QuantizedConvParts, QuantizedVgg, QuantizedVggParts, Vgg, VggConfig,
+    BnParts, Network, QuantizedConvParts, VggQuantizedParts, Vgg, VggConfig,
 };
 use antidote_tensor::quant::QuantizedMatrix;
 use antidote_tensor::Tensor;
@@ -78,7 +78,7 @@ enum ModelWeights {
     F32(Vec<Tensor>),
     /// Quantized layer parts (`conv.N.*` / `bn.N.*` / `linear.*` /
     /// `quant.act_scales` in the file).
-    Int8(QuantizedVggParts),
+    Int8(VggQuantizedParts),
 }
 
 /// A deployable model: configuration, dtype-tagged weights, and
@@ -195,8 +195,9 @@ impl ModelArtifact {
             .with_samples(per_class, 1)
             .with_seed(calib_seed)
             .generate();
-        let cal = calibrate(&mut net, &data.train, calib_batch_size, calib_batches, method);
-        let parts = QuantizedVgg::from_vgg(&net, cal.input_scale, &cal.tap_scales).to_parts();
+        let parts = quantize_vgg(&mut net, &data.train, calib_batch_size, calib_batches, method)
+            .to_quantized_parts()
+            .expect("a quantized network exports int8 parts");
 
         let method_label = match method {
             CalibrationMethod::MinMax => "minmax".to_string(),
@@ -227,7 +228,7 @@ impl ModelArtifact {
     }
 
     fn try_build(&self) -> Result<Box<dyn Network>, ModelFileError> {
-        match &self.weights {
+        let net = match &self.weights {
             ModelWeights::F32(params) => {
                 let mut net = Vgg::new(
                     &mut SmallRng::seed_from_u64(STRUCTURAL_SEED),
@@ -235,14 +236,14 @@ impl ModelArtifact {
                 );
                 restore_tensors(&mut net, params)
                     .map_err(|e| ModelFileError::BadModel(e.to_string()))?;
-                Ok(Box::new(net))
+                net
             }
             ModelWeights::Int8(parts) => {
-                let net = QuantizedVgg::from_parts(self.config.clone(), parts.clone())
-                    .map_err(ModelFileError::BadModel)?;
-                Ok(Box::new(net))
+                Vgg::from_quantized_parts(self.config.clone(), parts.clone())
+                    .map_err(ModelFileError::BadModel)?
             }
-        }
+        };
+        Ok(Box::new(net))
     }
 
     /// Proves the weights fit the config (and, for fp32, are finite
@@ -425,7 +426,7 @@ impl ModelArtifact {
                         });
                     }
                 }
-                ModelWeights::Int8(QuantizedVggParts {
+                ModelWeights::Int8(VggQuantizedParts {
                     convs,
                     bns,
                     linear_weight: tensor_of("linear.weight")?,

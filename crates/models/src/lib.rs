@@ -9,7 +9,9 @@
 //! data and reproduce the paper's exact full-scale layer shapes (the
 //! Table I baseline FLOPs fall out of [`ConvShape::macs`] sums); the
 //! trainable [`Vgg`]/[`ResNet`] networks are usually instantiated at
-//! reduced width for CPU-scale training.
+//! reduced width for CPU-scale training. Int8 inference is not a second
+//! network type: [`Vgg::quantize`] is a transform `Vgg → Vgg` whose
+//! convs carry int8 payloads through the same op list and walkers.
 //!
 //! # Example
 //!
@@ -39,7 +41,7 @@ mod vgg;
 
 pub use config::{ConvShape, ResNetConfig, VggBlock, VggConfig};
 pub use network::Network;
-pub use quantized::{BnParts, QuantizedConvParts, QuantizedVgg, QuantizedVggParts};
+pub use quantized::{BnParts, QuantizedConvParts, VggQuantizedParts};
 pub use resnet::{ResNet, ShrunkResNet};
 pub use shrunk::ShrunkVgg;
 pub use tap::{masks_to_tensor, FeatureHook, NoopHook, TapId, TapInfo};

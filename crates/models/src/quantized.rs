@@ -1,60 +1,18 @@
-//! Eval-only int8-quantized VGG (ISSUE 5 tentpole).
+//! The int8 side of [`Vgg`]'s interchange surface: the stored-parts
+//! types the model-file layer serializes, and the constructor that
+//! turns parts read from outside the program back into a network.
 //!
-//! [`QuantizedVgg`] is a post-training-quantized snapshot of a trained
-//! [`Vgg`]: every convolution's weights are symmetrically quantized per
-//! output channel (see `antidote_tensor::quant`), and each conv carries
-//! the per-tensor activation scale its *input* was calibrated to.
-//! Batch norm, ReLU, pooling and the classifier stay fp32 — together
-//! they are well under 1% of the network's MACs, and keeping the
-//! classifier in fp32 avoids quantizing the logits the accuracy gate
-//! compares.
-//!
-//! Scale plumbing: conv 0 consumes the network input, so it gets the
-//! calibrated input scale. Conv *i* (*i* ≥ 1) consumes tap *i−1*'s
-//! output (the post-BN+ReLU map) — max pooling can only select existing
-//! values and 0/1 pruning masks can only zero them, so neither grows
-//! the absmax and tap *i−1*'s calibrated scale stays valid at conv
-//! *i*'s input.
-//!
-//! The struct implements [`Network`] so serving and evaluation code is
-//! generic over the numeric domain, but it is strictly an inference
-//! artifact: [`Network::backward`] panics and
-//! [`Network::visit_params_mut`] visits nothing (int8 weights are not
-//! trainable parameters).
+//! Int8 weights travel as raw bytes plus scales and never round-trip
+//! through fp32. The network they rebuild is an ordinary [`Vgg`] whose
+//! convs carry int8 payloads (see the module docs of `vgg`).
 
-use crate::config::ConvShape;
-use crate::network::Network;
-use crate::profiled::profiled_quantized_conv;
-use crate::tap::{masks_to_tensor, FeatureHook, TapId, TapInfo};
-use crate::vgg::{pool_mask, Op, Vgg};
-use antidote_nn::layers::{BatchNorm2d, Flatten, Linear, MaxPool2d, Relu};
-use antidote_nn::masked::{FeatureMask, MacCounter};
+use crate::config::VggConfig;
+use crate::vgg::{ConvOp, Op, Vgg};
+use antidote_nn::layers::{BatchNorm2d, Linear};
 use antidote_nn::quant::QuantizedConv2d;
-use antidote_nn::{Layer, Mode, Parameter};
 use antidote_tensor::conv::ConvGeometry;
 use antidote_tensor::quant::QuantizedMatrix;
 use antidote_tensor::Tensor;
-
-/// One element of the quantized op sequence (eval-only, so taps carry
-/// no backward mask cache).
-#[derive(Debug)]
-enum QOp {
-    Conv(QuantizedConv2d),
-    Bn(BatchNorm2d),
-    Relu(Relu),
-    Pool(MaxPool2d),
-    Flatten(Flatten),
-    Linear(Linear),
-    Tap(TapInfo),
-}
-
-/// An int8 post-training-quantized [`Vgg`], for evaluation and serving.
-#[derive(Debug)]
-pub struct QuantizedVgg {
-    config: crate::VggConfig,
-    ops: Vec<QOp>,
-    taps: Vec<TapInfo>,
-}
 
 /// One conv layer's stored parts: int8 weights with per-row scales,
 /// fp32 bias, and the calibrated input-activation scale.
@@ -81,14 +39,11 @@ pub struct BnParts {
     pub running_var: Tensor,
 }
 
-/// The weight-carrying parts of a [`QuantizedVgg`] in forward order,
-/// with the structural ops (ReLU, pooling, flatten, taps) omitted —
-/// [`QuantizedVgg::from_parts`] rebuilds those from the
-/// [`crate::VggConfig`]. This is the interchange type the model-file
-/// layer serializes: int8 weights travel as raw bytes plus scales and
-/// never round-trip through fp32.
+/// The weight-carrying parts of an int8 [`Vgg`] in forward order, with
+/// the structural ops (ReLU, pooling, flatten, taps) omitted —
+/// [`Vgg::from_quantized_parts`] rebuilds those from the [`VggConfig`].
 #[derive(Debug, Clone)]
-pub struct QuantizedVggParts {
+pub struct VggQuantizedParts {
     /// Quantized convolutions in forward order.
     pub convs: Vec<QuantizedConvParts>,
     /// Batch norms in forward order (one per conv when the config
@@ -100,100 +55,45 @@ pub struct QuantizedVggParts {
     pub linear_bias: Tensor,
 }
 
-impl QuantizedVgg {
-    /// Quantizes a trained network given calibrated activation scales.
-    ///
-    /// `input_scale` is the int8 scale of the network input; of
-    /// `tap_scales` (one per tap, in tap order) the first `convs − 1`
-    /// entries feed convs `1..convs` as described in the module docs.
-    /// `core::quant::calibrate` produces both from held-out batches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tap_scales.len()` differs from the tap count or any
-    /// scale is non-finite or non-positive.
-    pub fn from_vgg(vgg: &Vgg, input_scale: f32, tap_scales: &[f32]) -> Self {
-        assert_eq!(
-            tap_scales.len(),
-            vgg.taps.len(),
-            "need one activation scale per tap"
-        );
-        let mut ops = Vec::with_capacity(vgg.ops.len());
-        let mut conv_idx = 0usize;
-        for op in &vgg.ops {
-            ops.push(match op {
-                Op::Conv(conv) => {
-                    let act_scale = if conv_idx == 0 {
-                        input_scale
-                    } else {
-                        tap_scales[conv_idx - 1]
-                    };
-                    conv_idx += 1;
-                    QOp::Conv(QuantizedConv2d::from_conv(conv, act_scale))
-                }
-                Op::Bn(bn) => QOp::Bn(BatchNorm2d::from_parts(
-                    bn.gamma().value.clone(),
-                    bn.beta().value.clone(),
-                    bn.running_mean().clone(),
-                    bn.running_var().clone(),
-                )),
-                Op::Relu(_) => QOp::Relu(Relu::new()),
-                Op::Pool(p) => QOp::Pool(MaxPool2d::new(p.window())),
-                Op::Flatten(_) => QOp::Flatten(Flatten::new()),
-                Op::Linear(fc) => QOp::Linear(Linear::from_parts(
-                    fc.weight().value.clone(),
-                    fc.bias().value.clone(),
-                )),
-                Op::Tap { info, .. } => QOp::Tap(*info),
-            });
-        }
-        Self {
-            config: vgg.config.clone(),
-            ops,
-            taps: vgg.taps.clone(),
-        }
-    }
-
-    /// The generating configuration.
-    pub fn config(&self) -> &crate::VggConfig {
-        &self.config
-    }
-
-    /// Exports the weight-carrying layers for serialization (the
-    /// inverse of [`QuantizedVgg::from_parts`]).
-    pub fn to_parts(&self) -> QuantizedVggParts {
+impl Vgg {
+    /// Exports an int8 network's weight-carrying layers for
+    /// serialization (the inverse of [`Vgg::from_quantized_parts`]);
+    /// `None` for an fp32 network, whose interchange form is its
+    /// parameter list.
+    pub fn to_quantized_parts(&self) -> Option<VggQuantizedParts> {
         let mut convs = Vec::new();
         let mut bns = Vec::new();
         let mut linear = None;
         for op in &self.ops {
             match op {
-                QOp::Conv(c) => convs.push(QuantizedConvParts {
+                Op::Conv(ConvOp::F32(_)) => return None,
+                Op::Conv(ConvOp::Int8(c)) => convs.push(QuantizedConvParts {
                     qweight: c.qweight().clone(),
                     bias: c.bias().to_vec(),
                     act_scale: c.act_scale(),
                 }),
-                QOp::Bn(bn) => bns.push(BnParts {
+                Op::Bn(bn) => bns.push(BnParts {
                     gamma: bn.gamma().value.clone(),
                     beta: bn.beta().value.clone(),
                     running_mean: bn.running_mean().clone(),
                     running_var: bn.running_var().clone(),
                 }),
-                QOp::Linear(fc) => {
+                Op::Linear(fc) => {
                     linear = Some((fc.weight().value.clone(), fc.bias().value.clone()))
                 }
                 _ => {}
             }
         }
-        let (linear_weight, linear_bias) = linear.expect("a QuantizedVgg always has a classifier");
-        QuantizedVggParts {
+        let (linear_weight, linear_bias) = linear.expect("a Vgg always has a classifier");
+        Some(VggQuantizedParts {
             convs,
             bns,
             linear_weight,
             linear_bias,
-        }
+        })
     }
 
-    /// Rebuilds a quantized network from stored parts, validating every
+    /// Rebuilds an int8 network from stored parts, validating every
     /// dimension against `config` first — the model-file loader's
     /// constructor, which must reject hostile input with an error
     /// rather than a panic.
@@ -207,9 +107,9 @@ impl QuantizedVgg {
     /// A human-readable description of the first inconsistency (config
     /// invariant, layer count, tensor shape, non-finite value, or
     /// non-positive activation scale).
-    pub fn from_parts(
-        config: crate::VggConfig,
-        parts: QuantizedVggParts,
+    pub fn from_quantized_parts(
+        config: VggConfig,
+        parts: VggQuantizedParts,
     ) -> Result<Self, String> {
         config.validate()?;
         let shapes = config.conv_shapes();
@@ -298,367 +198,28 @@ impl QuantizedVgg {
         finite("classifier weight", parts.linear_weight.data())?;
         finite("classifier bias", parts.linear_bias.data())?;
 
-        // Everything checked; rebuild the op sequence exactly as
-        // `Vgg::new` lays it out (conv, [bn], relu, tap per layer; pool
-        // per block; flatten + linear).
-        let mut ops = Vec::new();
-        let mut taps = Vec::new();
-        let mut convs = parts.convs.into_iter();
-        let mut bns = parts.bns.into_iter();
-        let mut shape_iter = shapes.iter();
-        let mut tap_idx = 0usize;
-        for (b, block) in config.blocks.iter().enumerate() {
-            let spatial = config.block_spatial(b);
-            for _ in 0..block.layers {
-                let cp = convs.next().expect("validated conv count");
-                let shape = shape_iter.next().expect("validated conv count");
-                ops.push(QOp::Conv(QuantizedConv2d::from_parts(
+        // Everything checked: the asserts behind the layer constructors
+        // below cannot fire.
+        let convs = parts
+            .convs
+            .into_iter()
+            .zip(&shapes)
+            .map(|(cp, shape)| {
+                ConvOp::Int8(QuantizedConv2d::from_parts(
                     cp.qweight,
                     cp.bias,
                     cp.act_scale,
                     shape.in_channels,
                     ConvGeometry::new(shape.kernel, 1, 1),
-                )));
-                if config.batchnorm {
-                    let bn = bns.next().expect("validated bn count");
-                    ops.push(QOp::Bn(BatchNorm2d::from_parts(
-                        bn.gamma,
-                        bn.beta,
-                        bn.running_mean,
-                        bn.running_var,
-                    )));
-                }
-                ops.push(QOp::Relu(Relu::new()));
-                let info = TapInfo {
-                    id: TapId(tap_idx),
-                    block: b,
-                    channels: block.channels,
-                    spatial,
-                };
-                taps.push(info);
-                ops.push(QOp::Tap(info));
-                tap_idx += 1;
-            }
-            ops.push(QOp::Pool(MaxPool2d::new(2)));
-        }
-        ops.push(QOp::Flatten(Flatten::new()));
-        ops.push(QOp::Linear(Linear::from_parts(
-            parts.linear_weight,
-            parts.linear_bias,
-        )));
-        Ok(Self { config, ops, taps })
-    }
-}
-
-impl Network for QuantizedVgg {
-    fn forward_hooked(
-        &mut self,
-        input: &Tensor,
-        mode: Mode,
-        hook: &mut dyn FeatureHook,
-    ) -> Tensor {
-        assert!(
-            !mode.is_train(),
-            "QuantizedVgg is eval-only; train on the fp32 network"
-        );
-        let mut counter = MacCounter::new();
-        self.forward_measured(input, hook, &mut counter)
-    }
-
-    fn backward(&mut self, _grad_logits: &Tensor) -> Tensor {
-        panic!("QuantizedVgg is an eval-only inference artifact; it has no backward pass");
-    }
-
-    fn forward_measured(
-        &mut self,
-        input: &Tensor,
-        hook: &mut dyn FeatureHook,
-        counter: &mut MacCounter,
-    ) -> Tensor {
-        let mode = Mode::Eval;
-        let mut x = input.clone();
-        // Masks from the most recent tap, consumed by the next conv —
-        // identical plumbing to the fp32 `Vgg::forward_measured`.
-        let mut pending: Option<Vec<FeatureMask>> = None;
-        let mut conv_idx = 0usize;
-        for op in &mut self.ops {
-            x = match op {
-                QOp::Conv(l) => {
-                    let n = x.dims()[0];
-                    let masks = pending
-                        .take()
-                        .unwrap_or_else(|| vec![FeatureMask::keep_all(); n]);
-                    let out = profiled_quantized_conv(conv_idx, &x, l, &masks, counter);
-                    conv_idx += 1;
-                    out
-                }
-                QOp::Bn(l) => l.forward(&x, mode),
-                QOp::Relu(l) => l.forward(&x, mode),
-                QOp::Pool(l) => {
-                    let (_, _, h, w) = x.shape().as_nchw().expect("pool expects NCHW");
-                    if let Some(masks) = pending.take() {
-                        pending = Some(
-                            masks
-                                .iter()
-                                .map(|m| pool_mask(m, h, w, l.window()))
-                                .collect(),
-                        );
-                    }
-                    l.forward(&x, mode)
-                }
-                QOp::Flatten(l) => l.forward(&x, mode),
-                QOp::Linear(l) => {
-                    let _s = antidote_obs::span("fwd.linear");
-                    counter.add(l.macs() * x.dims()[0] as u64);
-                    l.forward(&x, mode)
-                }
-                QOp::Tap(info) => {
-                    if let Some(item_masks) = hook.on_feature(*info, &x, mode) {
-                        let (n, c, h, w) = x.shape().as_nchw().expect("tap expects NCHW");
-                        let m = masks_to_tensor(&item_masks, n, c, h, w);
-                        let masked = x.zip(&m, |a, b| a * b);
-                        pending = Some(item_masks);
-                        masked
-                    } else {
-                        pending = None;
-                        x
-                    }
-                }
-            };
-        }
-        x
-    }
-
-    fn visit_params_mut(&mut self, _visitor: &mut dyn FnMut(&mut Parameter)) {
-        // Int8 weights are frozen inference constants, not parameters.
-    }
-
-    fn taps(&self) -> Vec<TapInfo> {
-        self.taps.clone()
-    }
-
-    fn visit_tap_convs(&self, _visitor: &mut dyn FnMut(usize, &antidote_nn::layers::Conv2d)) {
-        // The fp32 tap convs no longer exist; static-pruning baselines
-        // rank filters on the fp32 network before quantization.
-    }
-
-    fn conv_shapes(&self) -> Vec<ConvShape> {
-        self.config.conv_shapes()
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "int8-quantized vgg(blocks={:?}, input={}x{}, classes={})",
-            self.config
-                .blocks
-                .iter()
-                .map(|b| (b.layers, b.channels))
-                .collect::<Vec<_>>(),
-            self.config.input_size,
-            self.config.input_size,
-            self.config.classes
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::tap::NoopHook;
-    use crate::VggConfig;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-
-    fn trained_pair() -> (Vgg, QuantizedVgg) {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let vgg = Vgg::new(&mut rng, VggConfig::vgg_tiny(8, 3));
-        // Weights at init are already representative enough for scale
-        // math; a generous activation scale keeps everything in range.
-        let scales = vec![0.05f32; vgg.taps.len()];
-        let q = QuantizedVgg::from_vgg(&vgg, 0.01, &scales);
-        (vgg, q)
-    }
-
-    #[test]
-    fn quantized_forward_tracks_fp32_logits() {
-        let (mut vgg, mut q) = trained_pair();
-        let x = Tensor::from_fn([2, 3, 8, 8], |i| ((i as f32 * 0.013).sin()) * 0.5);
-        let mut cf = MacCounter::new();
-        let yf = vgg.forward_measured(&x, &mut NoopHook, &mut cf);
-        let mut cq = MacCounter::new();
-        let yq = q.forward_measured(&x, &mut NoopHook, &mut cq);
-        assert_eq!(yf.dims(), yq.dims());
-        assert_eq!(cf.total(), cq.total(), "counted MACs must match fp32");
-        // Same argmax per item: quantization noise must not flip the
-        // prediction on a smooth input.
-        for item in 0..2 {
-            let row = |t: &Tensor| {
-                let d = t.data();
-                let c = t.dims()[1];
-                (0..c)
-                    .max_by(|&a, &b| d[item * c + a].total_cmp(&d[item * c + b]))
-                    .unwrap()
-            };
-            assert_eq!(row(&yf), row(&yq), "argmax flipped on item {item}");
-        }
-    }
-
-    #[test]
-    fn masked_quantized_forward_counts_fewer_macs() {
-        #[derive(Debug)]
-        struct HalfChannels;
-        impl FeatureHook for HalfChannels {
-            fn on_feature(
-                &mut self,
-                _tap: TapInfo,
-                feature: &Tensor,
-                _mode: Mode,
-            ) -> Option<Vec<FeatureMask>> {
-                let (n, c, _, _) = feature.shape().as_nchw().unwrap();
-                let ch: Vec<bool> = (0..c).map(|i| i % 2 == 0).collect();
-                Some(vec![
-                    FeatureMask {
-                        channel: Some(ch),
-                        spatial: None
-                    };
-                    n
-                ])
-            }
-        }
-        let (mut vgg, mut q) = trained_pair();
-        let x = Tensor::from_fn([2, 3, 8, 8], |i| ((i as f32 * 0.021).cos()) * 0.5);
-        let mut dense = MacCounter::new();
-        let _ = q.forward_measured(&x, &mut NoopHook, &mut dense);
-        let mut pruned = MacCounter::new();
-        let _ = q.forward_measured(&x, &mut HalfChannels, &mut pruned);
-        assert!(pruned.total() < dense.total());
-        // And the pruned count agrees with the fp32 masked executor.
-        let mut fp32_pruned = MacCounter::new();
-        let _ = vgg.forward_measured(&x, &mut HalfChannels, &mut fp32_pruned);
-        assert_eq!(pruned.total(), fp32_pruned.total());
-    }
-
-    #[test]
-    fn eval_only_contract() {
-        let (_, mut q) = trained_pair();
-        let x = Tensor::zeros([1, 3, 8, 8]);
-        // Eval-mode hooked forward works…
-        let y = q.forward(&x, Mode::Eval);
-        assert_eq!(y.dims(), &[1, 3]);
-        // …and the network exposes no trainable parameters.
-        assert_eq!(q.param_count(), 0);
-        assert!(q.describe().starts_with("int8-quantized vgg"));
-        assert_eq!(q.taps().len(), 2);
-        assert_eq!(q.conv_shapes().len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "eval-only")]
-    fn train_mode_forward_panics() {
-        let (_, mut q) = trained_pair();
-        let _ = q.forward(&Tensor::zeros([1, 3, 8, 8]), Mode::Train);
-    }
-
-    #[test]
-    #[should_panic(expected = "eval-only")]
-    fn backward_panics() {
-        let (_, mut q) = trained_pair();
-        let _ = q.backward(&Tensor::zeros([1, 3]));
-    }
-
-    #[test]
-    fn scale_count_mismatch_panics() {
-        let (vgg, _) = trained_pair();
-        let result = std::panic::catch_unwind(|| QuantizedVgg::from_vgg(&vgg, 0.01, &[0.05]));
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn parts_round_trip_is_bit_exact() {
-        let (_, mut q) = trained_pair();
-        let mut rebuilt =
-            QuantizedVgg::from_parts(q.config().clone(), q.to_parts()).expect("valid parts");
-        let x = Tensor::from_fn([2, 3, 8, 8], |i| ((i as f32 * 0.017).sin()) * 0.4);
-        let mut ca = MacCounter::new();
-        let ya = q.forward_measured(&x, &mut NoopHook, &mut ca);
-        let mut cb = MacCounter::new();
-        let yb = rebuilt.forward_measured(&x, &mut NoopHook, &mut cb);
-        assert_eq!(ca.total(), cb.total());
-        assert!(ya
-            .data()
-            .iter()
-            .zip(yb.data())
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert_eq!(q.taps().len(), rebuilt.taps().len());
-        assert_eq!(q.describe(), rebuilt.describe());
-    }
-
-    #[test]
-    fn parts_round_trip_with_batchnorm() {
-        let mut rng = SmallRng::seed_from_u64(9);
-        let vgg = Vgg::new(&mut rng, VggConfig::vgg_tiny(8, 3).with_batchnorm());
-        let scales = vec![0.05f32; vgg.taps.len()];
-        let mut q = QuantizedVgg::from_vgg(&vgg, 0.01, &scales);
-        let mut rebuilt =
-            QuantizedVgg::from_parts(q.config().clone(), q.to_parts()).expect("valid parts");
-        let x = Tensor::from_fn([1, 3, 8, 8], |i| ((i as f32 * 0.031).cos()) * 0.3);
-        let ya = q.forward(&x, Mode::Eval);
-        let yb = rebuilt.forward(&x, Mode::Eval);
-        assert!(ya
-            .data()
-            .iter()
-            .zip(yb.data())
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-    }
-
-    #[test]
-    fn from_parts_rejects_inconsistent_input_without_panicking() {
-        let (_, q) = trained_pair();
-        let cfg = q.config().clone();
-
-        // Wrong conv count.
-        let mut parts = q.to_parts();
-        parts.convs.pop();
-        assert!(QuantizedVgg::from_parts(cfg.clone(), parts).is_err());
-
-        // Wrong weight shape.
-        let mut parts = q.to_parts();
-        parts.convs[0].qweight.rows += 1;
-        assert!(QuantizedVgg::from_parts(cfg.clone(), parts).is_err());
-
-        // Truncated scales.
-        let mut parts = q.to_parts();
-        parts.convs[1].qweight.scales.pop();
-        assert!(QuantizedVgg::from_parts(cfg.clone(), parts).is_err());
-
-        // Bad activation scale.
-        let mut parts = q.to_parts();
-        parts.convs[0].act_scale = f32::NAN;
-        assert!(QuantizedVgg::from_parts(cfg.clone(), parts).is_err());
-
-        // Non-finite classifier weight.
-        let mut parts = q.to_parts();
-        parts.linear_weight.data_mut()[0] = f32::INFINITY;
-        assert!(QuantizedVgg::from_parts(cfg.clone(), parts).is_err());
-
-        // Wrong classifier bias shape.
-        let mut parts = q.to_parts();
-        parts.linear_bias = Tensor::zeros([cfg.classes + 1]);
-        assert!(QuantizedVgg::from_parts(cfg.clone(), parts).is_err());
-
-        // Missing batch norms for a batchnorm config.
-        let parts = q.to_parts();
-        assert!(QuantizedVgg::from_parts(cfg.with_batchnorm(), parts).is_err());
-
-        // Invalid config.
-        let mut cfg_bad = q.config().clone();
-        cfg_bad.input_size = 7;
-        assert!(QuantizedVgg::from_parts(cfg_bad, q.to_parts()).is_err());
-    }
-
-    #[test]
-    fn quantized_vgg_is_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<QuantizedVgg>();
+                ))
+            })
+            .collect();
+        let bns = parts
+            .bns
+            .into_iter()
+            .map(|bn| BatchNorm2d::from_parts(bn.gamma, bn.beta, bn.running_mean, bn.running_var))
+            .collect();
+        let linear = Linear::from_parts(parts.linear_weight, parts.linear_bias);
+        Ok(Self::layout(config, convs, bns, linear))
     }
 }

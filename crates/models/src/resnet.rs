@@ -8,7 +8,7 @@
 
 use crate::config::{ConvShape, ResNetConfig};
 use crate::network::Network;
-use crate::profiled::profiled_masked_conv;
+use crate::profiled::{profiled_masked_conv, ConvRef};
 use crate::tap::{masks_to_tensor, FeatureHook, TapId, TapInfo};
 use antidote_nn::layers::{BatchNorm2d, Conv2d, GlobalAvgPool, Linear, Relu};
 use antidote_nn::masked::{masked_conv2d, FeatureMask, MacCounter};
@@ -119,7 +119,7 @@ impl BasicBlock {
         let mode = Mode::Eval;
         let n = x.dims()[0];
         let keep_all = vec![FeatureMask::keep_all(); n];
-        let mut h = profiled_masked_conv(layer_base, x, &self.conv1, &keep_all, counter);
+        let mut h = profiled_masked_conv(layer_base, x, ConvRef::F32(&self.conv1), &keep_all, counter);
         if let Some(bn) = &mut self.bn1 {
             h = bn.forward(&h, mode);
         }
@@ -133,7 +133,7 @@ impl BasicBlock {
             }
             None => keep_all.clone(),
         };
-        h = profiled_masked_conv(layer_base + 1, &h, &self.conv2, &masks, counter);
+        h = profiled_masked_conv(layer_base + 1, &h, ConvRef::F32(&self.conv2), &masks, counter);
         if let Some(bn) = &mut self.bn2 {
             h = bn.forward(&h, mode);
         }
@@ -529,7 +529,7 @@ impl Network for ResNet {
         let keep_all = vec![FeatureMask::keep_all(); n];
         // Stem conv is conv_shapes() layer 0; block i's convs are
         // layers 1 + 2i and 2 + 2i.
-        let mut x = profiled_masked_conv(0, input, &self.stem_conv, &keep_all, counter);
+        let mut x = profiled_masked_conv(0, input, ConvRef::F32(&self.stem_conv), &keep_all, counter);
         if let Some(bn) = &mut self.stem_bn {
             x = bn.forward(&x, mode);
         }

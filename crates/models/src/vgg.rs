@@ -1,19 +1,47 @@
 //! VGG-style sequential CNN with feature taps after every conv.
+//!
+//! One flat op list and one set of walkers serve both numeric domains:
+//! [`Vgg::new`] builds fp32 convs that train, and int8 is a transform of
+//! such a network ([`Vgg::quantize`]; [`Vgg::from_quantized_parts`] for
+//! weights read from a file) — strictly an inference artifact that
+//! panics on `Mode::Train` and [`Network::backward`], exposes no
+//! trainable parameters and visits no tap convs.
 
 use crate::config::{ConvShape, VggConfig};
 use crate::network::Network;
-use crate::profiled::profiled_masked_conv;
+use crate::profiled::{profiled_masked_conv, ConvRef};
 use crate::tap::{masks_to_tensor, FeatureHook, TapId, TapInfo};
 use antidote_nn::layers::{BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, Relu};
 use antidote_nn::masked::{FeatureMask, MacCounter};
+use antidote_nn::quant::QuantizedConv2d;
 use antidote_nn::{Layer, Mode, Parameter};
 use antidote_tensor::Tensor;
 use rand::Rng;
 
+/// A conv op's weights, tagged by numeric domain. The tag is the only
+/// thing that tells an fp32 network from an int8 one.
+#[derive(Debug)]
+pub(crate) enum ConvOp {
+    F32(Conv2d),
+    Int8(QuantizedConv2d),
+}
+
+const EVAL_ONLY: &str =
+    "an int8 Vgg is an eval-only inference artifact; train and backpropagate on the fp32 network";
+
+impl ConvOp {
+    fn as_ref(&self) -> ConvRef<'_> {
+        match self {
+            ConvOp::F32(conv) => ConvRef::F32(conv),
+            ConvOp::Int8(conv) => ConvRef::Int8(conv),
+        }
+    }
+}
+
 /// One element of the flat VGG op sequence.
 #[derive(Debug)]
 pub(crate) enum Op {
-    Conv(Conv2d),
+    Conv(ConvOp),
     Bn(BatchNorm2d),
     Relu(Relu),
     Pool(MaxPool2d),
@@ -46,8 +74,6 @@ pub struct Vgg {
     pub(crate) config: VggConfig,
     pub(crate) ops: Vec<Op>,
     pub(crate) taps: Vec<TapInfo>,
-    /// Op index of the conv producing each tap, in tap order.
-    tap_conv_ops: Vec<usize>,
 }
 
 impl Vgg {
@@ -63,50 +89,122 @@ impl Vgg {
             config.input_size,
             config.blocks.len()
         );
+        let shapes = config.conv_shapes();
+        let convs = shapes
+            .iter()
+            .map(|s| {
+                let conv = Conv2d::new(rng, s.in_channels, s.out_channels, s.kernel, 1, 1);
+                ConvOp::F32(conv)
+            })
+            .collect();
+        let bns = shapes
+            .iter()
+            .filter(|_| config.batchnorm)
+            .map(|s| BatchNorm2d::new(s.out_channels))
+            .collect();
+        let linear = Linear::new(rng, config.classifier_inputs(), config.classes);
+        Self::layout(config, convs, bns, linear)
+    }
+
+    /// The one place the VGG op sequence is laid out: conv → \[bn\] →
+    /// relu → tap per layer, a 2×2 max pool per block, then flatten →
+    /// linear. Takes the weight-carrying layers in forward order: one
+    /// conv per [`VggConfig::conv_shapes`] entry and, when the config
+    /// enables batch norm, one batch norm per conv.
+    pub(crate) fn layout(
+        config: VggConfig,
+        convs: Vec<ConvOp>,
+        bns: Vec<BatchNorm2d>,
+        linear: Linear,
+    ) -> Self {
+        let (mut convs, mut bns) = (convs.into_iter(), bns.into_iter());
         let mut ops = Vec::new();
         let mut taps = Vec::new();
-        let mut tap_conv_ops = Vec::new();
-        let mut in_ch = config.input_channels;
-        let mut tap_idx = 0;
         for (b, block) in config.blocks.iter().enumerate() {
-            let spatial = config.block_spatial(b);
             for _ in 0..block.layers {
-                tap_conv_ops.push(ops.len());
-                ops.push(Op::Conv(Conv2d::new(rng, in_ch, block.channels, 3, 1, 1)));
+                ops.push(Op::Conv(convs.next().expect("one conv per layer")));
                 if config.batchnorm {
-                    ops.push(Op::Bn(BatchNorm2d::new(block.channels)));
+                    ops.push(Op::Bn(bns.next().expect("one batch norm per conv")));
                 }
                 ops.push(Op::Relu(Relu::new()));
                 let info = TapInfo {
-                    id: TapId(tap_idx),
+                    id: TapId(taps.len()),
                     block: b,
                     channels: block.channels,
-                    spatial,
+                    spatial: config.block_spatial(b),
                 };
                 taps.push(info);
                 ops.push(Op::Tap { info, mask: None });
-                tap_idx += 1;
-                in_ch = block.channels;
             }
             ops.push(Op::Pool(MaxPool2d::new(2)));
         }
         ops.push(Op::Flatten(Flatten::new()));
-        ops.push(Op::Linear(Linear::new(
-            rng,
-            config.classifier_inputs(),
-            config.classes,
-        )));
-        Self {
-            config,
-            ops,
-            taps,
-            tap_conv_ops,
-        }
+        ops.push(Op::Linear(linear));
+        Self { config, ops, taps }
     }
 
     /// The generating configuration.
     pub fn config(&self) -> &VggConfig {
         &self.config
+    }
+
+    /// `true` when the convs carry int8 payloads (an eval-only network).
+    fn is_int8(&self) -> bool {
+        self.ops
+            .iter()
+            .any(|op| matches!(op, Op::Conv(ConvOp::Int8(_))))
+    }
+
+    /// Post-training quantization as a transform: a copy of this fp32
+    /// network whose convs are symmetrically quantized to int8 per
+    /// output channel and carry the activation scale their *input* was
+    /// calibrated to. Batch norm, ReLU, pooling and the classifier stay
+    /// fp32 — together they are well under 1% of the network's MACs, and
+    /// an fp32 classifier avoids quantizing the logits the accuracy gate
+    /// compares.
+    ///
+    /// `input_scale` is the int8 scale of the network input and feeds
+    /// conv 0. Conv *i* (*i* ≥ 1) consumes tap *i−1*'s output (the
+    /// post-BN+ReLU map) and takes `tap_scales[i − 1]`: max pooling can
+    /// only select existing values and 0/1 pruning masks can only zero
+    /// them, so neither grows the absmax and the tap's calibrated scale
+    /// stays valid at the next conv's input. `core::quant::calibrate`
+    /// produces both from held-out batches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network is already int8, `tap_scales.len()` differs
+    /// from the tap count, or any scale is non-finite or non-positive.
+    pub fn quantize(&self, input_scale: f32, tap_scales: &[f32]) -> Vgg {
+        assert_eq!(
+            tap_scales.len(),
+            self.taps.len(),
+            "need one activation scale per tap"
+        );
+        let mut act_scales = std::iter::once(&input_scale).chain(tap_scales);
+        let (mut convs, mut bns, mut linear) = (Vec::new(), Vec::new(), None);
+        for op in &self.ops {
+            match op {
+                Op::Conv(ConvOp::F32(conv)) => {
+                    let act_scale = *act_scales.next().expect("one scale per conv");
+                    convs.push(ConvOp::Int8(QuantizedConv2d::from_conv(conv, act_scale)));
+                }
+                Op::Conv(ConvOp::Int8(_)) => panic!("network is already int8"),
+                Op::Bn(bn) => bns.push(BatchNorm2d::from_parts(
+                    bn.gamma().value.clone(),
+                    bn.beta().value.clone(),
+                    bn.running_mean().clone(),
+                    bn.running_var().clone(),
+                )),
+                Op::Linear(fc) => {
+                    let (weight, bias) = (fc.weight().value.clone(), fc.bias().value.clone());
+                    linear = Some(Linear::from_parts(weight, bias));
+                }
+                _ => {}
+            }
+        }
+        let linear = linear.expect("a Vgg always has a classifier");
+        Self::layout(self.config.clone(), convs, bns, linear)
     }
 
     /// Compiles *static* per-tap channel keep-masks into a physically
@@ -122,8 +220,9 @@ impl Vgg {
     ///
     /// # Panics
     ///
-    /// Panics if a mask's length disagrees with its tap's channel count
-    /// or a mask prunes *all* channels of a layer.
+    /// Panics if a mask's length disagrees with its tap's channel count,
+    /// a mask prunes *all* channels of a layer, or the network is int8
+    /// (surgery ranks and slices fp32 filters; shrink before quantizing).
     pub fn shrink(
         &self,
         masks: &std::collections::BTreeMap<usize, Vec<bool>>,
@@ -135,7 +234,7 @@ impl Vgg {
         let mut conv_idx = 0usize;
         for op in &self.ops {
             match op {
-                Op::Conv(conv) => {
+                Op::Conv(ConvOp::F32(conv)) => {
                     let full = vec![true; conv.out_channels()];
                     out_keep = masks.get(&conv_idx).cloned().unwrap_or(full);
                     assert_eq!(
@@ -155,6 +254,7 @@ impl Vgg {
                     in_keep = out_keep.clone();
                     conv_idx += 1;
                 }
+                Op::Conv(ConvOp::Int8(_)) => panic!("filter surgery needs fp32 weights"),
                 Op::Bn(bn) => {
                     ops.push(ShrunkOp::Bn(BatchNorm2d::from_parts(
                         shrink_vec(&bn.gamma().value, &out_keep),
@@ -209,10 +309,17 @@ impl Network for Vgg {
         mode: Mode,
         hook: &mut dyn FeatureHook,
     ) -> Tensor {
+        if self.is_int8() {
+            // No activation caches to fill, so the skipping executor is
+            // the int8 network's only forward path.
+            assert!(!mode.is_train(), "{EVAL_ONLY}");
+            return self.forward_measured(input, hook, &mut MacCounter::new());
+        }
         let mut x = input.clone();
         for op in &mut self.ops {
             x = match op {
-                Op::Conv(l) => l.forward(&x, mode),
+                Op::Conv(ConvOp::F32(l)) => l.forward(&x, mode),
+                Op::Conv(ConvOp::Int8(_)) => unreachable!("int8 networks returned above"),
                 Op::Bn(l) => l.forward(&x, mode),
                 Op::Relu(l) => l.forward(&x, mode),
                 Op::Pool(l) => l.forward(&x, mode),
@@ -238,10 +345,12 @@ impl Network for Vgg {
     }
 
     fn backward(&mut self, grad_logits: &Tensor) -> Tensor {
+        assert!(!self.is_int8(), "{EVAL_ONLY}");
         let mut g = grad_logits.clone();
         for op in self.ops.iter_mut().rev() {
             g = match op {
-                Op::Conv(l) => l.backward(&g),
+                Op::Conv(ConvOp::F32(l)) => l.backward(&g),
+                Op::Conv(ConvOp::Int8(_)) => unreachable!("int8 networks panicked above"),
                 Op::Bn(l) => l.backward(&g),
                 Op::Relu(l) => l.backward(&g),
                 Op::Pool(l) => l.backward(&g),
@@ -276,7 +385,7 @@ impl Network for Vgg {
                     let masks = pending
                         .take()
                         .unwrap_or_else(|| vec![FeatureMask::keep_all(); n]);
-                    let out = profiled_masked_conv(conv_idx, &x, l, &masks, counter);
+                    let out = profiled_masked_conv(conv_idx, &x, l.as_ref(), &masks, counter);
                     conv_idx += 1;
                     out
                 }
@@ -319,9 +428,14 @@ impl Network for Vgg {
     }
 
     fn visit_params_mut(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
+        if self.is_int8() {
+            // Frozen inference constants, not parameters — the fp32
+            // batch norms and classifier included.
+            return;
+        }
         for op in &mut self.ops {
             match op {
-                Op::Conv(l) => l.visit_params_mut(visitor),
+                Op::Conv(ConvOp::F32(l)) => l.visit_params_mut(visitor),
                 Op::Bn(l) => l.visit_params_mut(visitor),
                 Op::Linear(l) => l.visit_params_mut(visitor),
                 _ => {}
@@ -334,10 +448,15 @@ impl Network for Vgg {
     }
 
     fn visit_tap_convs(&self, visitor: &mut dyn FnMut(usize, &Conv2d)) {
-        for (tap_idx, &op_idx) in self.tap_conv_ops.iter().enumerate() {
-            if let Op::Conv(conv) = &self.ops[op_idx] {
-                visitor(tap_idx, conv);
-            }
+        // Every conv feeds exactly one tap, so conv order is tap order.
+        // An int8 network visits nothing: static-pruning baselines rank
+        // filters on the fp32 network before quantization.
+        let convs = self.ops.iter().filter_map(|op| match op {
+            Op::Conv(ConvOp::F32(conv)) => Some(conv),
+            _ => None,
+        });
+        for (tap_idx, conv) in convs.enumerate() {
+            visitor(tap_idx, conv);
         }
     }
 
@@ -346,8 +465,9 @@ impl Network for Vgg {
     }
 
     fn describe(&self) -> String {
+        let dtype = if self.is_int8() { "int8-quantized " } else { "" };
         format!(
-            "vgg(blocks={:?}, input={}x{}, classes={})",
+            "{dtype}vgg(blocks={:?}, input={}x{}, classes={})",
             self.config
                 .blocks
                 .iter()
@@ -363,6 +483,7 @@ impl Network for Vgg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tap::NoopHook;
     use antidote_nn::loss::softmax_cross_entropy;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -370,6 +491,46 @@ mod tests {
     fn tiny() -> Vgg {
         let mut rng = SmallRng::seed_from_u64(1);
         Vgg::new(&mut rng, VggConfig::vgg_tiny(8, 3))
+    }
+
+    /// An fp32 network and its int8 transform. Weights at init are
+    /// already representative enough for scale math; generous activation
+    /// scales keep everything in range.
+    fn int8_pair(config: VggConfig) -> (Vgg, Vgg) {
+        let vgg = Vgg::new(&mut SmallRng::seed_from_u64(3), config);
+        let int8 = vgg.quantize(0.01, &vec![0.05; vgg.taps.len()]);
+        (vgg, int8)
+    }
+
+    fn tiny_int8_pair() -> (Vgg, Vgg) {
+        int8_pair(VggConfig::vgg_tiny(8, 3))
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Keeps the even channels of every tap, for every item.
+    #[derive(Debug)]
+    struct HalfChannels;
+
+    impl FeatureHook for HalfChannels {
+        fn on_feature(
+            &mut self,
+            _tap: TapInfo,
+            feature: &Tensor,
+            _mode: Mode,
+        ) -> Option<Vec<FeatureMask>> {
+            let (n, c, _, _) = feature.shape().as_nchw().unwrap();
+            let ch: Vec<bool> = (0..c).map(|i| i % 2 == 0).collect();
+            Some(vec![
+                FeatureMask {
+                    channel: Some(ch),
+                    spatial: None
+                };
+                n
+            ])
+        }
     }
 
     #[test]
@@ -498,26 +659,6 @@ mod tests {
 
     #[test]
     fn measured_forward_matches_hooked_forward() {
-        #[derive(Debug)]
-        struct HalfChannels;
-        impl FeatureHook for HalfChannels {
-            fn on_feature(
-                &mut self,
-                _tap: TapInfo,
-                feature: &Tensor,
-                _mode: Mode,
-            ) -> Option<Vec<FeatureMask>> {
-                let (n, c, _, _) = feature.shape().as_nchw().unwrap();
-                let ch: Vec<bool> = (0..c).map(|i| i % 2 == 0).collect();
-                Some(vec![
-                    FeatureMask {
-                        channel: Some(ch),
-                        spatial: None
-                    };
-                    n
-                ])
-            }
-        }
         let mut net = tiny();
         let x = Tensor::from_fn([2, 3, 8, 8], |i| (i as f32 * 0.021).sin());
         let logits_mult = net.forward_hooked(&x, Mode::Eval, &mut HalfChannels);
@@ -529,7 +670,7 @@ mod tests {
         );
         // And it must do fewer MACs than the dense path.
         let mut dense_counter = MacCounter::new();
-        let _ = net.forward_measured(&x, &mut crate::tap::NoopHook, &mut dense_counter);
+        let _ = net.forward_measured(&x, &mut NoopHook, &mut dense_counter);
         assert!(counter.total() < dense_counter.total());
     }
 
@@ -555,5 +696,151 @@ mod tests {
         // conv1: 3*4*9+4, conv2: 4*8*9+8, linear: (8*2*2)*3+3
         let expect = (3 * 4 * 9 + 4) + (4 * 8 * 9 + 8) + (8 * 4 * 3 + 3);
         assert_eq!(net.param_count(), expect);
+    }
+    #[test]
+    fn int8_forward_tracks_fp32_logits_at_equal_counted_macs() {
+        let (mut vgg, mut q) = tiny_int8_pair();
+        let x = Tensor::from_fn([2, 3, 8, 8], |i| ((i as f32 * 0.013).sin()) * 0.5);
+        let mut cf = MacCounter::new();
+        let yf = vgg.forward_measured(&x, &mut NoopHook, &mut cf);
+        let mut cq = MacCounter::new();
+        let yq = q.forward_measured(&x, &mut NoopHook, &mut cq);
+        assert_eq!(yf.dims(), yq.dims());
+        assert_eq!(cf.total(), cq.total(), "counted MACs must match fp32");
+        // Same argmax per item: quantization noise must not flip the
+        // prediction on a smooth input.
+        for item in 0..2 {
+            let row = |t: &Tensor| {
+                let d = t.data();
+                let c = t.dims()[1];
+                (0..c)
+                    .max_by(|&a, &b| d[item * c + a].total_cmp(&d[item * c + b]))
+                    .unwrap()
+            };
+            assert_eq!(row(&yf), row(&yq), "argmax flipped on item {item}");
+        }
+    }
+
+    #[test]
+    fn masked_int8_forward_counts_the_fp32_executors_macs() {
+        let (mut vgg, mut q) = tiny_int8_pair();
+        let x = Tensor::from_fn([2, 3, 8, 8], |i| ((i as f32 * 0.021).cos()) * 0.5);
+        let mut dense = MacCounter::new();
+        let _ = q.forward_measured(&x, &mut NoopHook, &mut dense);
+        let mut pruned = MacCounter::new();
+        let _ = q.forward_measured(&x, &mut HalfChannels, &mut pruned);
+        assert!(pruned.total() < dense.total());
+        let mut fp32_pruned = MacCounter::new();
+        let _ = vgg.forward_measured(&x, &mut HalfChannels, &mut fp32_pruned);
+        assert_eq!(pruned.total(), fp32_pruned.total());
+    }
+
+    #[test]
+    fn int8_network_is_eval_only() {
+        let (_, mut q) = tiny_int8_pair();
+        let x = Tensor::zeros([1, 3, 8, 8]);
+        // Eval-mode hooked forward works…
+        let y = q.forward(&x, Mode::Eval);
+        assert_eq!(y.dims(), &[1, 3]);
+        // …and the network exposes no trainable parameters or tap convs.
+        assert_eq!(q.param_count(), 0);
+        let mut visited = 0;
+        q.visit_tap_convs(&mut |_, _| visited += 1);
+        assert_eq!(visited, 0);
+        assert!(q.describe().starts_with("int8-quantized vgg("));
+        assert_eq!(q.taps().len(), 2);
+        assert_eq!(q.conv_shapes().len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "eval-only")]
+    fn int8_train_mode_forward_panics() {
+        let (_, mut q) = tiny_int8_pair();
+        let _ = q.forward(&Tensor::zeros([1, 3, 8, 8]), Mode::Train);
+    }
+
+    #[test]
+    #[should_panic(expected = "eval-only")]
+    fn int8_backward_panics() {
+        let (_, mut q) = tiny_int8_pair();
+        let _ = q.backward(&Tensor::zeros([1, 3]));
+    }
+
+    #[test]
+    #[should_panic(expected = "one activation scale per tap")]
+    fn quantize_scale_count_mismatch_panics() {
+        let _ = tiny().quantize(0.01, &[0.05]);
+    }
+
+    #[test]
+    #[should_panic(expected = "already int8")]
+    fn quantizing_twice_panics() {
+        let (_, q) = tiny_int8_pair();
+        let _ = q.quantize(0.01, &[0.05, 0.05]);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs fp32 weights")]
+    fn shrinking_an_int8_network_panics() {
+        let (_, q) = tiny_int8_pair();
+        let _ = q.shrink(&std::collections::BTreeMap::new());
+    }
+
+    #[test]
+    fn quantized_parts_round_trip_is_bit_exact() {
+        for config in [
+            VggConfig::vgg_tiny(8, 3),
+            VggConfig::vgg_tiny(8, 3).with_batchnorm(),
+        ] {
+            let (vgg, mut q) = int8_pair(config);
+            assert!(vgg.to_quantized_parts().is_none(), "fp32 has no int8 parts");
+            let parts = q.to_quantized_parts().expect("int8 network");
+            let mut rebuilt =
+                Vgg::from_quantized_parts(q.config().clone(), parts).expect("valid parts");
+            let x = Tensor::from_fn([2, 3, 8, 8], |i| ((i as f32 * 0.017).sin()) * 0.4);
+            let mut ca = MacCounter::new();
+            let ya = q.forward_measured(&x, &mut NoopHook, &mut ca);
+            let mut cb = MacCounter::new();
+            let yb = rebuilt.forward_measured(&x, &mut NoopHook, &mut cb);
+            assert_eq!(ca.total(), cb.total());
+            assert_eq!(bits(&ya), bits(&yb));
+            assert_eq!(
+                bits(&q.forward(&x, Mode::Eval)),
+                bits(&rebuilt.forward(&x, Mode::Eval))
+            );
+            assert_eq!(q.taps(), rebuilt.taps());
+            assert_eq!(q.describe(), rebuilt.describe());
+        }
+    }
+
+    #[test]
+    fn from_quantized_parts_rejects_inconsistent_input_without_panicking() {
+        type Corrupt = fn(&mut VggConfig, &mut crate::VggQuantizedParts);
+        let cases: [(&str, Corrupt); 8] = [
+            ("conv count", |_, p| p.convs.truncate(1)),
+            ("weight shape", |_, p| p.convs[0].qweight.rows += 1),
+            ("truncated scales", |_, p| {
+                p.convs[1].qweight.scales.truncate(1)
+            }),
+            ("activation scale", |_, p| p.convs[0].act_scale = f32::NAN),
+            ("non-finite classifier", |_, p| {
+                p.linear_weight.data_mut()[0] = f32::INFINITY
+            }),
+            ("classifier bias shape", |c, p| {
+                p.linear_bias = Tensor::zeros([c.classes + 1])
+            }),
+            ("missing batch norms", |c, _| c.batchnorm = true),
+            ("invalid config", |c, _| c.input_size = 7),
+        ];
+        let (_, q) = tiny_int8_pair();
+        for (name, corrupt) in cases {
+            let mut config = q.config().clone();
+            let mut parts = q.to_quantized_parts().expect("int8 network");
+            corrupt(&mut config, &mut parts);
+            assert!(
+                Vgg::from_quantized_parts(config, parts).is_err(),
+                "{name} must be rejected"
+            );
+        }
     }
 }

@@ -6,9 +6,11 @@
 //! to this paper — a masked convolution executor
 //! ([`masked::masked_conv2d`]) that actually *skips* the computation of
 //! dynamically pruned feature-map channels and spatial columns while
-//! counting the multiply–accumulates it performs. Its int8 twin
-//! ([`quant::quantized_masked_conv2d`]) runs the same skip logic over
-//! post-training-quantized weights for evaluation/serving.
+//! counting the multiply–accumulates it performs. The executor is one
+//! tap-gather loop nest generic over the numeric domain:
+//! [`quant::quantized_masked_conv2d`] is its int8 entry point, running
+//! the same skip logic over post-training-quantized weights for
+//! evaluation/serving.
 //!
 //! # Example: one training step
 //!

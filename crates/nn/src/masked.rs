@@ -10,9 +10,11 @@
 //! not just modeled.
 //!
 //! Batch items are independent (disjoint output slices, per-item MAC
-//! tallies summed in item order), so [`masked_conv2d`] fans them out
-//! over the `antidote_par` pool with bit-exact results at every
-//! `ANTIDOTE_THREADS` budget.
+//! tallies summed in item order), so the executor fans them out over the
+//! `antidote_par` pool with bit-exact results at every
+//! `ANTIDOTE_THREADS` budget. The loop nest exists once, generic over the
+//! numeric domain: [`masked_conv2d`] is its fp32 entry point and
+//! [`crate::quant::quantized_masked_conv2d`] its int8 one.
 
 use antidote_tensor::conv::ConvGeometry;
 use antidote_tensor::Tensor;
@@ -157,36 +159,86 @@ pub fn masked_conv2d(
     masks: &[FeatureMask],
     counter: &mut MacCounter,
 ) -> Tensor {
-    let _span = antidote_obs::span("nn.masked_conv2d");
-    let (n, cin, h, w) = input.shape().as_nchw().expect("input must be NCHW");
-    assert_eq!(masks.len(), n, "need one mask per batch item");
     let wd = weight.dims();
     assert_eq!(wd.len(), 4, "weight must be (Cout,Cin,K,K)");
-    assert_eq!(wd[1], cin, "weight Cin mismatch");
-    let cout = wd[0];
+    assert_eq!(Some(&wd[1]), input.dims().get(1), "weight Cin mismatch");
+    assert_eq!(wd[2], geom.kernel, "weight kernel mismatch");
+    let domain = TapDomain {
+        name: "nn.masked_conv2d",
+        weights: weight.data(),
+        load: |v| v,
+        dot: |_co, taps: &[(usize, f32)], filter: &[f32]| {
+            let mut acc = 0.0f32;
+            for &(widx, v) in taps {
+                acc += v * filter[widx];
+            }
+            acc
+        },
+    };
+    let bias = bias.map(Tensor::data);
+    run_masked_conv(&domain, input, wd[0], bias, geom, masks, counter)
+}
+
+/// The numeric domain of one masked-executor call. The masks and the
+/// geometry fix *which* taps a window gathers; the domain only fixes how
+/// one tap is brought in and multiplied.
+pub(crate) struct TapDomain<'a, E, L, D> {
+    /// Span name of a call; its MAC counter is `<name>.macs`.
+    pub name: &'static str,
+    /// The `(Cout, Cin·K·K)` row-major filter matrix.
+    pub weights: &'a [E],
+    /// `load(v)` brings one kept input value into the domain.
+    pub load: L,
+    /// `dot(co, taps, filter)` is one window's contribution to output
+    /// channel `co`: the gathered `(weight index, value)` taps against
+    /// that channel's filter row, accumulated in tap order.
+    pub dot: D,
+}
+
+/// The one window/tap-gather loop nest behind [`masked_conv2d`] and
+/// [`crate::quant::quantized_masked_conv2d`]: per batch item, gather the
+/// kept taps of every output window once, dot them against all `cout`
+/// filter rows in `domain`, and charge `taps·cout` MACs per window.
+///
+/// Each item owns a disjoint output slice and its own MAC tally (summed
+/// in item order), so items fan out over the `antidote_par` pool with
+/// bit-exact results. Callers validate the weight shape against `input`.
+pub(crate) fn run_masked_conv<E, L, D>(
+    domain: &TapDomain<'_, E, L, D>,
+    input: &Tensor,
+    cout: usize,
+    bias: Option<&[f32]>,
+    geom: ConvGeometry,
+    masks: &[FeatureMask],
+    counter: &mut MacCounter,
+) -> Tensor
+where
+    E: Copy + Send + Sync,
+    L: Fn(f32) -> E + Sync,
+    D: Fn(usize, &[(usize, E)], &[E]) -> f32 + Sync,
+{
+    let _span = antidote_obs::span(domain.name);
+    let (n, cin, h, w) = input.shape().as_nchw().expect("input must be NCHW");
+    assert_eq!(masks.len(), n, "need one mask per batch item");
     let k = geom.kernel;
-    assert_eq!(wd[2], k, "weight kernel mismatch");
     let (hout, wout) = geom.output_size(h, w);
     let plane_in = h * w;
     let plane_out = hout * wout;
     let mut out = Tensor::zeros([n, cout, hout, wout]);
-    let wdata = weight.data();
+    let wdata = domain.weights;
     let in_data = input.data();
 
-    // One batch item: gather kept taps per output window, dot against
-    // every filter. Each item owns a disjoint output slice and its own
-    // MAC tally, so items run in parallel with bit-exact results.
     let run_item = |mask: &FeatureMask, img: &[f32], out_item: &mut [f32]| -> u64 {
         let kept_channels: Vec<usize> = (0..cin).filter(|&c| mask.keeps_channel(c)).collect();
         if let Some(b) = bias {
             for co in 0..cout {
-                out_item[co * plane_out..(co + 1) * plane_out].fill(b.data()[co]);
+                out_item[co * plane_out..(co + 1) * plane_out].fill(b[co]);
             }
         }
         // The serve engine's inner loop: one taps buffer per item,
         // cleared per window — the former per-output-pixel `Vec`
         // allocation dominated small-batch serving profiles.
-        let mut taps: Vec<(usize, f32)> = Vec::with_capacity(kept_channels.len() * k * k);
+        let mut taps: Vec<(usize, E)> = Vec::with_capacity(kept_channels.len() * k * k);
         let mut macs = 0u64;
         for oy in 0..hout {
             for ox in 0..wout {
@@ -208,18 +260,13 @@ pub fn masked_conv2d(
                             if !mask.keeps_position(p) {
                                 continue;
                             }
-                            let v = plane[p];
-                            taps.push(((ci * k + ky) * k + kx, v));
+                            taps.push(((ci * k + ky) * k + kx, (domain.load)(plane[p])));
                         }
                     }
                 }
                 for co in 0..cout {
-                    let wslice = &wdata[co * cin * k * k..(co + 1) * cin * k * k];
-                    let mut acc = 0.0f32;
-                    for &(widx, v) in &taps {
-                        acc += v * wslice[widx];
-                    }
-                    out_item[co * plane_out + oy * wout + ox] += acc;
+                    let filter = &wdata[co * cin * k * k..(co + 1) * cin * k * k];
+                    out_item[co * plane_out + oy * wout + ox] += (domain.dot)(co, &taps, filter);
                 }
                 macs += (taps.len() * cout) as u64;
             }
@@ -249,7 +296,7 @@ pub fn masked_conv2d(
     let macs: u64 = item_macs.iter().sum();
     counter.add(macs);
     if antidote_obs::enabled() {
-        antidote_obs::counter_add("nn.masked_conv2d.macs", macs);
+        antidote_obs::counter_add(&format!("{}.macs", domain.name), macs);
     }
     out
 }

@@ -7,16 +7,17 @@
 //! accumulate in `i32` before a single per-channel dequantization
 //! multiply.
 //!
-//! [`quantized_masked_conv2d`] is a line-for-line sibling of
-//! [`crate::masked::masked_conv2d`]: it gathers exactly the same kept
-//! taps per output window (masked channels and spatial columns never
-//! enter the int8 domain at all) and charges exactly the same
-//! `taps·Cout` MACs per window — so for identical masks, the quantized
-//! and fp32 executors report identical *counted* MAC totals, which the
-//! `quant_equivalence` integration test pins with `u64` equality.
+//! [`quantized_masked_conv2d`] runs the same tap-gather driver as
+//! [`crate::masked::masked_conv2d`] in the int8 domain: it gathers
+//! exactly the same kept taps per output window (masked channels and
+//! spatial columns never enter the int8 domain at all) and charges
+//! exactly the same `taps·Cout` MACs per window — so for identical
+//! masks, the quantized and fp32 executors report identical *counted*
+//! MAC totals, which the `quant_equivalence` integration test pins with
+//! `u64` equality.
 
 use crate::layers::Conv2d;
-use crate::masked::{FeatureMask, MacCounter};
+use crate::masked::{run_masked_conv, FeatureMask, MacCounter, TapDomain};
 use antidote_tensor::conv::ConvGeometry;
 use antidote_tensor::quant::{quantize_value, QuantizedMatrix};
 use antidote_tensor::Tensor;
@@ -51,25 +52,15 @@ impl QuantizedConv2d {
     ///
     /// Panics if `act_scale` is not strictly positive and finite.
     pub fn from_conv(conv: &Conv2d, act_scale: f32) -> Self {
-        assert!(
-            act_scale.is_finite() && act_scale > 0.0,
-            "activation scale must be positive and finite, got {act_scale}"
-        );
-        let cout = conv.out_channels();
         let cin = conv.in_channels();
         let k = conv.geometry().kernel;
         let qweight = QuantizedMatrix::quantize_symmetric_per_row(
             conv.weight().value.data(),
-            cout,
+            conv.out_channels(),
             cin * k * k,
         );
-        Self {
-            qweight,
-            bias: conv.bias().value.data().to_vec(),
-            act_scale,
-            in_channels: cin,
-            geom: conv.geometry(),
-        }
+        let bias = conv.bias().value.data().to_vec();
+        Self::from_parts(qweight, bias, act_scale, cin, conv.geometry())
     }
 
     /// Reassembles a quantized convolution from stored parts — the
@@ -80,7 +71,7 @@ impl QuantizedConv2d {
     ///
     /// Panics on inconsistent dimensions or a non-positive/non-finite
     /// `act_scale`. File loaders must validate before calling (see
-    /// `antidote_models::QuantizedVgg::from_parts`, which returns typed
+    /// `antidote_models::Vgg::from_quantized_parts`, which returns typed
     /// errors); these asserts are a backstop, not an error surface.
     pub fn from_parts(
         qweight: QuantizedMatrix,
@@ -156,17 +147,14 @@ impl QuantizedConv2d {
 }
 
 /// Int8 convolution that skips masked input channels and masked spatial
-/// columns, per batch item — the quantized twin of
-/// [`crate::masked::masked_conv2d`].
+/// columns, per batch item — [`crate::masked::masked_conv2d`] in the
+/// int8 domain.
 ///
-/// The tap-gathering loop is structurally identical to the fp32
-/// executor's: the same windows visit the same kept `(channel, ky, kx)`
-/// taps in the same order, each tap is quantized on the fly with the
-/// layer's activation scale, dotted against every filter in `i32`, and
-/// dequantized once per output with `act_scale · weight_scale[co]`.
-/// Because the *set* of gathered taps depends only on the masks and the
-/// geometry — never on the numeric domain — the counted MACs
-/// (`taps.len() · Cout` per window) match the fp32 executor exactly.
+/// Both run the same window/tap-gather driver, so the same windows visit
+/// the same kept `(channel, ky, kx)` taps in the same order. Because the
+/// *set* of gathered taps depends only on the masks and the geometry —
+/// never on the numeric domain — the counted MACs (`taps.len() · Cout`
+/// per window) match the fp32 executor exactly.
 ///
 /// # Panics
 ///
@@ -177,19 +165,11 @@ pub fn quantized_masked_conv2d(
     masks: &[FeatureMask],
     counter: &mut MacCounter,
 ) -> Tensor {
-    let _span = antidote_obs::span("nn.quantized_conv2d");
-    let (n, cin, h, w) = input.shape().as_nchw().expect("input must be NCHW");
-    assert_eq!(masks.len(), n, "need one mask per batch item");
-    assert_eq!(cin, layer.in_channels, "input channel mismatch");
-    let cout = layer.qweight.rows;
-    let geom = layer.geom;
-    let k = geom.kernel;
-    let (hout, wout) = geom.output_size(h, w);
-    let plane_in = h * w;
-    let plane_out = hout * wout;
-    let mut out = Tensor::zeros([n, cout, hout, wout]);
-    let in_data = input.data();
-    let qw = &layer.qweight.data;
+    assert_eq!(
+        input.dims().get(1),
+        Some(&layer.in_channels),
+        "input channel mismatch"
+    );
     let act_scale = layer.act_scale;
     // Hoisted per-channel dequantization factors: s_a · s_w[co].
     let deq: Vec<f32> = layer
@@ -198,79 +178,22 @@ pub fn quantized_masked_conv2d(
         .iter()
         .map(|&s| s * act_scale)
         .collect();
-
-    // One batch item — the same window/tap walk as the fp32 executor,
-    // with the tap value quantized at gather time.
-    let run_item = |mask: &FeatureMask, img: &[f32], out_item: &mut [f32]| -> u64 {
-        let kept_channels: Vec<usize> = (0..cin).filter(|&c| mask.keeps_channel(c)).collect();
-        for co in 0..cout {
-            out_item[co * plane_out..(co + 1) * plane_out].fill(layer.bias[co]);
-        }
-        let mut taps: Vec<(usize, i8)> = Vec::with_capacity(kept_channels.len() * k * k);
-        let mut macs = 0u64;
-        for oy in 0..hout {
-            for ox in 0..wout {
-                taps.clear();
-                for &ci in &kept_channels {
-                    let plane = &img[ci * plane_in..(ci + 1) * plane_in];
-                    for ky in 0..k {
-                        let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..k {
-                            let ix = (ox * geom.stride + kx) as isize - geom.padding as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let p = iy as usize * w + ix as usize;
-                            if !mask.keeps_position(p) {
-                                continue;
-                            }
-                            let qv = quantize_value(plane[p], act_scale);
-                            taps.push(((ci * k + ky) * k + kx, qv));
-                        }
-                    }
-                }
-                for co in 0..cout {
-                    let wslice = &qw[co * cin * k * k..(co + 1) * cin * k * k];
-                    let mut acc = 0i32;
-                    for &(widx, qv) in &taps {
-                        acc += qv as i32 * wslice[widx] as i32;
-                    }
-                    out_item[co * plane_out + oy * wout + ox] += acc as f32 * deq[co];
-                }
-                macs += (taps.len() * cout) as u64;
+    // Every kept tap is quantized at gather time, products accumulate in
+    // `i32`, and each window's sum is dequantized once.
+    let domain = TapDomain {
+        name: "nn.quantized_conv2d",
+        weights: &layer.qweight.data[..],
+        load: |v| quantize_value(v, act_scale),
+        dot: |co, taps: &[(usize, i8)], filter: &[i8]| {
+            let mut acc = 0i32;
+            for &(widx, qv) in taps {
+                acc += qv as i32 * filter[widx] as i32;
             }
-        }
-        macs
+            acc as f32 * deq[co]
+        },
     };
-
-    let mut item_macs = vec![0u64; n];
-    {
-        let out_data = out.data_mut();
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out_data
-            .chunks_mut(cout * plane_out)
-            .zip(masks.iter())
-            .zip(item_macs.iter_mut())
-            .enumerate()
-            .map(|(ni, ((out_item, mask), macs_slot))| {
-                let run_item = &run_item;
-                let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    let img = &in_data[ni * cin * plane_in..(ni + 1) * cin * plane_in];
-                    *macs_slot = run_item(mask, img, out_item);
-                });
-                task
-            })
-            .collect();
-        antidote_par::run_scoped(tasks);
-    }
-    let macs: u64 = item_macs.iter().sum();
-    counter.add(macs);
-    if antidote_obs::enabled() {
-        antidote_obs::counter_add("nn.quantized_conv2d.macs", macs);
-    }
-    out
+    let (cout, bias) = (layer.qweight.rows, Some(&layer.bias[..]));
+    run_masked_conv(&domain, input, cout, bias, layer.geom, masks, counter)
 }
 
 #[cfg(test)]
@@ -392,32 +315,6 @@ mod tests {
         assert_eq!(q.act_scale(), 0.01);
         assert_eq!(q.weight_scales().len(), 8);
         assert_eq!(q.macs(8, 8), conv.macs(8, 8));
-    }
-
-    #[test]
-    fn from_parts_round_trips_bit_exactly() {
-        let mut r = rng();
-        let conv = Conv2d::new(&mut r, 3, 6, 3, 1, 1);
-        let q = QuantizedConv2d::from_conv(&conv, 0.02);
-        let rebuilt = QuantizedConv2d::from_parts(
-            q.qweight().clone(),
-            q.bias().to_vec(),
-            q.act_scale(),
-            q.in_channels(),
-            q.geometry(),
-        );
-        let x = init::uniform(&mut r, &[2, 3, 5, 5], -1.0, 1.0);
-        let masks = vec![FeatureMask::keep_all(); 2];
-        let mut ca = MacCounter::new();
-        let ya = quantized_masked_conv2d(&x, &q, &masks, &mut ca);
-        let mut cb = MacCounter::new();
-        let yb = quantized_masked_conv2d(&x, &rebuilt, &masks, &mut cb);
-        assert_eq!(ca.total(), cb.total());
-        assert!(ya
-            .data()
-            .iter()
-            .zip(yb.data())
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     #[test]

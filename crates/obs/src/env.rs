@@ -92,14 +92,10 @@ pub const KNOWN_KNOBS: &[&str] = &[
     "ANTIDOTE_SERVE_QUANT",
     "ANTIDOTE_SERVE_SHED_DEGRADE_WATERMARK",
     "ANTIDOTE_SERVE_SHED_WATERMARK",
-    "ANTIDOTE_SERVE_BENCH_REQUESTS",
-    "ANTIDOTE_SERVE_BENCH_SEED",
     // chaos mode (serve)
     "ANTIDOTE_CHAOS_KILL_EVERY_MS",
     "ANTIDOTE_CHAOS_KILLS",
     "ANTIDOTE_CHAOS_SEED",
-    // overload bench
-    "ANTIDOTE_OVERLOAD_SEED",
     // http front-end
     "ANTIDOTE_HTTP_ADDR",
     "ANTIDOTE_HTTP_CONN_WORKERS",
@@ -109,10 +105,6 @@ pub const KNOWN_KNOBS: &[&str] = &[
     "ANTIDOTE_HTTP_RPS",
     "ANTIDOTE_HTTP_BURST",
     "ANTIDOTE_HTTP_MODEL_DIR",
-    // http bench
-    "ANTIDOTE_HTTP_BENCH_REQUESTS",
-    "ANTIDOTE_HTTP_BENCH_SEED",
-    "ANTIDOTE_HTTP_BENCH_CLIENTS",
 ];
 
 /// Keys starting with this prefix are reserved for unit tests and never
@@ -239,6 +231,7 @@ mod tests {
 
     #[test]
     fn every_known_knob_has_the_antidote_prefix() {
+        assert_eq!(KNOWN_KNOBS.len(), 37, "update the README knob table with the allowlist");
         for knob in KNOWN_KNOBS {
             assert!(knob.starts_with("ANTIDOTE_"), "bad allowlist entry {knob}");
             assert!(!knob.starts_with(super::TEST_PREFIX), "test keys do not belong in the allowlist");

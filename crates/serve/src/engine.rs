@@ -73,7 +73,7 @@ pub type ModelFactory = Arc<dyn Fn(usize) -> Box<dyn Network> + Send + Sync>;
 /// Numeric domain the model replicas serve in.
 ///
 /// [`QuantMode::Int8`] asks the operator's model factory to build
-/// int8-quantized replicas (`antidote_models::QuantizedVgg`); the
+/// int8-quantized replicas (`antidote_models::Vgg::quantize`); the
 /// engine itself is domain-agnostic — the mode is configuration that
 /// factories consult, which keeps quantization strictly a deployment
 /// decision (see DESIGN.md §11).
@@ -404,7 +404,7 @@ pub enum ServeError {
     /// floor.
     Budget(BudgetError),
     /// Admission rejected: the input tensor is not a single `(C, H, W)`
-    /// image.
+    /// image of the served model's input shape.
     BadInput {
         /// The offending tensor dimensions.
         dims: Vec<usize>,
@@ -472,7 +472,10 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::Budget(e) => write!(f, "budget rejected: {e}"),
             ServeError::BadInput { dims } => {
-                write!(f, "input must be one (C,H,W) image, got shape {dims:?}")
+                write!(
+                    f,
+                    "input must be one (C,H,W) image of the model's input shape, got shape {dims:?}"
+                )
             }
             ServeError::DeadlineExceeded { waited } => {
                 write!(f, "deadline exceeded after waiting {waited:?}")
@@ -594,7 +597,7 @@ fn fail_expired(metrics: &Mutex<MetricsState>, label: &str, expired: Vec<Ticket>
         return;
     }
     let now = Instant::now();
-    metrics.lock().expect("metrics lock").expired += expired.len() as u64;
+    MetricsState::lock(metrics).expired += expired.len() as u64;
     for t in expired {
         let waited = now.saturating_duration_since(t.enqueued_at);
         if let Some(mut rec) = t.trace_record(label, waited) {
@@ -613,6 +616,9 @@ pub struct ServeHandle {
     queue: Arc<SloQueue<Ticket>>,
     mapper: Arc<BudgetMapper>,
     metrics: Arc<Mutex<MetricsState>>,
+    /// The served model's `(C, H, W)`; every admitted input has it, so
+    /// coalesced batches always concatenate and convolve.
+    input_chw: [usize; 3],
     shed: ShedConfig,
     chaos: Option<Arc<ChaosMonkey>>,
     default_deadline: Duration,
@@ -640,10 +646,10 @@ impl ServeHandle {
     /// admission.
     pub fn submit(&self, req: InferRequest) -> Result<PendingResponse, ServeError> {
         let mut plan = self.mapper.plan(req.budget).map_err(|e| {
-            self.metrics.lock().expect("metrics lock").infeasible += 1;
+            MetricsState::lock(&self.metrics).infeasible += 1;
             ServeError::from(e)
         })?;
-        let input = normalize_input(req.input)?;
+        let input = normalize_input(req.input, self.input_chw)?;
         let pressure = self.queue.pressure();
         let mut degraded = false;
         match self.shed.decision(pressure, req.priority) {
@@ -659,7 +665,7 @@ impl ServeHandle {
             }
             ShedDecision::Shed => {
                 {
-                    let mut m = self.metrics.lock().expect("metrics lock");
+                    let mut m = MetricsState::lock(&self.metrics);
                     m.shed += 1;
                     m.shed_by_lane[req.priority.lane()] += 1;
                 }
@@ -697,7 +703,7 @@ impl ServeHandle {
         match push.result {
             Ok(victim) => {
                 {
-                    let mut m = self.metrics.lock().expect("metrics lock");
+                    let mut m = MetricsState::lock(&self.metrics);
                     m.admitted_by_lane[req.priority.lane()] += 1;
                     if degraded {
                         m.degraded += 1;
@@ -724,7 +730,7 @@ impl ServeHandle {
                 Ok(PendingResponse { rx })
             }
             Err(PushError::Full(_)) => {
-                self.metrics.lock().expect("metrics lock").rejected_full += 1;
+                MetricsState::lock(&self.metrics).rejected_full += 1;
                 Err(ServeError::QueueFull {
                     capacity: self.queue.capacity(),
                 })
@@ -752,25 +758,24 @@ impl ServeHandle {
     /// A point-in-time metrics snapshot.
     pub fn metrics(&self) -> ServeMetrics {
         let chaos_kills = self.chaos.as_ref().map_or(0, |m| m.kills());
-        self.metrics
-            .lock()
-            .expect("metrics lock")
-            .snapshot(self.queue.len(), chaos_kills)
+        MetricsState::lock(&self.metrics).snapshot(self.queue.len(), chaos_kills)
     }
 }
 
-/// Reshapes `(C,H,W)` to `(1,C,H,W)` and validates rank.
-fn normalize_input(input: Tensor) -> Result<Tensor, ServeError> {
+/// Reshapes `(C,H,W)` to `(1,C,H,W)`, rejecting anything that is not
+/// one image of the model's `chw`: a wrong-shape input admitted here
+/// would panic the worker and fail every request coalesced with it.
+fn normalize_input(input: Tensor, chw: [usize; 3]) -> Result<Tensor, ServeError> {
     let dims = input.dims().to_vec();
-    match dims.len() {
-        3 => {
-            let target = [1, dims[0], dims[1], dims[2]];
-            input
-                .reshape(&target)
-                .map_err(|_| ServeError::BadInput { dims })
-        }
-        4 if dims[0] == 1 => Ok(input),
-        _ => Err(ServeError::BadInput { dims }),
+    let batched = [1, chw[0], chw[1], chw[2]];
+    if dims == batched {
+        Ok(input)
+    } else if dims == chw {
+        input
+            .reshape(&batched)
+            .map_err(|_| ServeError::BadInput { dims })
+    } else {
+        Err(ServeError::BadInput { dims })
     }
 }
 
@@ -794,7 +799,7 @@ impl ServeEngine {
     /// Starts the worker pool. `factory` is called once per worker to
     /// build its private replica (worker 0's replica is also probed for
     /// the model's conv shapes and taps, which parameterize the budget
-    /// mapper).
+    /// mapper and fix the `(C, H, W)` admission accepts).
     ///
     /// # Errors
     ///
@@ -803,14 +808,17 @@ impl ServeEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the factory's model disagrees with its own conv-shape
-    /// description (see [`BudgetMapper::new`]) or if a worker thread
-    /// cannot be spawned.
+    /// Panics if the factory's model has no conv layer or disagrees with
+    /// its own conv-shape description (see [`BudgetMapper::new`]), or if
+    /// a worker thread cannot be spawned.
     pub fn start(cfg: ServeConfig, factory: ModelFactory) -> Result<Self, ServeConfigError> {
         cfg.validate()?;
         let probe = factory(0);
+        let conv_shapes = probe.conv_shapes();
+        let first = conv_shapes.first().expect("served model has a conv layer");
+        let input_chw = [first.in_channels, first.spatial, first.spatial];
         let mapper = Arc::new(BudgetMapper::new(
-            probe.conv_shapes(),
+            conv_shapes,
             probe.taps(),
             cfg.base_schedule.clone(),
         ));
@@ -851,6 +859,7 @@ impl ServeEngine {
             queue: Arc::clone(&queue),
             mapper,
             metrics,
+            input_chw,
             shed: cfg.shed,
             chaos: monkey,
             default_deadline: cfg.default_deadline,
@@ -945,7 +954,7 @@ fn worker_loop(
         let (live, expired): (Vec<Ticket>, Vec<Ticket>) =
             batch.into_iter().partition(|t| t.deadline >= launched_at);
         let batch_id = {
-            let mut m = metrics.lock().expect("metrics lock");
+            let mut m = MetricsState::lock(&metrics);
             m.expired += expired.len() as u64;
             m.record_batch(live.len())
         };
@@ -1038,7 +1047,7 @@ fn worker_loop(
             Ok((logits, fractions, measured_macs)) => {
                 let now = Instant::now();
                 let n = live.len();
-                let mut m = metrics.lock().expect("metrics lock");
+                let mut m = MetricsState::lock(&metrics);
                 m.measured_macs_total += measured_macs;
                 for (i, t) in live.into_iter().enumerate() {
                     let item = logits.batch_item(i);
@@ -1074,7 +1083,7 @@ fn worker_loop(
             }
             Err(_) => {
                 {
-                    let mut m = metrics.lock().expect("metrics lock");
+                    let mut m = MetricsState::lock(&metrics);
                     m.worker_panics += 1;
                     m.panicked += live.len() as u64;
                 }
@@ -1183,23 +1192,23 @@ mod tests {
     }
 
     #[test]
-    fn normalize_input_accepts_chw_and_1chw() {
-        assert_eq!(
-            normalize_input(Tensor::zeros([3, 8, 8])).unwrap().dims(),
-            &[1, 3, 8, 8]
-        );
-        assert_eq!(
-            normalize_input(Tensor::zeros([1, 3, 8, 8])).unwrap().dims(),
-            &[1, 3, 8, 8]
-        );
-        assert!(matches!(
-            normalize_input(Tensor::zeros([2, 3, 8, 8])),
-            Err(ServeError::BadInput { .. })
-        ));
-        assert!(matches!(
-            normalize_input(Tensor::zeros([8, 8])),
-            Err(ServeError::BadInput { .. })
-        ));
+    fn normalize_input_accepts_only_one_image_of_the_model_shape() {
+        let chw = [3, 8, 8];
+        for ok in [Tensor::zeros([3, 8, 8]), Tensor::zeros([1, 3, 8, 8])] {
+            assert_eq!(normalize_input(ok, chw).unwrap().dims(), &[1, 3, 8, 8]);
+        }
+        for bad in [
+            Tensor::zeros([2, 3, 8, 8]),
+            Tensor::zeros([8, 8]),
+            Tensor::zeros([1, 8, 8]),
+            Tensor::zeros([1, 3, 8, 4]),
+        ] {
+            let dims = bad.dims().to_vec();
+            assert_eq!(
+                normalize_input(bad, chw),
+                Err(ServeError::BadInput { dims })
+            );
+        }
     }
 
     #[test]

@@ -5,6 +5,8 @@
 use antidote_obs::window::{now_tick, RateWindow, SampleWindow, WINDOW_BUCKETS};
 use crate::shed::Priority;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The single nearest-rank percentile implementation shared across the
@@ -147,9 +149,12 @@ pub struct ServeMetrics {
     pub worker_panics: u64,
     /// Completed requests per second of engine uptime.
     pub throughput_rps: f64,
-    /// End-to-end latency (submit → response), ms.
+    /// End-to-end latency (submit → response), ms. Count, mean and max
+    /// cover the engine's lifetime; the percentiles cover the most
+    /// recent 16 384 completions.
     pub latency: LatencySummary,
-    /// Queueing + batching delay (submit → batch launch), ms.
+    /// Queueing + batching delay (submit → batch launch), ms, with the
+    /// same lifetime/recent split.
     pub queue_wait: LatencySummary,
     /// Queue depth at snapshot time.
     pub queue_depth: usize,
@@ -258,6 +263,47 @@ impl ServeMetrics {
     }
 }
 
+/// Latency samples a summary's percentiles are taken over: the most
+/// recent 16 384, the cap `antidote_obs`'s histograms use.
+const SAMPLE_CAP: usize = 16_384;
+
+/// One latency series that stays bounded under uptime: `count`, mean
+/// and max are lifetime-exact running scalars, percentiles come from a
+/// ring of the most recent [`SAMPLE_CAP`] samples.
+#[derive(Debug, Default)]
+pub(crate) struct LatencyTrack {
+    count: u64,
+    sum_ms: f64,
+    max_ms: f64,
+    recent: VecDeque<f64>,
+}
+
+impl LatencyTrack {
+    fn record(&mut self, sample: Duration) {
+        let ms = sample.as_secs_f64() * 1e3;
+        self.count += 1;
+        self.sum_ms += ms;
+        self.max_ms = self.max_ms.max(ms);
+        if self.recent.len() == SAMPLE_CAP {
+            self.recent.pop_front();
+        }
+        self.recent.push_back(ms);
+    }
+
+    fn summary(&self) -> LatencySummary {
+        if self.count == 0 {
+            return LatencySummary::default();
+        }
+        let recent: Vec<f64> = self.recent.iter().copied().collect();
+        LatencySummary {
+            count: self.count,
+            mean_ms: self.sum_ms / self.count as f64,
+            max_ms: self.max_ms,
+            ..LatencySummary::from_samples_ms(&recent)
+        }
+    }
+}
+
 /// Mutable accumulator behind the engine's metrics mutex. Workers record
 /// into this; [`MetricsState::snapshot`] freezes it into a
 /// [`ServeMetrics`].
@@ -272,8 +318,8 @@ pub(crate) struct MetricsState {
     pub infeasible: u64,
     pub panicked: u64,
     pub worker_panics: u64,
-    pub latencies_ms: Vec<f64>,
-    pub queue_waits_ms: Vec<f64>,
+    latency: LatencyTrack,
+    queue_wait: LatencyTrack,
     pub batch_histogram: Vec<u64>,
     pub batches: u64,
     pub budgeted_requests: u64,
@@ -289,6 +335,14 @@ pub(crate) struct MetricsState {
 }
 
 impl MetricsState {
+    /// Locks the engine's metrics, recovering from poisoning: every
+    /// update is a counter bump or a sample push that leaves the state
+    /// valid at each step, so one panicking holder must not turn every
+    /// later admission, completion and `/metrics` scrape into a panic.
+    pub fn lock(metrics: &Mutex<Self>) -> MutexGuard<'_, Self> {
+        metrics.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub fn new(max_batch: usize) -> Self {
         Self {
             completed: 0,
@@ -300,8 +354,8 @@ impl MetricsState {
             infeasible: 0,
             panicked: 0,
             worker_panics: 0,
-            latencies_ms: Vec::new(),
-            queue_waits_ms: Vec::new(),
+            latency: LatencyTrack::default(),
+            queue_wait: LatencyTrack::default(),
             batch_histogram: vec![0; max_batch + 1],
             batches: 0,
             budgeted_requests: 0,
@@ -340,8 +394,8 @@ impl MetricsState {
         let tick = now_tick();
         self.completed_window.add_at(tick, 1);
         self.latency_window.record_at(tick, latency_ms);
-        self.latencies_ms.push(latency_ms);
-        self.queue_waits_ms.push(queue_wait.as_secs_f64() * 1e3);
+        self.latency.record(latency);
+        self.queue_wait.record(queue_wait);
         self.achieved_macs_total += achieved_macs;
         if let Some(b) = budget {
             let util = achieved_macs / b;
@@ -395,8 +449,8 @@ impl MetricsState {
             } else {
                 0.0
             },
-            latency: LatencySummary::from_samples_ms(&self.latencies_ms),
-            queue_wait: LatencySummary::from_samples_ms(&self.queue_waits_ms),
+            latency: self.latency.summary(),
+            queue_wait: self.queue_wait.summary(),
             queue_depth,
             batch_histogram: self.batch_histogram.clone(),
             batches: self.batches,
@@ -517,6 +571,51 @@ mod tests {
         // Older serialized snapshots (no window/lane fields) still parse.
         let legacy = ServeMetrics::from_json(&ServeMetrics::default().to_json());
         assert!(legacy.is_ok());
+    }
+
+    #[test]
+    fn latency_samples_stay_bounded_under_uptime_with_exact_lifetime_scalars() {
+        let mut st = MetricsState::new(4);
+        let total = 40_000u64;
+        for i in 1..=total {
+            st.record_completion(
+                Duration::from_millis(i),
+                Duration::from_millis(total + 1 - i),
+                1.0,
+                None,
+            );
+        }
+        assert_eq!(st.latency.recent.len(), SAMPLE_CAP);
+        assert_eq!(st.queue_wait.recent.len(), SAMPLE_CAP);
+        let snap = st.snapshot(0, 0);
+        assert_eq!(snap.latency.count, total);
+        assert_eq!(snap.queue_wait.count, total);
+        // Lifetime-exact scalars: latencies 1..=40 000 ms, and the same
+        // values in reverse arrival order for the queue wait.
+        let mean = (total + 1) as f64 / 2.0;
+        assert!((snap.latency.mean_ms - mean).abs() < 1e-6);
+        assert!((snap.queue_wait.mean_ms - mean).abs() < 1e-6);
+        assert_eq!(snap.latency.max_ms, total as f64);
+        // ...including a max that left the ring long ago.
+        assert_eq!(snap.queue_wait.max_ms, total as f64);
+        // Percentiles describe the most recent SAMPLE_CAP samples.
+        let oldest_retained = (total as usize - SAMPLE_CAP + 1) as f64;
+        assert!(snap.latency.p50_ms >= oldest_retained);
+        assert!(snap.queue_wait.p99_ms <= SAMPLE_CAP as f64);
+    }
+
+    #[test]
+    fn a_poisoned_metrics_mutex_keeps_serving() {
+        let metrics = std::sync::Arc::new(Mutex::new(MetricsState::new(1)));
+        let holder = std::sync::Arc::clone(&metrics);
+        let _ = std::thread::spawn(move || {
+            let _guard = holder.lock().unwrap();
+            panic!("poison the metrics mutex");
+        })
+        .join();
+        assert!(metrics.is_poisoned());
+        MetricsState::lock(&metrics).shed += 1;
+        assert_eq!(MetricsState::lock(&metrics).snapshot(0, 0).shed, 1);
     }
 
     #[test]

@@ -248,12 +248,33 @@ fn shutdown_drains_queued_requests() {
 }
 
 #[test]
-fn bad_input_shapes_are_rejected_at_admission() {
-    let engine = ServeEngine::start(base_config(), tiny_factory(7)).unwrap();
+fn bad_input_shapes_are_rejected_at_admission_without_failing_their_batch() {
+    // A window long enough that, were the offender admitted, it would be
+    // coalesced with the innocent request behind it: the batch closes as
+    // soon as it holds both.
+    let cfg = ServeConfig {
+        max_batch: 2,
+        max_wait: Duration::from_secs(2),
+        ..base_config()
+    };
+    let engine = ServeEngine::start(cfg, tiny_factory(7)).unwrap();
     let handle = engine.handle();
-    let err = handle
-        .submit(InferRequest::new(Tensor::zeros([2, 3, 8, 8])))
-        .unwrap_err();
-    assert!(matches!(err, ServeError::BadInput { .. }));
-    engine.shutdown();
+    // Rank is fine and the shape is self-consistent; it is just not the
+    // model's (3, 8, 8).
+    for dims in [vec![1, 8, 8], vec![2, 3, 8, 8], vec![3, 8, 4]] {
+        let err = handle
+            .submit(InferRequest::new(Tensor::zeros(dims.as_slice())))
+            .unwrap_err();
+        assert_eq!(err, ServeError::BadInput { dims });
+    }
+    let innocent = handle.submit(InferRequest::new(input())).unwrap();
+    let filler = handle.submit(InferRequest::new(input())).unwrap();
+    assert!(
+        innocent.wait().is_ok(),
+        "a neighbour's bad input must not fail this request"
+    );
+    assert!(filler.wait().is_ok());
+    let metrics = engine.shutdown();
+    assert_eq!(metrics.worker_panics, 0);
+    assert_eq!(metrics.completed, 2);
 }

@@ -4,6 +4,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
+# The benchmark package is outside the workspace and may not change with
+# an API refactor: compile it, so a break fails here and not in the
+# benchmark pipeline.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # The suite must pass at the exact sequential fallback AND at a fixed
 # multi-thread budget (results are bit-identical by design; the parity
 # property tests enforce it, these two runs make sure nothing is
