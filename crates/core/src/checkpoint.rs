@@ -376,6 +376,56 @@ mod tests {
         assert!(net.forward(&x, Mode::Eval).allclose(&before, 1e-6));
     }
 
+    #[test]
+    fn capture_shares_until_the_optimizer_writes() {
+        use antidote_nn::loss::softmax_cross_entropy;
+        use antidote_nn::optim::Sgd;
+        let mut rng = SmallRng::seed_from_u64(91);
+        let mut net = Vgg::new(&mut rng, VggConfig::vgg_tiny(8, 2));
+        let ckpt = Checkpoint::capture(net.as_mut_network());
+        let captured: Vec<Vec<u32>> = ckpt
+            .params
+            .iter()
+            .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
+            .collect();
+        let mut i = 0;
+        net.visit_params_mut(&mut |p| {
+            assert!(
+                p.value.shares_storage(&ckpt.params[i]),
+                "capture must not copy"
+            );
+            i += 1;
+        });
+
+        // One training step writes every parameter exactly once.
+        let x = antidote_tensor::Tensor::from_fn([2, 3, 8, 8], |i| (i as f32 * 0.03).sin());
+        let logits = net.forward(&x, Mode::Train);
+        net.zero_grad();
+        net.backward(&softmax_cross_entropy(&logits, &[0, 1]).grad);
+        let mut sgd = Sgd::new(0.1);
+        sgd.begin_step();
+        net.visit_params_mut(&mut |p| sgd.update(p));
+
+        let mut i = 0;
+        net.visit_params_mut(&mut |p| {
+            let held = &ckpt.params[i];
+            assert!(
+                !p.value.shares_storage(held),
+                "parameter {i} was written through"
+            );
+            let bits: Vec<u32> = held.data().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, captured[i], "the step reached checkpoint tensor {i}");
+            assert_ne!(p.value.data(), held.data(), "parameter {i} did not train");
+            i += 1;
+        });
+        // The pre-step values are still restorable.
+        ckpt.restore(net.as_mut_network()).unwrap();
+        assert_eq!(
+            Checkpoint::capture(net.as_mut_network()).checksum,
+            ckpt.checksum
+        );
+    }
+
     // Helper so tests can pass &mut Vgg as &mut dyn Network ergonomically.
     trait AsMutNetwork {
         fn as_mut_network(&mut self) -> &mut dyn Network;

@@ -65,6 +65,7 @@ impl Augmentation {
     pub fn apply(&mut self, batch: &Tensor) -> Tensor {
         let (n, c, h, w) = batch.shape().as_nchw().expect("augment expects NCHW");
         let mut out = Tensor::zeros([n, c, h, w]);
+        let dst = out.data_mut();
         let pad = self.pad as isize;
         for ni in 0..n {
             let flip = self.rng.gen::<f32>() < self.flip_probability;
@@ -84,7 +85,7 @@ impl Augmentation {
                         } else {
                             batch.data()[src_base + (sy * w as isize + sx) as usize]
                         };
-                        out.data_mut()[dst_base + (y * w as isize + x) as usize] = v;
+                        dst[dst_base + (y * w as isize + x) as usize] = v;
                     }
                 }
             }

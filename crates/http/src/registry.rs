@@ -29,15 +29,22 @@ pub enum ModelSource {
     /// Replicas built in process by application code.
     #[default]
     Built,
-    /// Replicas cold-started from a single-file `.adm` artifact.
-    File(PathBuf),
+    /// Replicas cold-started from a single-file `.adm` artifact: clones
+    /// of its prototype, so `weight_bytes` is what all of them together
+    /// keep resident.
+    File {
+        /// The artifact's path.
+        path: PathBuf,
+        /// `ModelArtifact::weight_bytes` of the loaded artifact.
+        weight_bytes: u64,
+    },
 }
 
 impl std::fmt::Display for ModelSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ModelSource::Built => f.write_str("built"),
-            ModelSource::File(path) => write!(f, "file:{}", path.display()),
+            ModelSource::File { path, .. } => write!(f, "file:{}", path.display()),
         }
     }
 }
@@ -203,7 +210,7 @@ impl ModelRegistry {
             if spec.config.label.is_empty() {
                 spec.config.label = spec.name.clone();
             }
-            let quant = spec.config.quant;
+            let (quant, replicas) = (spec.config.quant, spec.config.workers as u64);
             let engine = match ServeEngine::start(spec.config, spec.factory) {
                 Ok(engine) => engine,
                 Err(error) => {
@@ -217,15 +224,20 @@ impl ModelRegistry {
             if antidote_obs::enabled() {
                 let quant_label = quant.to_string();
                 let source_label = spec.source.to_string();
-                antidote_obs::event(
-                    antidote_obs::Level::Info,
-                    "http.model_registered",
-                    &[
-                        ("model", antidote_obs::Value::Str(&spec.name)),
-                        ("quant", antidote_obs::Value::Str(&quant_label)),
-                        ("source", antidote_obs::Value::Str(&source_label)),
-                    ],
-                );
+                let mut fields = vec![
+                    ("model", antidote_obs::Value::Str(&spec.name)),
+                    ("quant", antidote_obs::Value::Str(&quant_label)),
+                    ("source", antidote_obs::Value::Str(&source_label)),
+                    ("replicas", antidote_obs::Value::U64(replicas)),
+                ];
+                // Unknown for built-in factories, which may copy per replica.
+                if let ModelSource::File { weight_bytes, .. } = spec.source {
+                    fields.push((
+                        "weight_bytes_resident",
+                        antidote_obs::Value::U64(weight_bytes),
+                    ));
+                }
+                antidote_obs::event(antidote_obs::Level::Info, "http.model_registered", &fields);
             }
             entries.push(ModelEntry {
                 name: spec.name,
@@ -308,13 +320,13 @@ impl ModelRegistry {
                 ModelDtype::F32 => QuantMode::Off,
                 ModelDtype::Int8 => QuantMode::Int8,
             };
-            let artifact = Arc::new(artifact);
+            let weight_bytes = artifact.weight_bytes();
             let factory: ModelFactory = Arc::new(move |_worker| artifact.build_network());
             specs.push(ModelSpec {
                 name,
                 config,
                 factory,
-                source: ModelSource::File(path),
+                source: ModelSource::File { path, weight_bytes },
             });
         }
         Ok(specs)

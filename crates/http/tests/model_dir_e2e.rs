@@ -59,15 +59,41 @@ fn model_dir_env_cold_starts_and_serves_over_sockets() {
     let ckpt = Checkpoint::capture(&mut net).with_vgg_config(config);
     let fp32 = ModelArtifact::from_checkpoint(&ckpt, None).unwrap();
     fp32.save(dir.join("tiny-fp32.adm")).unwrap();
-    fp32.quantize(CalibrationMethod::MinMax, 16, 4, 0)
-        .unwrap()
-        .save(dir.join("tiny-int8.adm"))
-        .unwrap();
+    let int8 = fp32.quantize(CalibrationMethod::MinMax, 16, 4, 0).unwrap();
+    int8.save(dir.join("tiny-int8.adm")).unwrap();
+    let (fp32_bytes, int8_bytes) = (fp32.weight_bytes(), int8.weight_bytes());
+    assert!(int8_bytes < fp32_bytes);
 
     std::env::set_var(MODEL_DIR_ENV, &dir);
+    antidote_obs::set_enabled(true);
+    let _ = antidote_obs::drain_events();
     let specs = ModelRegistry::specs_from_env().unwrap();
     assert_eq!(specs.len(), 2, "one spec per .adm file");
     let registry = ModelRegistry::start(specs).unwrap();
+
+    // What each model costs is on the event stream: one resident copy of
+    // the weights however many replicas serve it.
+    let events = antidote_obs::drain_events();
+    for (model, bytes) in [("tiny-fp32", fp32_bytes), ("tiny-int8", int8_bytes)] {
+        let event = |kind: &str| {
+            events
+                .iter()
+                .find(|l| l.contains(&format!("\"kind\":\"{kind}\"")) && l.contains(model))
+                .unwrap_or_else(|| panic!("no {kind} event for {model}: {events:?}"))
+        };
+        let load = event("model.load");
+        assert!(
+            load.contains(&format!("\"weight_bytes\":{bytes}")),
+            "{load}"
+        );
+        assert!(load.contains("\"build_ms\":"), "{load}");
+        let registered = event("http.model_registered");
+        assert!(
+            registered.contains(&format!("\"weight_bytes_resident\":{bytes}")),
+            "{registered}"
+        );
+        assert!(registered.contains("\"replicas\":2"), "{registered}");
+    }
     let server = HttpServer::start(HttpConfig::default(), registry).expect("bind");
     let addr = server.local_addr();
 

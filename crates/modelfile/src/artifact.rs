@@ -5,7 +5,7 @@
 
 use crate::container::{Container, ContainerBuilder, KvValue};
 use crate::error::ModelFileError;
-use antidote_core::checkpoint::{restore_tensors, Checkpoint};
+use antidote_core::checkpoint::Checkpoint;
 use antidote_core::quant::{quantize_vgg, CalibrationMethod};
 use antidote_data::SynthConfig;
 use antidote_models::{
@@ -13,9 +13,8 @@ use antidote_models::{
 };
 use antidote_tensor::quant::QuantizedMatrix;
 use antidote_tensor::Tensor;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Metadata key: architecture family (currently always `"vgg"`).
 pub const KV_FAMILY: &str = "model.family";
@@ -35,11 +34,6 @@ pub const KV_PROVENANCE_CHECKSUM: &str = "provenance.param_checksum";
 /// The quantization scheme every int8 artifact declares: symmetric
 /// per-output-row int8 weights, zero-point free (DESIGN.md §11).
 pub const QUANT_SCHEME: &str = "symmetric-per-row-int8";
-
-/// The seed used to structurally instantiate networks before restoring
-/// file weights over them (the init values are all overwritten, so any
-/// fixed seed works; one constant keeps it reproducible).
-const STRUCTURAL_SEED: u64 = 0;
 
 /// Numeric domain of an artifact's weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,27 +65,20 @@ impl std::str::FromStr for ModelDtype {
     }
 }
 
-/// The weights an artifact carries, tagged by domain.
-#[derive(Debug, Clone)]
-enum ModelWeights {
-    /// Parameter tensors in visit order (`param.NNNN` in the file).
-    F32(Vec<Tensor>),
-    /// Quantized layer parts (`conv.N.*` / `bn.N.*` / `linear.*` /
-    /// `quant.act_scales` in the file).
-    Int8(VggQuantizedParts),
-}
-
-/// A deployable model: configuration, dtype-tagged weights, and
-/// provenance metadata, loadable from and savable to one `.adm` file.
+/// A deployable model: a validated network with dtype-tagged weights
+/// and provenance metadata, loadable from and savable to one `.adm`
+/// file.
 ///
 /// A value of this type is always *valid*: the constructors build the
-/// network once to prove the weights fit the config, so
-/// [`ModelArtifact::build_network`] cannot fail afterwards and serving
-/// factories may call it per replica without error handling.
+/// network once to prove the weights fit the config, and keep it as the
+/// prototype every replica is cloned from — so
+/// [`ModelArtifact::build_network`] cannot fail and serving factories
+/// may call it per replica without error handling.
 #[derive(Debug, Clone)]
 pub struct ModelArtifact {
-    config: VggConfig,
-    weights: ModelWeights,
+    /// Never run and never written: the one holder-of-record of the
+    /// weight buffers its clones share.
+    prototype: Vgg,
     /// Provenance KVs carried verbatim between file generations.
     extra_kvs: Vec<(String, KvValue)>,
 }
@@ -99,15 +86,23 @@ pub struct ModelArtifact {
 impl ModelArtifact {
     /// The artifact's weight domain.
     pub fn dtype(&self) -> ModelDtype {
-        match self.weights {
-            ModelWeights::F32(_) => ModelDtype::F32,
-            ModelWeights::Int8(_) => ModelDtype::Int8,
+        if self.prototype.is_int8() {
+            ModelDtype::Int8
+        } else {
+            ModelDtype::F32
         }
     }
 
     /// The generating configuration.
     pub fn config(&self) -> &VggConfig {
-        &self.config
+        self.prototype.config()
+    }
+
+    /// Bytes of weight storage one copy of the model holds — and, since
+    /// every replica shares the prototype's buffers, what any number of
+    /// replicas of this artifact keep resident.
+    pub fn weight_bytes(&self) -> u64 {
+        self.prototype.weight_bytes() as u64
     }
 
     /// Provenance metadata (beyond the structural keys the format
@@ -136,10 +131,8 @@ impl ModelArtifact {
                     "checkpoint embeds no vgg config; pass one explicitly".to_string(),
                 )
             })?;
-        config.validate().map_err(ModelFileError::BadModel)?;
-        let artifact = Self {
-            config,
-            weights: ModelWeights::F32(ckpt.params.clone()),
+        Ok(Self {
+            prototype: Vgg::from_params(config, &ckpt.params).map_err(ModelFileError::BadModel)?,
             extra_kvs: vec![
                 (
                     KV_PROVENANCE_ARCH.to_string(),
@@ -150,13 +143,11 @@ impl ModelArtifact {
                     KvValue::U64(ckpt.checksum),
                 ),
             ],
-        };
-        artifact.validate()?;
-        Ok(artifact)
+        })
     }
 
-    /// Quantizes an fp32 artifact to int8 in one pass: rebuilds the
-    /// network, calibrates activation scales on synthetic held-out
+    /// Quantizes an fp32 artifact to int8 in one pass: calibrates a
+    /// replica's activation scales on synthetic held-out
     /// batches (`antidote_core::quant::calibrate`), and snapshots the
     /// result as int8 weights. Provenance KVs are carried over and the
     /// calibration method / quant scheme are recorded.
@@ -172,26 +163,23 @@ impl ModelArtifact {
         calib_batches: usize,
         calib_seed: u64,
     ) -> Result<Self, ModelFileError> {
-        let ModelWeights::F32(params) = &self.weights else {
+        if self.prototype.is_int8() {
             return Err(ModelFileError::BadModel(
                 "artifact is already int8".to_string(),
             ));
-        };
-        if self.config.input_channels != 3 {
+        }
+        let config = self.config();
+        if config.input_channels != 3 {
             return Err(ModelFileError::BadModel(format!(
                 "calibration uses the 3-channel synthetic dataset; config has {} input channels",
-                self.config.input_channels
+                config.input_channels
             )));
         }
-        let mut net = Vgg::new(
-            &mut SmallRng::seed_from_u64(STRUCTURAL_SEED),
-            self.config.clone(),
-        );
-        restore_tensors(&mut net, params).map_err(|e| ModelFileError::BadModel(e.to_string()))?;
+        let mut net = self.prototype.clone();
 
         let samples = calib_batch_size * calib_batches;
-        let per_class = samples.div_ceil(self.config.classes).max(1);
-        let data = SynthConfig::tiny(self.config.classes, self.config.input_size)
+        let per_class = samples.div_ceil(config.classes).max(1);
+        let data = SynthConfig::tiny(config.classes, config.input_size)
             .with_samples(per_class, 1)
             .with_seed(calib_seed)
             .generate();
@@ -209,47 +197,20 @@ impl ModelArtifact {
             KV_QUANT_SCHEME.to_string(),
             KvValue::Str(QUANT_SCHEME.to_string()),
         ));
-        let artifact = Self {
-            config: self.config.clone(),
-            weights: ModelWeights::Int8(parts),
+        Ok(Self {
+            prototype: Vgg::from_quantized_parts(config.clone(), parts)
+                .map_err(ModelFileError::BadModel)?,
             extra_kvs,
-        };
-        artifact.validate()?;
-        Ok(artifact)
+        })
     }
 
-    /// Instantiates the network. Infallible by construction: every
-    /// constructor of this type validated the weights against the
-    /// config by building once, so serving factories can call this per
-    /// replica. fp32 weights restore bit-exactly; int8 parts are used
+    /// Instantiates a replica: a clone of the validated prototype, which
+    /// shares every weight buffer with it (and with every other replica)
+    /// and owns only its activation caches — O(layers) pointer copies,
+    /// infallible. fp32 weights are the stored bits; int8 parts are used
     /// verbatim, so logits are bit-identical to the exporting network.
     pub fn build_network(&self) -> Box<dyn Network> {
-        self.try_build().expect("artifact validated at construction")
-    }
-
-    fn try_build(&self) -> Result<Box<dyn Network>, ModelFileError> {
-        let net = match &self.weights {
-            ModelWeights::F32(params) => {
-                let mut net = Vgg::new(
-                    &mut SmallRng::seed_from_u64(STRUCTURAL_SEED),
-                    self.config.clone(),
-                );
-                restore_tensors(&mut net, params)
-                    .map_err(|e| ModelFileError::BadModel(e.to_string()))?;
-                net
-            }
-            ModelWeights::Int8(parts) => {
-                Vgg::from_quantized_parts(self.config.clone(), parts.clone())
-                    .map_err(ModelFileError::BadModel)?
-            }
-        };
-        Ok(Box::new(net))
-    }
-
-    /// Proves the weights fit the config (and, for fp32, are finite
-    /// enough to restore) by building the network once.
-    fn validate(&self) -> Result<(), ModelFileError> {
-        self.try_build().map(|_| ())
+        Box::new(self.prototype.clone())
     }
 
     /// Serializes to an `.adm` file, written atomically.
@@ -261,19 +222,22 @@ impl ModelArtifact {
         let mut b = ContainerBuilder::new();
         b.kv(KV_FAMILY, KvValue::Str("vgg".to_string()));
         b.kv(KV_DTYPE, KvValue::Str(self.dtype().to_string()));
-        let config_json = serde_json::to_string(&self.config)
+        let config_json = serde_json::to_string(self.config())
             .expect("VggConfig serialization cannot fail");
         b.kv(KV_CONFIG, KvValue::Str(config_json));
         for (key, value) in &self.extra_kvs {
             b.kv(key.clone(), value.clone());
         }
-        match &self.weights {
-            ModelWeights::F32(params) => {
-                for (i, t) in params.iter().enumerate() {
-                    b.tensor_f32(format!("param.{i:04}"), t.dims(), t.data());
-                }
+        match self.prototype.to_quantized_parts() {
+            None => {
+                // The visitor wants `&mut`; a clone is pointer copies.
+                let mut i = 0;
+                self.prototype.clone().visit_params_mut(&mut |p| {
+                    b.tensor_f32(format!("param.{i:04}"), p.value.dims(), p.value.data());
+                    i += 1;
+                });
             }
-            ModelWeights::Int8(parts) => {
+            Some(parts) => {
                 for (i, conv) in parts.convs.iter().enumerate() {
                     let q = &conv.qweight;
                     b.tensor_i8(format!("conv.{i}.qweight"), q.rows, q.cols, &q.data, &q.scales);
@@ -312,6 +276,7 @@ impl ModelArtifact {
         let _span = antidote_obs::span("model.load");
         let start = std::time::Instant::now();
         let container = Container::read(path)?;
+        let read = std::time::Instant::now();
         let artifact = Self::from_container(&container)?;
         if antidote_obs::enabled() {
             let dtype = artifact.dtype().to_string();
@@ -322,6 +287,14 @@ impl ModelArtifact {
                     ("dtype", antidote_obs::Value::Str(&dtype)),
                     ("bytes", antidote_obs::Value::U64(container.data_len() as u64)),
                     ("tensors", antidote_obs::Value::U64(container.tensors.len() as u64)),
+                    (
+                        "weight_bytes",
+                        antidote_obs::Value::U64(artifact.weight_bytes()),
+                    ),
+                    (
+                        "build_ms",
+                        antidote_obs::Value::F64(read.elapsed().as_secs_f64() * 1e3),
+                    ),
                     (
                         "ms",
                         antidote_obs::Value::F64(start.elapsed().as_secs_f64() * 1e3),
@@ -371,7 +344,7 @@ impl ModelArtifact {
                 .map_err(|e| ModelFileError::BadModel(format!("tensor {name}: {e}")))
         };
 
-        let weights = match dtype {
+        let prototype = match dtype {
             ModelDtype::F32 => {
                 let mut params = Vec::new();
                 loop {
@@ -386,7 +359,7 @@ impl ModelArtifact {
                         "f32 artifact holds no param.* tensors".to_string(),
                     ));
                 }
-                ModelWeights::F32(params)
+                Vgg::from_params(config, &params)
             }
             ModelDtype::Int8 => {
                 let n_convs = config.conv_layer_count();
@@ -402,12 +375,12 @@ impl ModelArtifact {
                 for (i, act_scale) in act_scales.iter().enumerate() {
                     let qentry = require(&format!("conv.{i}.qweight"))?;
                     let (data, scales) = c.i8_values(qentry)?;
-                    let qweight = QuantizedMatrix {
+                    let qweight = Arc::new(QuantizedMatrix {
                         data,
                         scales,
                         rows: qentry.dims[0] as usize,
                         cols: qentry.dims[1] as usize,
-                    };
+                    });
                     let bias_t = tensor_of(&format!("conv.{i}.bias"))?;
                     convs.push(QuantizedConvParts {
                         qweight,
@@ -426,21 +399,105 @@ impl ModelArtifact {
                         });
                     }
                 }
-                ModelWeights::Int8(VggQuantizedParts {
+                let parts = VggQuantizedParts {
                     convs,
                     bns,
                     linear_weight: tensor_of("linear.weight")?,
                     linear_bias: tensor_of("linear.bias")?,
-                })
+                };
+                Vgg::from_quantized_parts(config, parts)
             }
         };
-
-        let artifact = Self {
-            config,
-            weights,
+        Ok(Self {
+            prototype: prototype.map_err(ModelFileError::BadModel)?,
             extra_kvs,
-        };
-        artifact.validate()?;
-        Ok(artifact)
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+
+    const REPLICAS: usize = 8;
+
+    fn fp32_artifact() -> ModelArtifact {
+        let config = VggConfig::vgg_tiny(8, 4).with_batchnorm();
+        let mut net = Vgg::new(&mut SmallRng::seed_from_u64(9), config.clone());
+        let ckpt = Checkpoint::capture(&mut net).with_vgg_config(config);
+        ModelArtifact::from_checkpoint(&ckpt, None).unwrap()
+    }
+
+    /// The network's parameter tensors (handles, not copies).
+    fn params_of(net: &mut dyn Network) -> Vec<Tensor> {
+        Checkpoint::capture(net).params
+    }
+
+    #[test]
+    fn fp32_replicas_share_every_parameter_with_the_artifact() {
+        let artifact = fp32_artifact();
+        let held = params_of(&mut artifact.prototype.clone());
+        assert_eq!(
+            held.len(),
+            2 * 4 + 2,
+            "2 convs with batch norm, 1 classifier"
+        );
+        for _ in 0..REPLICAS {
+            let replica = params_of(artifact.build_network().as_mut());
+            assert_eq!(replica.len(), held.len());
+            for (r, h) in replica.iter().zip(&held) {
+                assert!(r.shares_storage(h), "a replica copied a parameter");
+            }
+        }
+        let total: usize = held.iter().map(|t| 4 * t.len()).sum();
+        // Weights are the parameters plus each batch norm's two running
+        // statistics (4 + 8 channels).
+        assert_eq!(artifact.weight_bytes() as usize, total + 4 * 2 * (4 + 8));
+    }
+
+    /// `build_network` boxes exactly `prototype.clone()`; an int8 network
+    /// exposes no parameters through `Network`, so the clones are
+    /// inspected as `Vgg`s.
+    #[test]
+    fn int8_replicas_share_every_matrix_and_tensor_with_the_artifact() {
+        let artifact = fp32_artifact()
+            .quantize(CalibrationMethod::MinMax, 8, 2, 7)
+            .unwrap();
+        let held = artifact.prototype.to_quantized_parts().expect("int8");
+        for _ in 0..REPLICAS {
+            let replica = artifact
+                .prototype
+                .clone()
+                .to_quantized_parts()
+                .expect("int8");
+            for (r, h) in replica.convs.iter().zip(&held.convs) {
+                assert!(
+                    Arc::ptr_eq(&r.qweight, &h.qweight),
+                    "a replica copied a matrix"
+                );
+            }
+            for (r, h) in replica.bns.iter().zip(&held.bns) {
+                assert!(r.gamma.shares_storage(&h.gamma) && r.beta.shares_storage(&h.beta));
+                assert!(r.running_mean.shares_storage(&h.running_mean));
+                assert!(r.running_var.shares_storage(&h.running_var));
+            }
+            assert!(replica.linear_weight.shares_storage(&held.linear_weight));
+            assert!(replica.linear_bias.shares_storage(&held.linear_bias));
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_its_artifact_and_the_captured_net_hold_one_copy() {
+        let config = VggConfig::vgg_tiny(8, 4);
+        let mut net = Vgg::new(&mut SmallRng::seed_from_u64(9), config.clone());
+        let ckpt = Checkpoint::capture(&mut net).with_vgg_config(config);
+        let artifact = ModelArtifact::from_checkpoint(&ckpt, None).unwrap();
+        let live = params_of(&mut net);
+        let served = params_of(artifact.build_network().as_mut());
+        for ((l, c), s) in live.iter().zip(&ckpt.params).zip(&served) {
+            assert!(l.shares_storage(c) && c.shares_storage(s));
+        }
     }
 }

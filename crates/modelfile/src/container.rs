@@ -14,6 +14,7 @@
 //! verified before [`Container::from_bytes`] returns.
 
 use crate::error::ModelFileError;
+use std::io::Write;
 use std::path::Path;
 
 /// File magic, the first four bytes of every `.adm` file.
@@ -563,14 +564,31 @@ impl ContainerBuilder {
         self.tensors.push((name, dtype, dims, payload));
     }
 
-    /// Serializes the file image.
+    /// Serializes the file image into memory (tests and
+    /// [`Container::from_bytes`] round trips; files go through
+    /// [`ContainerBuilder::write`], which never holds the image).
     pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.write_to(&mut out)
+            .expect("writing to a Vec cannot fail");
+        out
+    }
+
+    /// Streams the file image — header, KV section, tensor index, then
+    /// each payload at its aligned offset — into `w`. The one layout
+    /// routine: [`ContainerBuilder::to_bytes`] and
+    /// [`ContainerBuilder::write`] both emit exactly these bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelFileError::Io`] when `w` refuses a write.
+    pub fn write_to(&self, w: &mut impl Write) -> Result<(), ModelFileError> {
         // Assign aligned payload offsets within the data section.
         let mut offsets = Vec::with_capacity(self.tensors.len());
         let mut off = 0usize;
         for (_, _, _, payload) in &self.tensors {
             off = align_up(off, ALIGNMENT as usize);
-            offsets.push(off as u64);
+            offsets.push(off);
             off += payload.len();
         }
         let data_size = off as u64;
@@ -617,28 +635,33 @@ impl ContainerBuilder {
             for d in dims {
                 out.extend_from_slice(&d.to_le_bytes());
             }
-            out.extend_from_slice(&offset.to_le_bytes());
+            out.extend_from_slice(&(*offset as u64).to_le_bytes());
             out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
             out.extend_from_slice(&fnv1a(payload).to_le_bytes());
         }
 
         // Zero-pad to the data section boundary, then lay payloads at
         // their pre-assigned aligned offsets.
-        let data_start = align_up(out.len(), ALIGNMENT as usize);
-        out.resize(data_start, 0);
+        out.resize(align_up(out.len(), ALIGNMENT as usize), 0);
+        let io = |e: std::io::Error| ModelFileError::Io(e.to_string());
+        w.write_all(&out).map_err(io)?;
+        let mut pos = 0usize;
         for ((_, _, _, payload), offset) in self.tensors.iter().zip(&offsets) {
-            out.resize(data_start + *offset as usize, 0);
-            out.extend_from_slice(payload);
+            w.write_all(&[0u8; ALIGNMENT as usize][..offset - pos])
+                .map_err(io)?;
+            w.write_all(payload).map_err(io)?;
+            pos = offset + payload.len();
         }
-        out
+        Ok(())
     }
 
     /// Writes the file atomically (temporary sibling + rename), so a
-    /// crash mid-write never leaves a truncated artifact at `path`.
+    /// crash mid-write never leaves a truncated artifact at `path`; on
+    /// any failure the temporary file is removed.
     ///
     /// # Errors
     ///
-    /// [`ModelFileError::Io`] when writing or renaming fails.
+    /// [`ModelFileError::Io`] when creating, writing or renaming fails.
     pub fn write(&self, path: impl AsRef<Path>) -> Result<(), ModelFileError> {
         let path = path.as_ref();
         let file_name = path
@@ -646,12 +669,20 @@ impl ContainerBuilder {
             .and_then(|n| n.to_str())
             .unwrap_or("model.adm");
         let tmp = path.with_file_name(format!(".{file_name}.tmp.{}", std::process::id()));
-        let bytes = self.to_bytes();
-        std::fs::write(&tmp, &bytes).map_err(|e| ModelFileError::Io(e.to_string()))?;
-        std::fs::rename(&tmp, path).map_err(|e| {
+        let io = |e: std::io::Error| ModelFileError::Io(e.to_string());
+        let written = std::fs::File::create(&tmp)
+            .map_err(io)
+            .and_then(|file| {
+                let mut w = std::io::BufWriter::new(file);
+                self.write_to(&mut w)?;
+                // Dropping a BufWriter swallows the last write's error.
+                w.flush().map_err(io)
+            })
+            .and_then(|()| std::fs::rename(&tmp, path).map_err(io));
+        if written.is_err() {
             let _ = std::fs::remove_file(&tmp);
-            ModelFileError::Io(e.to_string())
-        })
+        }
+        written
     }
 }
 
@@ -717,6 +748,78 @@ mod tests {
             .collect();
         assert!(strays.is_empty(), "leftover temp files: {strays:?}");
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn streamed_file_is_the_in_memory_image() {
+        let path = std::env::temp_dir().join(format!("adm_streamed_{}.adm", std::process::id()));
+        // Payloads on both sides of BufWriter's 8 KiB buffer, with
+        // padding between them.
+        let mut b = sample();
+        b.tensor_f32("big", &[3, 1001], &vec![0.25; 3003])
+            .tensor_f32("tail", &[1], &[7.0]);
+        b.write(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b.to_bytes());
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// Accepts `budget` bytes, then fails every write.
+    struct FailsAfter {
+        budget: usize,
+    }
+
+    impl Write for FailsAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.budget == 0 {
+                return Err(std::io::Error::other("disk full"));
+            }
+            let n = buf.len().min(self.budget);
+            self.budget -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_write_failing_anywhere_is_an_io_error() {
+        let image_len = sample().to_bytes().len();
+        for budget in 0..image_len {
+            let err = sample().write_to(&mut FailsAfter { budget }).unwrap_err();
+            assert!(
+                matches!(err, ModelFileError::Io(_)),
+                "budget {budget}: {err:?}"
+            );
+        }
+        sample()
+            .write_to(&mut FailsAfter { budget: image_len })
+            .unwrap();
+    }
+
+    #[test]
+    fn failed_write_leaves_no_temp_sibling() {
+        // The target is a non-empty directory, so the final rename fails;
+        // a missing parent directory fails earlier, at create.
+        let dir = std::env::temp_dir().join(format!("adm_failed_write_{}", std::process::id()));
+        let target = dir.join("model.adm");
+        std::fs::create_dir_all(target.join("occupied")).unwrap();
+        for path in [target.clone(), dir.join("missing").join("model.adm")] {
+            assert!(matches!(sample().write(&path), Err(ModelFileError::Io(_))));
+        }
+        let strays: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|n| n.contains(".tmp."))
+            .collect();
+        assert!(strays.is_empty(), "leftover temp files: {strays:?}");
+        assert!(
+            target.join("occupied").is_dir(),
+            "the target must be untouched"
+        );
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

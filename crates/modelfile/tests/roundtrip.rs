@@ -89,6 +89,35 @@ fn int8_save_load_serves_bit_identical_logits() {
     let _ = std::fs::remove_file(path);
 }
 
+/// The fp32 `.adm` of a seeded network is the file the commit before
+/// weight sharing wrote (FNV-1a over its bytes, recorded there); the
+/// int8 file is pinned the same way in `golden_bits.rs`. Covers the
+/// artifact reading its tensors out of the shared prototype and the
+/// streamed writer.
+#[test]
+fn fp32_adm_bytes_are_the_pre_sharing_file() {
+    for (batchnorm, len, golden) in [
+        (false, 2960, 0xef1b_19dc_64c6_537a_u64),
+        (true, 3408, 0xb314_3aea_f568_ed1f),
+    ] {
+        let mut config = VggConfig::vgg_tiny(8, 4);
+        config.batchnorm = batchnorm;
+        let mut net = Vgg::new(&mut SmallRng::seed_from_u64(42), config.clone());
+        let ckpt = Checkpoint::capture(&mut net).with_vgg_config(config);
+        let artifact = ModelArtifact::from_checkpoint(&ckpt, None).unwrap();
+        let path = tmp_path(&format!("fp32_golden_{}", u8::from(batchnorm)));
+        artifact.save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(path);
+        assert_eq!(bytes.len(), len);
+        assert_eq!(
+            format!("{:#018x}", antidote_modelfile::fnv1a(&bytes)),
+            format!("{golden:#018x}"),
+            "fp32 .adm bytes, batchnorm={batchnorm}"
+        );
+    }
+}
+
 #[test]
 fn provenance_metadata_survives_quantize_and_round_trip() {
     let (_, fp32) = trained_like_artifact();

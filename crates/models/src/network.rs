@@ -24,10 +24,11 @@ use antidote_tensor::Tensor;
 /// Every forward flavour takes `&mut self`: layers cache activations for
 /// the backward pass even in inference mode, so a single replica cannot
 /// serve two threads at once. Concurrent serving therefore uses
-/// **clone-per-worker replication** — each worker thread owns a private
-/// replica built from the same seed (see `antidote-serve`'s
-/// `ModelFactory`), which keeps replicas bit-identical without sharing
-/// mutable state. The trait requires `Send` so replicas can be moved
+/// **clone-per-worker replication** — each worker thread owns a replica
+/// cloned from one network (see `antidote-serve`'s `ModelFactory`):
+/// clones share the immutable weight buffers and own their activation
+/// caches, which keeps replicas bit-identical without sharing mutable
+/// state. The trait requires `Send` so replicas can be moved
 /// into worker threads, and the concrete models in this crate are also
 /// `Sync` (they hold no interior mutability), which the test suite
 /// asserts at compile time.

@@ -13,13 +13,15 @@ use antidote_nn::quant::QuantizedConv2d;
 use antidote_tensor::conv::ConvGeometry;
 use antidote_tensor::quant::QuantizedMatrix;
 use antidote_tensor::Tensor;
+use std::sync::Arc;
 
 /// One conv layer's stored parts: int8 weights with per-row scales,
 /// fp32 bias, and the calibrated input-activation scale.
 #[derive(Debug, Clone)]
 pub struct QuantizedConvParts {
-    /// `(Cout, Cin·K·K)` int8 filter matrix with per-row scales.
-    pub qweight: QuantizedMatrix,
+    /// `(Cout, Cin·K·K)` int8 filter matrix with per-row scales, shared
+    /// with the network it was exported from or is built into.
+    pub qweight: Arc<QuantizedMatrix>,
     /// Full-precision bias, length `Cout`.
     pub bias: Vec<f32>,
     /// Calibrated per-tensor scale of the layer's input activation.
@@ -68,7 +70,7 @@ impl Vgg {
             match op {
                 Op::Conv(ConvOp::F32(_)) => return None,
                 Op::Conv(ConvOp::Int8(c)) => convs.push(QuantizedConvParts {
-                    qweight: c.qweight().clone(),
+                    qweight: Arc::clone(c.qweight()),
                     bias: c.bias().to_vec(),
                     act_scale: c.act_scale(),
                 }),

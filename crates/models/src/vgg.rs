@@ -20,7 +20,7 @@ use rand::Rng;
 
 /// A conv op's weights, tagged by numeric domain. The tag is the only
 /// thing that tells an fp32 network from an int8 one.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum ConvOp {
     F32(Conv2d),
     Int8(QuantizedConv2d),
@@ -39,7 +39,7 @@ impl ConvOp {
 }
 
 /// One element of the flat VGG op sequence.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum Op {
     Conv(ConvOp),
     Bn(BatchNorm2d),
@@ -69,7 +69,11 @@ pub(crate) enum Op {
 /// let logits = net.forward(&Tensor::zeros([2, 3, 8, 8]), Mode::Eval);
 /// assert_eq!(logits.dims(), &[2, 4]);
 /// ```
-#[derive(Debug)]
+///
+/// `Clone` shares every weight buffer with the original (tensor storage
+/// is copy-on-write, int8 matrices sit behind an `Arc`) and copies only
+/// the op list, so a serving replica costs O(layers) pointer copies.
+#[derive(Debug, Clone)]
 pub struct Vgg {
     pub(crate) config: VggConfig,
     pub(crate) ops: Vec<Op>,
@@ -104,6 +108,59 @@ impl Vgg {
             .collect();
         let linear = Linear::new(rng, config.classifier_inputs(), config.classes);
         Self::layout(config, convs, bns, linear)
+    }
+
+    /// Builds an fp32 VGG around existing parameter tensors, in visit
+    /// order (per conv: weight, bias, then γ, β when the config enables
+    /// batch norm; classifier weight and bias last), checking every shape
+    /// against `config` first — the fp32 mirror of
+    /// [`Vgg::from_quantized_parts`]. The tensors are shared, not copied;
+    /// batch-norm running statistics start at their defaults, as in
+    /// [`Vgg::new`].
+    ///
+    /// # Errors
+    ///
+    /// A human-readable description of the first inconsistency (config
+    /// invariant, parameter count, or tensor shape); never panics.
+    pub fn from_params(config: VggConfig, params: &[Tensor]) -> Result<Self, String> {
+        config.validate()?;
+        let shapes = config.conv_shapes();
+        let per_conv = if config.batchnorm { 4 } else { 2 };
+        let want = shapes.len() * per_conv + 2;
+        if params.len() != want {
+            return Err(format!(
+                "{} parameter tensors stored but config needs {want}",
+                params.len()
+            ));
+        }
+        let mut stored = params.iter().enumerate();
+        let mut take = |want: &[usize]| -> Result<Tensor, String> {
+            let (i, t) = stored.next().expect("count checked above");
+            if t.dims() != want {
+                return Err(format!(
+                    "parameter {i} has shape {:?}, needs {want:?}",
+                    t.dims()
+                ));
+            }
+            Ok(t.clone())
+        };
+        let (mut convs, mut bns) = (Vec::new(), Vec::new());
+        for s in &shapes {
+            let weight = take(&[s.out_channels, s.in_channels, s.kernel, s.kernel])?;
+            let bias = take(&[s.out_channels])?;
+            convs.push(ConvOp::F32(Conv2d::from_parts(weight, bias, 1, 1)));
+            if config.batchnorm {
+                let (gamma, beta) = (take(&[s.out_channels])?, take(&[s.out_channels])?);
+                let (mean, var) = (
+                    Tensor::zeros([s.out_channels]),
+                    Tensor::ones([s.out_channels]),
+                );
+                bns.push(BatchNorm2d::from_parts(gamma, beta, mean, var));
+            }
+        }
+        let weight = take(&[config.classes, config.classifier_inputs()])?;
+        let linear = Linear::from_parts(weight, take(&[config.classes])?);
+        Ok(Self::layout(config, convs, bns, linear))
     }
 
     /// The one place the VGG op sequence is laid out: conv → \[bn\] →
@@ -149,10 +206,29 @@ impl Vgg {
     }
 
     /// `true` when the convs carry int8 payloads (an eval-only network).
-    fn is_int8(&self) -> bool {
+    pub fn is_int8(&self) -> bool {
         self.ops
             .iter()
             .any(|op| matches!(op, Op::Conv(ConvOp::Int8(_))))
+    }
+
+    /// Bytes of weight storage one copy of this network holds: fp32
+    /// values at 4 bytes, int8 filter entries at 1 (gradient buffers are
+    /// training state, not weights, and are not counted).
+    pub fn weight_bytes(&self) -> usize {
+        let f32s = |a: &Tensor, b: &Tensor| 4 * (a.len() + b.len());
+        self.ops
+            .iter()
+            .map(|op| match op {
+                Op::Conv(ConvOp::F32(c)) => f32s(&c.weight().value, &c.bias().value),
+                Op::Conv(ConvOp::Int8(c)) => {
+                    c.qweight().data.len() + 4 * (c.weight_scales().len() + c.bias().len())
+                }
+                Op::Bn(bn) => 4 * 4 * bn.channels(),
+                Op::Linear(fc) => f32s(&fc.weight().value, &fc.bias().value),
+                _ => 0,
+            })
+            .sum()
     }
 
     /// Post-training quantization as a transform: a copy of this fp32
@@ -487,6 +563,7 @@ mod tests {
     use antidote_nn::loss::softmax_cross_entropy;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn tiny() -> Vgg {
         let mut rng = SmallRng::seed_from_u64(1);
@@ -813,14 +890,116 @@ mod tests {
         }
     }
 
+    fn params_of(net: &mut Vgg) -> Vec<Tensor> {
+        let mut params = Vec::new();
+        net.visit_params_mut(&mut |p| params.push(p.value.clone()));
+        params
+    }
+
+    #[test]
+    fn from_params_shares_the_tensors_and_reproduces_the_network() {
+        for config in [
+            VggConfig::vgg_tiny(8, 3),
+            VggConfig::vgg_tiny(8, 3).with_batchnorm(),
+        ] {
+            let mut net = Vgg::new(&mut SmallRng::seed_from_u64(5), config.clone());
+            let params = params_of(&mut net);
+            let mut rebuilt = Vgg::from_params(config, &params).expect("own params fit");
+            for (built, given) in params_of(&mut rebuilt).iter().zip(&params) {
+                assert!(built.shares_storage(given));
+            }
+            let x = Tensor::from_fn([2, 3, 8, 8], |i| (i as f32 * 0.019).sin());
+            assert_eq!(
+                bits(&net.forward(&x, Mode::Eval)),
+                bits(&rebuilt.forward(&x, Mode::Eval))
+            );
+            // Parameters, plus two running statistics per batch-norm
+            // channel (vgg_tiny has 4 + 8 of them).
+            let running = if rebuilt.config().batchnorm {
+                2 * (4 + 8)
+            } else {
+                0
+            };
+            assert_eq!(
+                rebuilt.weight_bytes(),
+                4 * (rebuilt.param_count() + running)
+            );
+        }
+    }
+
+    #[test]
+    fn from_params_rejects_inconsistent_input_without_panicking() {
+        type Corrupt = fn(&mut VggConfig, &mut Vec<Tensor>);
+        let cases: [(&str, Corrupt); 7] = [
+            ("too few tensors", |_, p| p.truncate(3)),
+            ("too many tensors", |_, p| p.push(Tensor::zeros([3]))),
+            ("no tensors", |_, p| p.clear()),
+            ("conv weight shape", |_, p| {
+                p[0] = Tensor::zeros([4, 3, 3, 5])
+            }),
+            ("conv weight rank", |_, p| p[2] = Tensor::zeros([8 * 4 * 9])),
+            ("classifier bias shape", |c, p| {
+                *p.last_mut().unwrap() = Tensor::zeros([c.classes + 1])
+            }),
+            ("invalid config", |c, _| c.input_size = 7),
+        ];
+        for batchnorm in [false, true] {
+            let mut base = VggConfig::vgg_tiny(8, 3);
+            base.batchnorm = batchnorm;
+            let good = params_of(&mut Vgg::new(&mut SmallRng::seed_from_u64(6), base.clone()));
+            for (name, corrupt) in cases {
+                let (mut config, mut params) = (base.clone(), good.clone());
+                corrupt(&mut config, &mut params);
+                assert!(
+                    Vgg::from_params(config, &params).is_err(),
+                    "{name} must be rejected (batchnorm={batchnorm})"
+                );
+            }
+            // The parameter list of the other batch-norm setting never fits.
+            let mut other = base.clone();
+            other.batchnorm = !batchnorm;
+            assert!(Vgg::from_params(other, &good).is_err());
+        }
+    }
+
+    #[test]
+    fn clone_shares_every_weight_buffer() {
+        let (vgg, q) = int8_pair(VggConfig::vgg_tiny(8, 3).with_batchnorm());
+        for net in [vgg, q] {
+            let copy = net.clone();
+            for (a, b) in net.ops.iter().zip(&copy.ops) {
+                let shared = match (a, b) {
+                    (Op::Conv(ConvOp::F32(a)), Op::Conv(ConvOp::F32(b))) => {
+                        a.weight().value.shares_storage(&b.weight().value)
+                            && a.bias().value.shares_storage(&b.bias().value)
+                    }
+                    (Op::Conv(ConvOp::Int8(a)), Op::Conv(ConvOp::Int8(b))) => {
+                        Arc::ptr_eq(a.qweight(), b.qweight())
+                    }
+                    (Op::Bn(a), Op::Bn(b)) => {
+                        a.gamma().value.shares_storage(&b.gamma().value)
+                            && a.running_var().shares_storage(b.running_var())
+                    }
+                    (Op::Linear(a), Op::Linear(b)) => {
+                        a.weight().value.shares_storage(&b.weight().value)
+                    }
+                    _ => true,
+                };
+                assert!(shared, "{a:?} was deep-copied");
+            }
+        }
+    }
+
     #[test]
     fn from_quantized_parts_rejects_inconsistent_input_without_panicking() {
         type Corrupt = fn(&mut VggConfig, &mut crate::VggQuantizedParts);
         let cases: [(&str, Corrupt); 8] = [
             ("conv count", |_, p| p.convs.truncate(1)),
-            ("weight shape", |_, p| p.convs[0].qweight.rows += 1),
+            ("weight shape", |_, p| {
+                Arc::make_mut(&mut p.convs[0].qweight).rows += 1
+            }),
             ("truncated scales", |_, p| {
-                p.convs[1].qweight.scales.truncate(1)
+                Arc::make_mut(&mut p.convs[1].qweight).scales.truncate(1)
             }),
             ("activation scale", |_, p| p.convs[0].act_scale = f32::NAN),
             ("non-finite classifier", |_, p| {

@@ -18,7 +18,7 @@ use antidote_tensor::Tensor;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Relu {
     mask: Option<Vec<bool>>,
 }

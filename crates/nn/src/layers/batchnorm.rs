@@ -17,7 +17,7 @@ use antidote_tensor::Tensor;
 /// let y = bn.forward(&Tensor::zeros([2, 8, 4, 4]), Mode::Eval);
 /// assert_eq!(y.dims(), &[2, 8, 4, 4]);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BatchNorm2d {
     gamma: Parameter,
     beta: Parameter,
@@ -29,7 +29,7 @@ pub struct BatchNorm2d {
     cache: Option<BnCache>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct BnCache {
     x_hat: Tensor,
     inv_std: Vec<f32>,
@@ -206,9 +206,11 @@ impl Layer for BatchNorm2d {
                 }
             }
         }
-        for ci in 0..c {
-            self.gamma.grad.data_mut()[ci] += sum_dy_xhat[ci];
-            self.beta.grad.data_mut()[ci] += sum_dy[ci];
+        for (g, s) in self.gamma.grad.data_mut().iter_mut().zip(&sum_dy_xhat) {
+            *g += s;
+        }
+        for (g, s) in self.beta.grad.data_mut().iter_mut().zip(&sum_dy) {
+            *g += s;
         }
         // dx = (gamma * inv_std / m) * (m*dy - sum_dy - x_hat * sum_dy_xhat)
         let mut grad_in = Tensor::zeros(dims);

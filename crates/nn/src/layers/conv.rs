@@ -42,7 +42,7 @@ const GRAD_PARTIAL_PARTS: usize = 8;
 /// let y = conv.forward(&x, Mode::Eval);
 /// assert_eq!(y.dims(), &[2, 8, 16, 16]);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Conv2d {
     weight: Parameter,
     bias: Parameter,
@@ -52,7 +52,7 @@ pub struct Conv2d {
     cache: Option<ConvCache>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ConvCache {
     /// im2col matrices, one `(Cin·K·K, Hout·Wout)` buffer per batch item.
     cols: Vec<Vec<f32>>,

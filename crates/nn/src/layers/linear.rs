@@ -20,7 +20,7 @@ use rand::Rng;
 /// let y = fc.forward(&Tensor::zeros([4, 32]), Mode::Eval);
 /// assert_eq!(y.dims(), &[4, 10]);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Linear {
     weight: Parameter, // (Out, In)
     bias: Parameter,   // (Out,)

@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 /// let y = f.forward(&Tensor::zeros([2, 8, 4, 4]), Mode::Eval);
 /// assert_eq!(y.dims(), &[2, 128]);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Flatten {
     input_dims: Option<Vec<usize>>,
 }

@@ -16,7 +16,7 @@ use antidote_tensor::Tensor;
 /// let y = pool.forward(&Tensor::zeros([1, 3, 8, 8]), Mode::Eval);
 /// assert_eq!(y.dims(), &[1, 3, 4, 4]);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MaxPool2d {
     window: usize,
     /// Flat source index of each output element's argmax (training only).

@@ -50,11 +50,12 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> LossOutput {
     let mut grad = probs.clone();
     let mut loss = 0.0f32;
     let inv_n = 1.0 / n as f32;
+    let g = grad.data_mut();
     for (i, &y) in labels.iter().enumerate() {
         assert!(y < k, "label {y} out of range for {k} classes");
         let p = probs.data()[i * k + y];
         loss -= p.max(1e-12).ln();
-        grad.data_mut()[i * k + y] -= 1.0;
+        g[i * k + y] -= 1.0;
     }
     grad.scale(inv_n);
     LossOutput {

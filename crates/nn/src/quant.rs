@@ -21,6 +21,7 @@ use crate::masked::{run_masked_conv, FeatureMask, MacCounter, TapDomain};
 use antidote_tensor::conv::ConvGeometry;
 use antidote_tensor::quant::{quantize_value, QuantizedMatrix};
 use antidote_tensor::Tensor;
+use std::sync::Arc;
 
 /// An eval-only int8 convolution layer.
 ///
@@ -32,8 +33,8 @@ use antidote_tensor::Tensor;
 #[derive(Debug, Clone)]
 pub struct QuantizedConv2d {
     /// `(Cout, Cin·K·K)` int8 filter matrix with per-row (= per output
-    /// channel) scales.
-    qweight: QuantizedMatrix,
+    /// channel) scales; immutable, so clones of the layer share it.
+    qweight: Arc<QuantizedMatrix>,
     /// Full-precision bias, length `Cout` (biases are a vanishing share
     /// of parameter bytes; quantizing them buys nothing).
     bias: Vec<f32>,
@@ -60,7 +61,7 @@ impl QuantizedConv2d {
             cin * k * k,
         );
         let bias = conv.bias().value.data().to_vec();
-        Self::from_parts(qweight, bias, act_scale, cin, conv.geometry())
+        Self::from_parts(Arc::new(qweight), bias, act_scale, cin, conv.geometry())
     }
 
     /// Reassembles a quantized convolution from stored parts — the
@@ -74,7 +75,7 @@ impl QuantizedConv2d {
     /// `antidote_models::Vgg::from_quantized_parts`, which returns typed
     /// errors); these asserts are a backstop, not an error surface.
     pub fn from_parts(
-        qweight: QuantizedMatrix,
+        qweight: Arc<QuantizedMatrix>,
         bias: Vec<f32>,
         act_scale: f32,
         in_channels: usize,
@@ -127,7 +128,7 @@ impl QuantizedConv2d {
     }
 
     /// The `(Cout, Cin·K·K)` int8 filter matrix with per-row scales.
-    pub fn qweight(&self) -> &QuantizedMatrix {
+    pub fn qweight(&self) -> &Arc<QuantizedMatrix> {
         &self.qweight
     }
 

@@ -12,10 +12,13 @@
 //!                                       [ServeMetrics]
 //! ```
 //!
-//! Each worker owns a private model replica (clone-per-worker: the
-//! [`Network`] forward paths take `&mut self` because they cache
-//! activations, so replicas are never shared mutably across threads; see
-//! `antidote_models::Network`'s threading notes). Workers coalesce
+//! Each worker owns a model replica (clone-per-worker: the [`Network`]
+//! forward paths take `&mut self` because they cache activations, so
+//! replicas are never shared mutably across threads; see
+//! `antidote_models::Network`'s threading notes). What a replica owns is
+//! its activations: replicas cloned from one network share its immutable
+//! weight buffers, so N workers keep one copy of the weights resident.
+//! Workers coalesce
 //! requests into micro-batches: the batch window opens when the first
 //! request is popped and closes after `max_wait` or when `max_batch`
 //! requests have been collected, whichever is first. Waiting overlaps
@@ -65,9 +68,9 @@ use std::time::{Duration, Instant};
 
 /// Builds one model replica per worker. Called with the worker index;
 /// every call must return an *identical* network (same weights) so that
-/// responses do not depend on which worker served the request. Freeze
-/// trained parameters by capturing an `Arc` snapshot and restoring it
-/// into each freshly built replica.
+/// responses do not depend on which worker served the request. Clone
+/// one trained network per call (`ModelArtifact::build_network` does):
+/// clones share the weight buffers and own only their activations.
 pub type ModelFactory = Arc<dyn Fn(usize) -> Box<dyn Network> + Send + Sync>;
 
 /// Numeric domain the model replicas serve in.
@@ -797,9 +800,10 @@ impl std::fmt::Debug for ServeEngine {
 
 impl ServeEngine {
     /// Starts the worker pool. `factory` is called once per worker to
-    /// build its private replica (worker 0's replica is also probed for
-    /// the model's conv shapes and taps, which parameterize the budget
-    /// mapper and fix the `(C, H, W)` admission accepts).
+    /// build its replica — weights shared when the factory clones one
+    /// network, activations always private (worker 0's replica is also
+    /// probed for the model's conv shapes and taps, which parameterize
+    /// the budget mapper and fix the `(C, H, W)` admission accepts).
     ///
     /// # Errors
     ///

@@ -1,4 +1,4 @@
-//! Bounded multi-producer/multi-consumer queues with backpressure.
+//! A bounded multi-producer/multi-consumer queue with backpressure.
 //!
 //! This is the admission-control stage of the serving engine: producers
 //! ([`crate::ServeHandle::submit`]) never block — a full queue is a typed
@@ -7,23 +7,17 @@
 //! deadlines, which is what lets the micro-batcher coalesce requests for
 //! up to `max_wait` without spinning.
 //!
-//! Two queue flavours live here:
-//!
-//! - [`BoundedQueue`]: the plain FIFO primitive (kept as a reusable
-//!   building block and for workloads without SLO classes);
-//! - [`SloQueue`]: the engine's scheduling queue — priority lanes with
-//!   earliest-deadline-first order inside each lane, **eager expiry** (an
-//!   entry whose deadline passed while queued is returned to the caller
-//!   for a typed rejection instead of ever occupying a batch slot), and
-//!   priority eviction (a full queue displaces its least urgent entry to
-//!   admit a more urgent one).
+//! [`SloQueue`] is the engine's scheduling queue — priority lanes with
+//! earliest-deadline-first order inside each lane, **eager expiry** (an
+//! entry whose deadline passed while queued is returned to the caller
+//! for a typed rejection instead of ever occupying a batch slot), and
+//! priority eviction (a full queue displaces its least urgent entry to
+//! admit a more urgent one).
 //!
 //! Built on `std::sync::{Mutex, Condvar}` only (the build environment has
-//! no async runtime); all operations are O(1) amortized for the FIFO and
-//! O(queue depth) worst case for the ordered inserts of [`SloQueue`]
+//! no async runtime); ordered inserts are O(queue depth) worst case
 //! (bounded by the configured capacity, which is small by design).
 
-use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
@@ -44,148 +38,6 @@ impl<T> PushError<T> {
         match self {
             PushError::Full(t) | PushError::Closed(t) => t,
         }
-    }
-}
-
-/// Outcome of a blocking pop.
-#[derive(Debug)]
-pub enum Popped<T> {
-    /// An item was dequeued.
-    Item(T),
-    /// The deadline passed with the queue still empty.
-    TimedOut,
-    /// The queue is closed *and* drained — no item will ever arrive.
-    Closed,
-}
-
-#[derive(Debug)]
-struct State<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// The bounded MPMC queue. Shared across threads behind an `Arc`.
-#[derive(Debug)]
-pub struct BoundedQueue<T> {
-    state: Mutex<State<T>>,
-    not_empty: Condvar,
-    capacity: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Creates a queue holding at most `capacity` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "queue capacity must be positive");
-        Self {
-            state: Mutex::new(State {
-                items: VecDeque::with_capacity(capacity),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// Maximum number of queued items.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Current queue depth.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("queue lock poisoned").items.len()
-    }
-
-    /// `true` when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Non-blocking enqueue.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
-    /// [`BoundedQueue::close`]; both return the item.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut st = self.state.lock().expect("queue lock poisoned");
-        if st.closed {
-            return Err(PushError::Closed(item));
-        }
-        if st.items.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        st.items.push_back(item);
-        drop(st);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Non-blocking dequeue.
-    pub fn try_pop(&self) -> Option<T> {
-        self.state
-            .lock()
-            .expect("queue lock poisoned")
-            .items
-            .pop_front()
-    }
-
-    /// Blocking dequeue with an absolute deadline.
-    ///
-    /// Returns [`Popped::Item`] as soon as one is available,
-    /// [`Popped::TimedOut`] once `deadline` passes, or [`Popped::Closed`]
-    /// when the queue is closed and fully drained (remaining items are
-    /// still delivered after close, so shutdown is graceful).
-    pub fn pop_until(&self, deadline: Instant) -> Popped<T> {
-        let mut st = self.state.lock().expect("queue lock poisoned");
-        loop {
-            if let Some(item) = st.items.pop_front() {
-                return Popped::Item(item);
-            }
-            if st.closed {
-                return Popped::Closed;
-            }
-            let now = Instant::now();
-            let Some(remaining) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
-            else {
-                return Popped::TimedOut;
-            };
-            let (guard, timeout) = self
-                .not_empty
-                .wait_timeout(st, remaining)
-                .expect("queue lock poisoned");
-            st = guard;
-            if timeout.timed_out() && st.items.is_empty() && !st.closed {
-                return Popped::TimedOut;
-            }
-        }
-    }
-
-    /// Blocking dequeue without a deadline: waits until an item arrives
-    /// or the queue is closed and drained.
-    pub fn pop_blocking(&self) -> Popped<T> {
-        let mut st = self.state.lock().expect("queue lock poisoned");
-        loop {
-            if let Some(item) = st.items.pop_front() {
-                return Popped::Item(item);
-            }
-            if st.closed {
-                return Popped::Closed;
-            }
-            st = self.not_empty.wait(st).expect("queue lock poisoned");
-        }
-    }
-
-    /// Closes the queue: further pushes fail with [`PushError::Closed`];
-    /// consumers drain remaining items and then observe
-    /// [`Popped::Closed`].
-    pub fn close(&self) {
-        self.state.lock().expect("queue lock poisoned").closed = true;
-        self.not_empty.notify_all();
     }
 }
 
@@ -438,103 +290,6 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::time::Duration;
-
-    #[test]
-    fn fifo_order_and_capacity() {
-        let q = BoundedQueue::new(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        let err = q.try_push(3).unwrap_err();
-        assert!(matches!(err, PushError::Full(3)));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.try_pop(), Some(1));
-        assert_eq!(q.try_pop(), Some(2));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_until_times_out_when_empty() {
-        let q: BoundedQueue<u8> = BoundedQueue::new(1);
-        let deadline = Instant::now() + Duration::from_millis(20);
-        assert!(matches!(q.pop_until(deadline), Popped::TimedOut));
-        assert!(Instant::now() >= deadline);
-    }
-
-    #[test]
-    fn close_rejects_pushes_but_drains_items() {
-        let q = BoundedQueue::new(4);
-        q.try_push(7).unwrap();
-        q.close();
-        assert!(matches!(q.try_push(8), Err(PushError::Closed(8))));
-        match q.pop_until(Instant::now() + Duration::from_millis(5)) {
-            Popped::Item(7) => {}
-            other => panic!("expected drained item, got {other:?}"),
-        }
-        assert!(matches!(q.pop_blocking(), Popped::Closed));
-    }
-
-    #[test]
-    fn cross_thread_handoff_wakes_blocked_consumer() {
-        let q = Arc::new(BoundedQueue::new(8));
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || match q.pop_blocking() {
-                Popped::Item(v) => v,
-                other => panic!("expected item, got {other:?}"),
-            })
-        };
-        std::thread::sleep(Duration::from_millis(10));
-        q.try_push(42usize).unwrap();
-        assert_eq!(consumer.join().unwrap(), 42);
-    }
-
-    #[test]
-    fn many_producers_many_consumers_deliver_everything() {
-        let q = Arc::new(BoundedQueue::new(64));
-        let producers: Vec<_> = (0..4)
-            .map(|p| {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || {
-                    for i in 0..16 {
-                        loop {
-                            match q.try_push(p * 100 + i) {
-                                Ok(()) => break,
-                                Err(PushError::Full(_)) => std::thread::yield_now(),
-                                Err(PushError::Closed(_)) => panic!("closed early"),
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        let consumers: Vec<_> = (0..2)
-            .map(|_| {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    loop {
-                        match q.pop_blocking() {
-                            Popped::Item(v) => got.push(v),
-                            Popped::Closed => return got,
-                            Popped::TimedOut => unreachable!(),
-                        }
-                    }
-                })
-            })
-            .collect();
-        for p in producers {
-            p.join().unwrap();
-        }
-        q.close();
-        let mut all: Vec<i32> = consumers
-            .into_iter()
-            .flat_map(|c| c.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        let mut expect: Vec<i32> = (0..4).flat_map(|p| (0..16).map(move |i| p * 100 + i)).collect();
-        expect.sort_unstable();
-        assert_eq!(all, expect);
-    }
 
     #[derive(Debug, PartialEq)]
     struct Job {

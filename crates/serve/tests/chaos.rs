@@ -6,15 +6,19 @@
 //!    engine's — a rebuilt replica serves exactly like the original;
 //! 3. the kill counter reports the injected faults.
 
+use antidote_core::checkpoint::Checkpoint;
 use antidote_core::PruneSchedule;
-use antidote_models::{Vgg, VggConfig};
+use antidote_models::{ConvShape, FeatureHook, Network, TapInfo, Vgg, VggConfig};
+use antidote_nn::layers::Conv2d;
+use antidote_nn::masked::MacCounter;
+use antidote_nn::{Mode, Parameter};
 use antidote_serve::{
     ChaosConfig, InferRequest, ModelFactory, ServeConfig, ServeEngine, ServeError,
 };
 use antidote_tensor::Tensor;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const CLIENTS: usize = 4;
@@ -181,4 +185,107 @@ fn chaos_kill_cap_limits_disruption() {
     assert_eq!(metrics.chaos_kills, 1, "the kill cap must hold");
     assert_eq!(panicked, 1);
     assert_eq!(metrics.completed, 23);
+}
+
+/// A replica cloned from `prototype` that reports, when the engine
+/// drops it, whether every parameter still shares the prototype's
+/// buffer — i.e. that it was built by sharing and that nothing on the
+/// served path wrote to a weight (which would silently copy it).
+#[derive(Debug)]
+struct SharingSpy {
+    replica: Vgg,
+    prototype: Arc<Vec<Tensor>>,
+    /// One entry per dropped replica: did it still share everything?
+    dropped: Arc<Mutex<Vec<bool>>>,
+}
+
+impl Drop for SharingSpy {
+    fn drop(&mut self) {
+        let mut held = self.prototype.iter();
+        let mut shares = true;
+        self.replica.visit_params_mut(&mut |p| {
+            shares &= held.next().is_some_and(|h| p.value.shares_storage(h));
+        });
+        self.dropped
+            .lock()
+            .expect("no panic while the spy log is held")
+            .push(shares && held.next().is_none());
+    }
+}
+
+impl Network for SharingSpy {
+    fn forward_hooked(&mut self, x: &Tensor, mode: Mode, hook: &mut dyn FeatureHook) -> Tensor {
+        self.replica.forward_hooked(x, mode, hook)
+    }
+    fn backward(&mut self, grad: &Tensor) -> Tensor {
+        self.replica.backward(grad)
+    }
+    fn forward_measured(
+        &mut self,
+        x: &Tensor,
+        hook: &mut dyn FeatureHook,
+        counter: &mut MacCounter,
+    ) -> Tensor {
+        self.replica.forward_measured(x, hook, counter)
+    }
+    fn visit_params_mut(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
+        self.replica.visit_params_mut(visitor)
+    }
+    fn taps(&self) -> Vec<TapInfo> {
+        self.replica.taps()
+    }
+    fn visit_tap_convs(&self, visitor: &mut dyn FnMut(usize, &Conv2d)) {
+        self.replica.visit_tap_convs(visitor)
+    }
+    fn conv_shapes(&self) -> Vec<ConvShape> {
+        self.replica.conv_shapes()
+    }
+    fn describe(&self) -> String {
+        self.replica.describe()
+    }
+}
+
+#[test]
+fn replicas_rebuilt_after_a_kill_still_share_the_prototypes_weights() {
+    let mut prototype = Vgg::new(&mut SmallRng::seed_from_u64(9), VggConfig::vgg_tiny(8, 3));
+    let held = Arc::new(Checkpoint::capture(&mut prototype).params);
+    let dropped = Arc::new(Mutex::new(Vec::new()));
+    let factory: ModelFactory = {
+        let (held, dropped) = (Arc::clone(&held), Arc::clone(&dropped));
+        Arc::new(move |_worker| {
+            Box::new(SharingSpy {
+                replica: prototype.clone(),
+                prototype: Arc::clone(&held),
+                dropped: Arc::clone(&dropped),
+            })
+        })
+    };
+
+    // One worker, one kill: the original replica serves and dies, the
+    // rebuilt one serves the rest.
+    let chaos = ChaosConfig {
+        kill_every: Duration::from_millis(1),
+        max_kills: 1,
+        seed: 7,
+    };
+    let engine = ServeEngine::start(config(1, Some(chaos)), factory).unwrap();
+    let handle = engine.handle();
+    silence_chaos_panics();
+    for i in 0..12 {
+        std::thread::sleep(Duration::from_millis(2));
+        let _ = handle.submit(InferRequest::new(input(i))).unwrap().wait();
+    }
+    let metrics = engine.shutdown();
+    assert_eq!(metrics.chaos_kills, 1);
+    assert!(
+        metrics.completed >= 1,
+        "the rebuilt replica must have served"
+    );
+
+    let dropped = dropped.lock().unwrap();
+    assert_eq!(dropped.len(), 2, "the killed replica and its replacement");
+    assert!(
+        dropped.iter().all(|&shares| shares),
+        "a replica copied its weights: {dropped:?}"
+    );
 }

@@ -33,7 +33,7 @@
 //! without changing f32 results.
 
 use crate::backend::{self, Backend};
-use crate::{Shape, Tensor};
+use crate::Tensor;
 
 /// Microkernel register-block height: output rows computed together.
 pub(crate) const MR: usize = 4;
@@ -413,29 +413,6 @@ pub fn outer(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-/// Matrix–vector product `y = A (m×n) · x (n)`.
-///
-/// # Panics
-///
-/// Panics on rank or dimension mismatch.
-pub fn matvec(a: &Tensor, x: &Tensor) -> Tensor {
-    let (m, n) = a.shape().as_matrix().expect("matvec lhs must be rank 2");
-    assert_eq!(x.shape().rank(), 1, "matvec rhs must be rank 1");
-    assert_eq!(x.len(), n, "matvec dimension mismatch");
-    let mut out = Tensor::zeros([m]);
-    let (ad, xd, od) = (a.data(), x.data(), out.data_mut());
-    for i in 0..m {
-        let row = &ad[i * n..(i + 1) * n];
-        od[i] = row.iter().zip(xd).map(|(&a, &b)| a * b).sum();
-    }
-    out
-}
-
-/// Reinterpret helper: builds the `Shape` for an `m×n` matrix.
-pub fn matrix_shape(m: usize, n: usize) -> Shape {
-    Shape::new(vec![m, n])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,12 +544,5 @@ mod tests {
         let o = outer(&a, &b);
         assert_eq!(o.dims(), &[2, 3]);
         assert_eq!(o.data(), &[3.0, 4.0, 5.0, 6.0, 8.0, 10.0]);
-    }
-
-    #[test]
-    fn matvec_works() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
-        let x = Tensor::from_vec(vec![1.0, 1.0], &[2]).unwrap();
-        assert_eq!(matvec(&a, &x).data(), &[3.0, 7.0]);
     }
 }

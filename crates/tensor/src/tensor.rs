@@ -1,9 +1,10 @@
 //! The dense `f32` tensor type.
 
 use crate::{Shape, TensorError};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
+use std::sync::Arc;
 
 /// A dense, row-major, `f32` tensor.
 ///
@@ -11,10 +12,16 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// workspace: feature maps are rank-4 `(N, C, H, W)` tensors, weight
 /// matrices are rank-2, convolution filters rank-4 `(Cout, Cin, Kh, Kw)`.
 ///
-/// The type deliberately owns its storage (`Vec<f32>`); views are provided
-/// through explicit copy methods ([`Tensor::batch_item`],
-/// [`Tensor::channel_plane`]) which keeps the API simple and the unsafe
-/// surface zero.
+/// Storage is reference-counted and copy-on-write: [`Clone`] shares the
+/// buffer, and the ownership rule is the holder count. A tensor that is
+/// the only holder of its buffer is its owner — [`Tensor::data_mut`] and
+/// the in-place ops write straight through, which is how training uses
+/// it. A tensor whose buffer is shared (a served replica's weights, a
+/// checkpoint of a live network) copies the buffer on its first write
+/// and owns the copy from then on; the other holders never observe the
+/// write. Views are still explicit copies ([`Tensor::batch_item`],
+/// [`Tensor::channel_plane`]), so no borrowed or raw-pointer view type
+/// exists.
 ///
 /// # Examples
 ///
@@ -29,10 +36,10 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
-    data: Vec<f32>,
+    data: Arc<Vec<f32>>,
 }
 
 impl Tensor {
@@ -42,7 +49,7 @@ impl Tensor {
         let len = shape.len();
         Self {
             shape,
-            data: vec![0.0; len],
+            data: Arc::new(vec![0.0; len]),
         }
     }
 
@@ -57,7 +64,7 @@ impl Tensor {
         let len = shape.len();
         Self {
             shape,
-            data: vec![value; len],
+            data: Arc::new(vec![value; len]),
         }
     }
 
@@ -76,13 +83,16 @@ impl Tensor {
                 actual: data.len(),
             });
         }
-        Ok(Self { shape, data })
+        Ok(Self {
+            shape,
+            data: Arc::new(data),
+        })
     }
 
     /// Creates a tensor by evaluating `f` at every flat index.
     pub fn from_fn(shape: impl Into<Shape>, mut f: impl FnMut(usize) -> f32) -> Self {
         let shape = shape.into();
-        let data = (0..shape.len()).map(&mut f).collect();
+        let data = Arc::new((0..shape.len()).map(&mut f).collect());
         Self { shape, data }
     }
 
@@ -112,14 +122,24 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable view of the underlying row-major storage.
+    /// Mutable view of the underlying row-major storage. Copies the
+    /// buffer first when another tensor shares it; the uniqueness check
+    /// is two atomic operations, so take the slice once outside a loop
+    /// rather than per element.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consumes the tensor, returning its storage.
+    /// Consumes the tensor, returning its storage (a copy when the
+    /// buffer is shared).
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        Arc::try_unwrap(self.data).unwrap_or_else(|shared| (*shared).clone())
+    }
+
+    /// `true` when both tensors hold the same buffer, i.e. one is an
+    /// unwritten clone of the other.
+    pub fn shares_storage(&self, other: &Tensor) -> bool {
+        Arc::ptr_eq(&self.data, &other.data)
     }
 
     /// Element at a multi-dimensional index.
@@ -138,7 +158,7 @@ impl Tensor {
     /// Panics if the index rank or any coordinate is out of bounds.
     pub fn set(&mut self, index: &[usize], value: f32) {
         let off = self.shape.offset(index);
-        self.data[off] = value;
+        self.data_mut()[off] = value;
     }
 
     /// Returns a tensor with the same data and a new shape.
@@ -182,13 +202,13 @@ impl Tensor {
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         Self {
             shape: self.shape.clone(),
-            data: self.data.iter().map(|&x| f(x)).collect(),
+            data: Arc::new(self.data.iter().map(|&x| f(x)).collect()),
         }
     }
 
     /// Applies `f` to every element in place.
     pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
+        for x in self.data_mut() {
             *x = f(*x);
         }
     }
@@ -206,12 +226,13 @@ impl Tensor {
         );
         Self {
             shape: self.shape.clone(),
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
+            data: Arc::new(
+                self.data
+                    .iter()
+                    .zip(other.data())
+                    .map(|(&a, &b)| f(a, b))
+                    .collect(),
+            ),
         }
     }
 
@@ -222,14 +243,14 @@ impl Tensor {
     /// Panics if the shapes differ.
     pub fn axpy(&mut self, alpha: f32, other: &Self) {
         assert_eq!(self.shape, other.shape, "axpy requires equal shapes");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+        for (a, &b) in self.data_mut().iter_mut().zip(other.data()) {
             *a += alpha * b;
         }
     }
 
     /// Multiplies every element by `s` in place.
     pub fn scale(&mut self, s: f32) {
-        for x in &mut self.data {
+        for x in self.data_mut() {
             *x *= s;
         }
     }
@@ -292,7 +313,7 @@ impl Tensor {
         let data = self.data[n * inner..(n + 1) * inner].to_vec();
         Self {
             shape: Shape::new(self.shape.dims()[1..].to_vec()),
-            data,
+            data: Arc::new(data),
         }
     }
 
@@ -309,7 +330,7 @@ impl Tensor {
         let start = (n * cc + c) * plane;
         Self {
             shape: Shape::new(vec![h, w]),
-            data: self.data[start..start + plane].to_vec(),
+            data: Arc::new(self.data[start..start + plane].to_vec()),
         }
     }
 
@@ -322,7 +343,7 @@ impl Tensor {
         assert_eq!(self.shape, other.shape, "allclose requires equal shapes");
         self.data
             .iter()
-            .zip(&other.data)
+            .zip(other.data())
             .all(|(&a, &b)| (a - b).abs() <= tol)
     }
 
@@ -353,6 +374,33 @@ impl Tensor {
             data.extend_from_slice(p.data());
         }
         Tensor::from_vec(data, &dims)
+    }
+}
+
+// Hand-written because the vendored derive does not know `Arc`; the
+// object layout (`shape`, then `data`) is the derive's, so checkpoint
+// JSON is unchanged.
+impl Serialize for Tensor {
+    fn serialize(&self) -> Value {
+        Value::Object(vec![
+            ("shape".to_string(), self.shape.serialize()),
+            ("data".to_string(), self.data().serialize()),
+        ])
+    }
+}
+
+impl Deserialize for Tensor {
+    fn deserialize(value: &Value) -> Result<Self, DeError> {
+        let entries = value
+            .as_object()
+            .ok_or_else(|| DeError::custom("expected object for `Tensor`"))?;
+        let field = |name: &str| {
+            Value::field(entries, name).ok_or_else(|| DeError::missing_field(name, "Tensor"))
+        };
+        Ok(Self {
+            shape: Shape::deserialize(field("shape")?).map_err(|e| e.at("shape"))?,
+            data: Arc::new(Vec::deserialize(field("data")?).map_err(|e| e.at("data"))?),
+        })
     }
 }
 

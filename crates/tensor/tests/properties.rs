@@ -159,3 +159,57 @@ proptest! {
         prop_assert_eq!(t.into_vec(), data);
     }
 }
+
+/// Every way a tensor can be written in place.
+fn write_in_place(t: &mut Tensor, op: usize, other: &Tensor) {
+    match op {
+        0 => t.data_mut()[0] += 1.0,
+        1 => t.set(&[0], 99.0),
+        2 => t.map_in_place(|x| x - 3.0),
+        3 => t.axpy(0.5, other),
+        4 => t.scale(2.0),
+        5 => *t += other,
+        _ => *t -= other,
+    }
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn writing_a_clone_never_reaches_the_original(data in tensor_of(12), op in 0usize..7) {
+        let a = Tensor::from_vec(data, &[12]).unwrap();
+        let before = bits(&a);
+        let ones = Tensor::ones([12]);
+        let mut b = a.clone();
+        prop_assert!(b.shares_storage(&a));
+        write_in_place(&mut b, op, &ones);
+        prop_assert!(!b.shares_storage(&a), "the write must have copied the shared buffer");
+        prop_assert_eq!(bits(&a), before);
+        prop_assert_ne!(bits(&b), bits(&a));
+    }
+
+    #[test]
+    fn a_unique_holder_writes_in_place(data in tensor_of(12), op in 0usize..7) {
+        let mut t = Tensor::from_vec(data, &[12]).unwrap();
+        let ones = Tensor::ones([12]);
+        let address = t.data().as_ptr();
+        write_in_place(&mut t, op, &ones);
+        prop_assert_eq!(t.data_mut().as_ptr(), address);
+        // A clone that is dropped again leaves the tensor the only holder.
+        drop(t.clone());
+        prop_assert_eq!(t.data_mut().as_ptr(), address);
+    }
+
+    #[test]
+    fn into_vec_of_a_shared_tensor_copies_equal_values(data in tensor_of(12)) {
+        let a = Tensor::from_vec(data.clone(), &[3, 4]).unwrap();
+        let b = a.clone();
+        prop_assert_eq!(b.into_vec(), data.clone());
+        prop_assert_eq!(a.data(), &data[..]);
+    }
+}
