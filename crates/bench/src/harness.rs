@@ -3,7 +3,7 @@
 
 use crate::workloads::ReproWorkload;
 use antidote_baselines::{prune_statically, StaticMethod, StaticPruneConfig};
-use antidote_core::checkpoint::{restore_tensors, LoadCheckpointError};
+use antidote_core::checkpoint::{atomic_write, restore_tensors, LoadCheckpointError};
 use antidote_core::flops::analytic_flops;
 use antidote_core::report::ExperimentRow;
 use antidote_core::settings::{baseline_rows, PaperSetting, Workload};
@@ -18,6 +18,7 @@ use antidote_nn::masked::MacCounter;
 use antidote_serve::LatencySummary;
 use antidote_tensor::Tensor;
 use std::fmt;
+use std::io::Write;
 use std::time::Instant;
 
 /// Copies every trainable parameter of `net` (used to reset a trained
@@ -411,24 +412,16 @@ pub fn run_table1_workload(
     Ok(WorkloadResult { rows, notes })
 }
 
-/// Best-effort atomic file write (temporary sibling + rename), so a
-/// crash mid-write never leaves a truncated artifact at `dir/name`. The
-/// single implementation behind every bench binary's results writer —
-/// printing remains the primary output, so failures are swallowed.
-pub fn atomic_write(dir: &std::path::Path, name: &str, contents: &str) {
-    let tmp = dir.join(format!(".{name}.tmp.{}", std::process::id()));
-    if std::fs::write(&tmp, contents).is_ok() && std::fs::rename(&tmp, dir.join(name)).is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-}
-
 /// Writes an experiment report to `results/<name>.json` under the
-/// workspace root (best effort — printing is the primary output),
-/// atomically via [`atomic_write`].
+/// workspace root, atomically via [`atomic_write`]. Best effort:
+/// printing is the primary output, so failures are swallowed.
 pub fn write_report(report: &antidote_core::report::ExperimentReport, name: &str) {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     if std::fs::create_dir_all(&dir).is_ok() {
-        atomic_write(&dir, &format!("{name}.json"), &report.to_json());
+        let json = report.to_json();
+        let _ = atomic_write(&dir.join(format!("{name}.json")), |w| {
+            w.write_all(json.as_bytes())
+        });
     }
 }
 

@@ -10,15 +10,9 @@
 //! | Fig. 3 (block sensitivity) | `… --bin fig3 --release` |
 //! | Fig. 4 (redundancy composition) | `… --bin fig4 --release` |
 //! | Sec. IV-B ratio ascent behaviour | `… --bin ttd_ascent --release` |
-//! | Serving throughput/latency under budgets | `… --bin serve_bench --release` |
-//! | Overload survival (open-loop traces + chaos) | `… --bin overload_bench --release` |
-//! | Per-layer time/MAC profile (obs-backed) | `… --bin profile_report --release` |
-//! | Intra-op thread parity + GEMM speedup | `… --bin par_bench --release` |
-//! | Int8 quantization accuracy + GEMM byte/wall gates | `… --bin quant_bench --release` |
 //!
-//! plus Criterion kernel benches (`cargo bench -p antidote-bench`):
-//! `masked_conv`, `table1_flops`, `fig2_criteria`, `fig3_sensitivity`,
-//! `fig4_decompose`, `ttd_overhead`.
+//! Runtime performance is measured by the end-to-end benchmark package
+//! (`benchmark/`, declared in `BENCHMARK.json`), not here.
 //!
 //! Set `ANTIDOTE_SCALE=full` for larger datasets/epochs (defaults to a
 //! minutes-level `quick` scale).
@@ -27,11 +21,10 @@
 #![warn(missing_docs)]
 
 mod harness;
-pub mod trace;
 mod workloads;
 
 pub use harness::{
-    atomic_write, evaluate_measured_timed, restore_params, run_table1_workload, snapshot_params,
+    evaluate_measured_timed, restore_params, run_table1_workload, snapshot_params,
     static_schedule_for, write_report, MeasuredEval, WorkloadError, WorkloadResult,
     WorkloadRunOptions,
 };

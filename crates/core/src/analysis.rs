@@ -168,44 +168,6 @@ pub fn block_sensitivity_spatial(
         .collect()
 }
 
-/// One point of an accuracy-vs-FLOPs trade-off curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TradeoffPoint {
-    /// Uniform per-block channel prune ratio used.
-    pub ratio: f64,
-    /// Test accuracy at that ratio.
-    pub accuracy: f32,
-    /// Analytic FLOPs reduction (%) on `shapes` at that ratio.
-    pub flops_reduction_pct: f64,
-}
-
-/// Sweeps a *uniform* channel prune ratio across all blocks and records
-/// the accuracy-vs-FLOPs trade-off — the Pareto view pruning papers plot
-/// (the per-block Table I schedules dominate points on this curve).
-pub fn tradeoff_curve(
-    net: &mut dyn Network,
-    split: &Split,
-    shapes: &[antidote_models::ConvShape],
-    n_blocks: usize,
-    ratios: &[f64],
-    batch_size: usize,
-) -> Vec<TradeoffPoint> {
-    ratios
-        .iter()
-        .map(|&ratio| {
-            let schedule = PruneSchedule::channel_only(vec![ratio; n_blocks]);
-            let flops = crate::flops::analytic_flops(shapes, &schedule).reduction_pct();
-            let mut pruner = DynamicPruner::new(schedule);
-            let accuracy = evaluate(net, split, &mut pruner, batch_size);
-            TradeoffPoint {
-                ratio,
-                accuracy,
-                flops_reduction_pct: flops,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,23 +234,6 @@ mod tests {
             assert_eq!(c.accuracy.len(), 2);
             let drops = c.accuracy_drop();
             assert_eq!(drops[0], 0.0);
-        }
-    }
-
-    #[test]
-    fn tradeoff_curve_is_monotone_in_flops() {
-        let (mut net, data) = trained_net_and_data();
-        let shapes = net.conv_shapes();
-        let ratios = [0.0, 0.5, 0.9];
-        let points = tradeoff_curve(&mut net, &data.test, &shapes, 2, &ratios, 16);
-        assert_eq!(points.len(), 3);
-        // FLOPs reduction strictly grows with the ratio…
-        assert!(points[1].flops_reduction_pct > points[0].flops_reduction_pct);
-        assert!(points[2].flops_reduction_pct > points[1].flops_reduction_pct);
-        // …and the unpruned point has zero reduction.
-        assert!(points[0].flops_reduction_pct.abs() < 1e-9);
-        for p in &points {
-            assert!((0.0..=1.0).contains(&p.accuracy));
         }
     }
 

@@ -30,7 +30,10 @@ use antidote_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Current on-disk checkpoint format version.
 pub const CHECKPOINT_VERSION: u32 = 2;
@@ -296,7 +299,8 @@ impl Checkpoint {
         };
         let json =
             serde_json::to_string(&normalized).expect("checkpoint serialization cannot fail");
-        atomic_write(path.as_ref(), &json).map_err(|e| SaveCheckpointError::Io(e.to_string()))
+        atomic_write(path.as_ref(), |w| w.write_all(json.as_bytes()))
+            .map_err(|e| SaveCheckpointError::Io(e.to_string()))
     }
 
     /// Loads from a JSON file written by [`Checkpoint::save`], verifying
@@ -331,18 +335,47 @@ impl Checkpoint {
     }
 }
 
-/// Writes `contents` to a process-unique temporary sibling of `path`,
-/// then renames it into place.
-fn atomic_write(path: &Path, contents: &str) -> std::io::Result<()> {
+/// Writes a file atomically — the one routine behind every artifact
+/// writer in the workspace (checkpoints, `.adm` model files, experiment
+/// reports).
+///
+/// `write` streams the contents into a fresh temporary sibling of
+/// `path`, which is then renamed over `path`, so a crash mid-write never
+/// leaves a truncated file there. The temporary name carries the process
+/// id and a process-wide counter and is opened with `create_new`, so two
+/// writers — threads of one process included — never share one: writers
+/// racing on one path each publish a whole file and the last rename
+/// wins. On every error the temporary file is removed.
+///
+/// # Errors
+///
+/// Whatever `write` returns, or the I/O error of creating, flushing or
+/// renaming the temporary file (converted with `E::from`).
+pub fn atomic_write<E: From<std::io::Error>>(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> Result<(), E>,
+) -> Result<(), E> {
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
     let file_name = path
         .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("checkpoint");
-    let tmp = path.with_file_name(format!(".{file_name}.tmp.{}", std::process::id()));
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, path).inspect_err(|_| {
+        .map_or_else(|| "file".into(), |n| n.to_string_lossy());
+    let tmp = path.with_file_name(format!(
+        ".{file_name}.tmp.{}.{}",
+        std::process::id(),
+        NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+    ));
+    let file = File::options().write(true).create_new(true).open(&tmp)?;
+    let mut w = BufWriter::new(file);
+    // Dropping a BufWriter swallows the last write's error: flush first.
+    let mut written = write(&mut w).and_then(|()| w.flush().map_err(E::from));
+    drop(w);
+    if written.is_ok() {
+        written = std::fs::rename(&tmp, path).map_err(E::from);
+    }
+    if written.is_err() {
         let _ = std::fs::remove_file(&tmp);
-    })
+    }
+    written
 }
 
 #[cfg(test)]
@@ -614,6 +647,59 @@ mod tests {
             .collect();
         assert!(strays.is_empty(), "leftover temp files: {strays:?}");
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn concurrent_saves_to_one_path_each_publish_a_whole_file() {
+        const WRITERS: u64 = 8;
+        const ROUNDS: usize = 16;
+        let ckpts: Vec<Checkpoint> = (0..WRITERS)
+            .map(|i| {
+                let mut net = Vgg::new(
+                    &mut SmallRng::seed_from_u64(100 + i),
+                    VggConfig::vgg_tiny(8, 2),
+                );
+                Checkpoint::capture(net.as_mut_network())
+            })
+            .collect();
+        let dir =
+            std::env::temp_dir().join(format!("antidote_ckpt_{}_concurrent", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shared.json");
+        let barrier = std::sync::Barrier::new(ckpts.len());
+        let results: Vec<Result<(), SaveCheckpointError>> = std::thread::scope(|s| {
+            let writers: Vec<_> = ckpts
+                .iter()
+                .map(|ckpt| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        (0..ROUNDS).map(|_| ckpt.save(&path)).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            writers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        for r in &results {
+            assert_eq!(r, &Ok(()), "a concurrent save failed");
+        }
+        let loaded = Checkpoint::load(&path).unwrap();
+        assert!(
+            ckpts.contains(&loaded),
+            "the published file is no writer's checkpoint"
+        );
+        let entries: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(
+            entries,
+            vec!["shared.json".to_string()],
+            "temp files left behind"
+        );
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //!   (Sec. IV);
 //! - [`flops`]: analytic FLOPs accounting that reproduces the Table I
 //!   FLOPs columns arithmetically, with a measured-MAC cross-check path;
-//! - [`profile`]: per-layer MAC attribution joined with `antidote-obs`
-//!   span timings (the `profile_report` backend);
 //! - [`analysis`]: the Fig. 2 criterion comparison and Fig. 3 block
 //!   sensitivity sweeps;
 //! - [`settings`]: the exact pruning schedules quoted in Sec. V;
@@ -49,7 +47,6 @@ pub mod attention;
 pub mod checkpoint;
 pub mod flops;
 pub mod mask;
-pub mod profile;
 mod pruner;
 pub mod quant;
 pub mod recovery;

@@ -381,7 +381,12 @@ mod tests {
         // once-per-call histogram keys).
         let schedule = || PruneSchedule::new(vec![0.5], vec![0.5]);
         let feature = Tensor::from_fn([4, 8, 5, 5], |i| ((i * 37 % 101) as f32) * 0.1 - 5.0);
-        let t = tap(0, 8, 25);
+        // A tap id no network has: the obs registry is process-wide, and
+        // other tests prune real networks' taps concurrently.
+        let t = TapInfo {
+            id: TapId(99),
+            ..tap(0, 8, 25)
+        };
 
         antidote_obs::set_enabled(true);
         antidote_obs::reset();
@@ -415,7 +420,7 @@ mod tests {
             single.stats().mean_keep(0),
             "keep statistics must not depend on batching"
         );
-        for key in ["pruner.tap00.channel_keep", "pruner.tap00.spatial_keep"] {
+        for key in ["pruner.tap99.channel_keep", "pruner.tap99.spatial_keep"] {
             let hb = snap_b.hist(key).expect("batched histogram");
             let hs = snap_s.hist(key).expect("item-at-a-time histogram");
             assert_eq!(hb, hs, "{key} histogram must not depend on batching");

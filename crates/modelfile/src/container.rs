@@ -14,6 +14,7 @@
 //! verified before [`Container::from_bytes`] returns.
 
 use crate::error::ModelFileError;
+use antidote_core::checkpoint::atomic_write;
 use std::io::Write;
 use std::path::Path;
 
@@ -655,34 +656,17 @@ impl ContainerBuilder {
         Ok(())
     }
 
-    /// Writes the file atomically (temporary sibling + rename), so a
-    /// crash mid-write never leaves a truncated artifact at `path`; on
-    /// any failure the temporary file is removed.
+    /// Writes the file atomically through
+    /// [`antidote_core::checkpoint::atomic_write`] (unique temporary
+    /// sibling + rename), so a crash mid-write never leaves a truncated
+    /// artifact at `path` and concurrent saves to one path never mix;
+    /// on any failure the temporary file is removed.
     ///
     /// # Errors
     ///
     /// [`ModelFileError::Io`] when creating, writing or renaming fails.
     pub fn write(&self, path: impl AsRef<Path>) -> Result<(), ModelFileError> {
-        let path = path.as_ref();
-        let file_name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("model.adm");
-        let tmp = path.with_file_name(format!(".{file_name}.tmp.{}", std::process::id()));
-        let io = |e: std::io::Error| ModelFileError::Io(e.to_string());
-        let written = std::fs::File::create(&tmp)
-            .map_err(io)
-            .and_then(|file| {
-                let mut w = std::io::BufWriter::new(file);
-                self.write_to(&mut w)?;
-                // Dropping a BufWriter swallows the last write's error.
-                w.flush().map_err(io)
-            })
-            .and_then(|()| std::fs::rename(&tmp, path).map_err(io));
-        if written.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        written
+        atomic_write(path.as_ref(), |w| self.write_to(w))
     }
 }
 

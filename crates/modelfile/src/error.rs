@@ -132,6 +132,12 @@ impl fmt::Display for ModelFileError {
 
 impl Error for ModelFileError {}
 
+impl From<std::io::Error> for ModelFileError {
+    fn from(e: std::io::Error) -> Self {
+        ModelFileError::Io(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

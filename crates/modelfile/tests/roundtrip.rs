@@ -118,6 +118,76 @@ fn fp32_adm_bytes_are_the_pre_sharing_file() {
     }
 }
 
+/// Eight threads saving different artifacts to one path must each
+/// publish a whole file: every save succeeds, the survivor is one of the
+/// inputs byte for byte and loads, and no temporary sibling is left.
+#[test]
+fn concurrent_saves_to_one_path_each_publish_a_whole_file() {
+    const WRITERS: u64 = 8;
+    const ROUNDS: usize = 16;
+    let dir = std::env::temp_dir().join(format!("adm_concurrent_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let artifacts: Vec<ModelArtifact> = (0..WRITERS)
+        .map(|seed| {
+            let config = VggConfig::vgg_tiny(8, 4);
+            let mut net = Vgg::new(&mut SmallRng::seed_from_u64(seed), config.clone());
+            ModelArtifact::from_checkpoint(
+                &Checkpoint::capture(&mut net).with_vgg_config(config),
+                None,
+            )
+            .unwrap()
+        })
+        .collect();
+    let images: Vec<Vec<u8>> = artifacts
+        .iter()
+        .map(|a| {
+            let own = dir.join("own.adm");
+            a.save(&own).unwrap();
+            std::fs::read(&own).unwrap()
+        })
+        .collect();
+    std::fs::remove_file(dir.join("own.adm")).unwrap();
+
+    let path = dir.join("shared.adm");
+    let barrier = std::sync::Barrier::new(artifacts.len());
+    let results: Vec<_> = std::thread::scope(|s| {
+        let writers: Vec<_> = artifacts
+            .iter()
+            .map(|artifact| {
+                s.spawn(|| {
+                    barrier.wait();
+                    (0..ROUNDS)
+                        .map(|_| artifact.save(&path))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        writers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap())
+            .collect()
+    });
+    for r in &results {
+        assert_eq!(r, &Ok(()), "a concurrent save failed");
+    }
+    let published = std::fs::read(&path).unwrap();
+    assert!(
+        images.contains(&published),
+        "the published file is no writer's artifact"
+    );
+    ModelArtifact::load(&path).unwrap();
+    let entries: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(
+        entries,
+        vec!["shared.adm".to_string()],
+        "temp files left behind"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn provenance_metadata_survives_quantize_and_round_trip() {
     let (_, fp32) = trained_like_artifact();

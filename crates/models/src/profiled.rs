@@ -12,9 +12,9 @@
 //! quantized serving path join against analytic FLOPs like the fp32 one.
 //!
 //! Layer indices match `Network::conv_shapes()` exactly, so snapshots
-//! join 1:1 against `core::flops::analytic_flops` per-layer rows — the
-//! contract `profile_report` and the attribution property tests rely
-//! on. ResNet skip projections are *not* in `conv_shapes` and are
+//! join 1:1 against `core::flops::analytic_flops` per-layer rows, and
+//! the benchmark's traced run reads these spans into its
+//! `models.vgg16.layerNN_ms` rows. ResNet skip projections are *not* in `conv_shapes` and are
 //! timed under the aggregate `fwd.projection` span instead. Disabled,
 //! the shim costs one atomic load per conv.
 

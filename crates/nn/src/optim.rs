@@ -191,33 +191,6 @@ impl LrSchedule for CosineAnnealing {
     }
 }
 
-/// Step decay: multiply by `gamma` every `step` epochs.
-#[derive(Debug, Clone, Copy)]
-pub struct StepDecay {
-    /// Initial learning rate.
-    pub lr0: f32,
-    /// Epoch interval between decays.
-    pub step: usize,
-    /// Multiplicative decay factor.
-    pub gamma: f32,
-}
-
-impl LrSchedule for StepDecay {
-    fn lr_at(&self, epoch: usize) -> f32 {
-        self.lr0 * self.gamma.powi((epoch / self.step.max(1)) as i32)
-    }
-}
-
-/// Constant learning rate.
-#[derive(Debug, Clone, Copy)]
-pub struct ConstantLr(pub f32);
-
-impl LrSchedule for ConstantLr {
-    fn lr_at(&self, _epoch: usize) -> f32 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,18 +244,6 @@ mod tests {
         for e in 1..100 {
             assert!(s.lr_at(e) <= s.lr_at(e - 1) + 1e-7);
         }
-    }
-
-    #[test]
-    fn step_decay() {
-        let s = StepDecay {
-            lr0: 1.0,
-            step: 10,
-            gamma: 0.1,
-        };
-        assert!((s.lr_at(0) - 1.0).abs() < 1e-7);
-        assert!((s.lr_at(10) - 0.1).abs() < 1e-7);
-        assert!((s.lr_at(25) - 0.01).abs() < 1e-7);
     }
 
     #[test]

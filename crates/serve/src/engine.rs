@@ -684,8 +684,8 @@ impl ServeHandle {
         let now = Instant::now();
         let (tx, rx) = mpsc::channel();
         // A request submitted without a trace id still gets one while
-        // observability is on, so the flight recorder sees engine-only
-        // clients (serve_bench) too.
+        // observability is on, so the flight recorder sees in-process
+        // clients of the engine too.
         let trace = req
             .trace
             .or_else(|| antidote_obs::enabled().then(TraceId::mint));
@@ -1221,7 +1221,7 @@ mod tests {
             waited: Duration::from_millis(7),
         };
         assert_eq!(e.stage(), "deadline");
-        let rec = e.failure_record("serve_bench");
+        let rec = e.failure_record("engine");
         assert_eq!(rec.stage, "deadline");
         assert!(rec.error.contains("deadline exceeded"));
         assert_eq!(

@@ -116,8 +116,7 @@ pub struct WindowMetrics {
 
 /// A point-in-time snapshot of everything the engine measures.
 ///
-/// Serializes to JSON via [`ServeMetrics::to_json`] for the
-/// `serve_bench` report.
+/// Serializes to JSON via [`ServeMetrics::to_json`].
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ServeMetrics {
     /// Requests completed successfully.
@@ -200,30 +199,6 @@ impl ServeMetrics {
     /// Returns the underlying `serde_json` error for malformed input.
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(s)
-    }
-
-    /// One human-readable line summarizing the snapshot — shared by
-    /// every reporter (`serve_bench`, `http_bench`) so operators read
-    /// the same shape everywhere.
-    pub fn summary_line(&self) -> String {
-        format!(
-            "completed {} | rejected {} | expired {} | shed {} | infeasible {} | panicked {} | \
-             mean batch {:.2} | latency p50 {:.3}ms p95 {:.3}ms p99 {:.3}ms | \
-             budgeted {} (mean util {:.3}, max {:.3})",
-            self.completed,
-            self.rejected_full,
-            self.expired,
-            self.shed,
-            self.infeasible,
-            self.panicked,
-            self.mean_batch_size,
-            self.latency.p50_ms,
-            self.latency.p95_ms,
-            self.latency.p99_ms,
-            self.budget.budgeted_requests,
-            self.budget.mean_utilization,
-            self.budget.max_utilization,
-        )
     }
 
     /// Requests that received *some* terminal outcome (completion or a
@@ -654,20 +629,5 @@ mod tests {
         assert_eq!(snap.offered(), 0);
         assert_eq!(snap.shed_rate(), 0.0);
         assert_eq!(snap.degrade_rate(), 0.0);
-    }
-
-    #[test]
-    fn summary_line_carries_the_headline_counters() {
-        let snap = ServeMetrics {
-            completed: 7,
-            shed: 2,
-            mean_batch_size: 3.5,
-            ..ServeMetrics::default()
-        };
-        let line = snap.summary_line();
-        assert!(line.contains("completed 7"), "{line}");
-        assert!(line.contains("shed 2"), "{line}");
-        assert!(line.contains("mean batch 3.50"), "{line}");
-        assert!(line.contains("p99"), "{line}");
     }
 }

@@ -229,7 +229,7 @@ fn large_gemm_i8_parallel_dispatch_is_exact() {
     assert_eq!(c, expect);
 }
 
-/// The byte-traffic model the quant_bench gate relies on.
+/// The byte-traffic model behind the benchmark's `tensor.gemm_i8_bytes`.
 #[test]
 fn int8_moves_fewer_bytes_on_the_vgg_block_shape() {
     let (m, k, n) = (256, 2304, 784);
