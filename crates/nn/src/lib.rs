@@ -6,11 +6,11 @@
 //! to this paper — a masked convolution executor
 //! ([`masked::masked_conv2d`]) that actually *skips* the computation of
 //! dynamically pruned feature-map channels and spatial columns while
-//! counting the multiply–accumulates it performs. The executor is one
-//! tap-gather loop nest generic over the numeric domain:
-//! [`quant::quantized_masked_conv2d`] is its int8 entry point, running
-//! the same skip logic over post-training-quantized weights for
-//! evaluation/serving.
+//! counting the multiply–accumulates it performs. Its int8 counterpart
+//! [`quant::quantized_masked_conv2d`] serves post-training-quantized
+//! weights as a compacted GEMM on the SIMD `gemm_i8` (kept channels
+//! only, each input quantized once), bit-identical to a per-window loop
+//! nest and charging the same MACs for the same masks.
 //!
 //! # Example: one training step
 //!

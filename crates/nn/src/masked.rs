@@ -6,15 +6,24 @@
 //! the next layer's convolution computation" (Sec. III-B). This module is
 //! the executor that realizes that claim: it skips every multiply–
 //! accumulate whose input channel or input spatial column is masked, and
-//! counts the MACs actually performed so FLOPs reductions are *measured*,
-//! not just modeled.
+//! counts the MACs of the kept taps per request, so FLOPs reductions are
+//! *measured* per input, not just modeled per layer.
 //!
-//! Batch items are independent (disjoint output slices, per-item MAC
-//! tallies summed in item order), so the executor fans them out over the
-//! `antidote_par` pool with bit-exact results at every
-//! `ANTIDOTE_THREADS` budget. The loop nest exists once, generic over the
-//! numeric domain: [`masked_conv2d`] is its fp32 entry point and
-//! [`crate::quant::quantized_masked_conv2d`] its int8 one.
+//! There are two executors, one per numeric domain, with one contract:
+//! the same masks skip the same taps and charge the same MACs.
+//!
+//! - [`masked_conv2d`] (fp32) is a tap-gather loop nest. Batch items are
+//!   independent (disjoint output slices, per-item MAC tallies summed in
+//!   item order), so it fans them out over the `antidote_par` pool with
+//!   bit-exact results at every `ANTIDOTE_THREADS` budget. It is the
+//!   transitional twin: it moves onto the compacted GEMM next.
+//! - [`crate::quant::quantized_masked_conv2d`] (int8) is a compacted
+//!   GEMM: masked channels leave the reduction dimension, masked
+//!   positions are exact zeros, and one SIMD `gemm_i8` per item splits
+//!   its output rows over the pool.
+//!
+//! Both check every item's mask lengths on the calling thread before any
+//! work starts.
 
 use antidote_tensor::conv::ConvGeometry;
 use antidote_tensor::Tensor;
@@ -122,22 +131,57 @@ impl MacCounter {
     }
 }
 
-/// Direct (loop-nest) dense convolution over `(N, C, H, W)`, counting
-/// MACs. The reference cost model for [`masked_conv2d`]: identical loop
-/// structure, no skipping.
+/// Checks every item's mask lengths against a `(N, C, H, W)` input on
+/// the calling thread, before any work fans out, so a bad mask panics
+/// with the item and both lengths named rather than as an index error on
+/// a pool worker.
 ///
 /// # Panics
 ///
-/// Panics on shape inconsistencies.
-pub fn dense_conv2d(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    geom: ConvGeometry,
-    counter: &mut MacCounter,
-) -> Tensor {
-    let masks = vec![FeatureMask::keep_all(); input.dims()[0]];
-    masked_conv2d(input, weight, bias, geom, &masks, counter)
+/// Panics if `masks.len() != n`, or if an item's channel mask does not
+/// have `c` entries or its spatial mask does not have `plane` entries.
+pub(crate) fn check_masks(masks: &[FeatureMask], n: usize, c: usize, plane: usize) {
+    assert_eq!(masks.len(), n, "need one mask per batch item");
+    for (ni, mask) in masks.iter().enumerate() {
+        let lens = [("channel", &mask.channel, c), ("spatial", &mask.spatial, plane)];
+        for (kind, m, expect) in lens {
+            if let Some(m) = m {
+                assert!(
+                    m.len() == expect,
+                    "batch item {ni}: {kind} mask has {} entries, feature map has {expect}",
+                    m.len()
+                );
+            }
+        }
+    }
+}
+
+/// Kept in-bounds spatial taps summed over every output window of one
+/// channel. An item's MAC charge in both executors is this times its kept
+/// channels times `Cout`.
+pub(crate) fn kept_window_taps(mask: &FeatureMask, h: usize, w: usize, geom: ConvGeometry) -> u64 {
+    let (hout, wout) = geom.output_size(h, w);
+    let k = geom.kernel;
+    let pad = geom.padding as isize;
+    let mut taps = 0u64;
+    for oy in 0..hout {
+        for ky in 0..k {
+            let iy = (oy * geom.stride + ky) as isize - pad;
+            if iy < 0 || iy >= h as isize {
+                continue;
+            }
+            for ox in 0..wout {
+                for kx in 0..k {
+                    let ix = (ox * geom.stride + kx) as isize - pad;
+                    let in_bounds = ix >= 0 && ix < w as isize;
+                    if in_bounds && mask.keeps_position(iy as usize * w + ix as usize) {
+                        taps += 1;
+                    }
+                }
+            }
+        }
+    }
+    taps
 }
 
 /// Convolution that skips masked input channels and masked input spatial
@@ -148,9 +192,15 @@ pub fn dense_conv2d(
 /// equivalent to multiplying the input by the binary mask first, but
 /// cheaper.
 ///
+/// Per batch item, it gathers the kept taps of every output window once
+/// and dots them against all `Cout` filter rows in tap order. It charges
+/// kept channels × kept in-bounds positions × `Cout` MACs per window, the
+/// same count as the int8 executor.
+///
 /// # Panics
 ///
-/// Panics if shapes disagree or `masks.len() != N`.
+/// Panics if shapes disagree, `masks.len() != N`, or a mask's length
+/// does not match the input's channels or `H·W`.
 pub fn masked_conv2d(
     input: &Tensor,
     weight: &Tensor,
@@ -163,69 +213,17 @@ pub fn masked_conv2d(
     assert_eq!(wd.len(), 4, "weight must be (Cout,Cin,K,K)");
     assert_eq!(Some(&wd[1]), input.dims().get(1), "weight Cin mismatch");
     assert_eq!(wd[2], geom.kernel, "weight kernel mismatch");
-    let domain = TapDomain {
-        name: "nn.masked_conv2d",
-        weights: weight.data(),
-        load: |v| v,
-        dot: |_co, taps: &[(usize, f32)], filter: &[f32]| {
-            let mut acc = 0.0f32;
-            for &(widx, v) in taps {
-                acc += v * filter[widx];
-            }
-            acc
-        },
-    };
-    let bias = bias.map(Tensor::data);
-    run_masked_conv(&domain, input, wd[0], bias, geom, masks, counter)
-}
-
-/// The numeric domain of one masked-executor call. The masks and the
-/// geometry fix *which* taps a window gathers; the domain only fixes how
-/// one tap is brought in and multiplied.
-pub(crate) struct TapDomain<'a, E, L, D> {
-    /// Span name of a call; its MAC counter is `<name>.macs`.
-    pub name: &'static str,
-    /// The `(Cout, Cin·K·K)` row-major filter matrix.
-    pub weights: &'a [E],
-    /// `load(v)` brings one kept input value into the domain.
-    pub load: L,
-    /// `dot(co, taps, filter)` is one window's contribution to output
-    /// channel `co`: the gathered `(weight index, value)` taps against
-    /// that channel's filter row, accumulated in tap order.
-    pub dot: D,
-}
-
-/// The one window/tap-gather loop nest behind [`masked_conv2d`] and
-/// [`crate::quant::quantized_masked_conv2d`]: per batch item, gather the
-/// kept taps of every output window once, dot them against all `cout`
-/// filter rows in `domain`, and charge `taps·cout` MACs per window.
-///
-/// Each item owns a disjoint output slice and its own MAC tally (summed
-/// in item order), so items fan out over the `antidote_par` pool with
-/// bit-exact results. Callers validate the weight shape against `input`.
-pub(crate) fn run_masked_conv<E, L, D>(
-    domain: &TapDomain<'_, E, L, D>,
-    input: &Tensor,
-    cout: usize,
-    bias: Option<&[f32]>,
-    geom: ConvGeometry,
-    masks: &[FeatureMask],
-    counter: &mut MacCounter,
-) -> Tensor
-where
-    E: Copy + Send + Sync,
-    L: Fn(f32) -> E + Sync,
-    D: Fn(usize, &[(usize, E)], &[E]) -> f32 + Sync,
-{
-    let _span = antidote_obs::span(domain.name);
+    let _span = antidote_obs::span("nn.masked_conv2d");
     let (n, cin, h, w) = input.shape().as_nchw().expect("input must be NCHW");
-    assert_eq!(masks.len(), n, "need one mask per batch item");
+    check_masks(masks, n, cin, h * w);
+    let cout = wd[0];
     let k = geom.kernel;
     let (hout, wout) = geom.output_size(h, w);
     let plane_in = h * w;
     let plane_out = hout * wout;
     let mut out = Tensor::zeros([n, cout, hout, wout]);
-    let wdata = domain.weights;
+    let wdata = weight.data();
+    let bias = bias.map(Tensor::data);
     let in_data = input.data();
 
     let run_item = |mask: &FeatureMask, img: &[f32], out_item: &mut [f32]| -> u64 {
@@ -235,11 +233,8 @@ where
                 out_item[co * plane_out..(co + 1) * plane_out].fill(b[co]);
             }
         }
-        // The serve engine's inner loop: one taps buffer per item,
-        // cleared per window — the former per-output-pixel `Vec`
-        // allocation dominated small-batch serving profiles.
-        let mut taps: Vec<(usize, E)> = Vec::with_capacity(kept_channels.len() * k * k);
-        let mut macs = 0u64;
+        // One taps buffer per item, cleared per window.
+        let mut taps: Vec<(usize, f32)> = Vec::with_capacity(kept_channels.len() * k * k);
         for oy in 0..hout {
             for ox in 0..wout {
                 // Gather the kept taps of this window once; reuse for all Cout.
@@ -260,18 +255,21 @@ where
                             if !mask.keeps_position(p) {
                                 continue;
                             }
-                            taps.push(((ci * k + ky) * k + kx, (domain.load)(plane[p])));
+                            taps.push(((ci * k + ky) * k + kx, plane[p]));
                         }
                     }
                 }
                 for co in 0..cout {
                     let filter = &wdata[co * cin * k * k..(co + 1) * cin * k * k];
-                    out_item[co * plane_out + oy * wout + ox] += (domain.dot)(co, &taps, filter);
+                    let mut acc = 0.0f32;
+                    for &(widx, v) in &taps {
+                        acc += v * filter[widx];
+                    }
+                    out_item[co * plane_out + oy * wout + ox] += acc;
                 }
-                macs += (taps.len() * cout) as u64;
             }
         }
-        macs
+        kept_window_taps(mask, h, w, geom) * (kept_channels.len() * cout) as u64
     };
 
     let mut item_macs = vec![0u64; n];
@@ -296,7 +294,7 @@ where
     let macs: u64 = item_macs.iter().sum();
     counter.add(macs);
     if antidote_obs::enabled() {
-        antidote_obs::counter_add(&format!("{}.macs", domain.name), macs);
+        antidote_obs::counter_add("nn.masked_conv2d.macs", macs);
     }
     out
 }
@@ -313,6 +311,18 @@ mod tests {
         SmallRng::seed_from_u64(99)
     }
 
+    /// [`masked_conv2d`] with a keep-all mask for every item.
+    fn dense(
+        x: &Tensor,
+        w: &Tensor,
+        b: Option<&Tensor>,
+        geom: ConvGeometry,
+        counter: &mut MacCounter,
+    ) -> Tensor {
+        let masks = vec![FeatureMask::keep_all(); x.dims()[0]];
+        masked_conv2d(x, w, b, geom, &masks, counter)
+    }
+
     #[test]
     fn dense_matches_reference_and_counts_full_macs() {
         let mut r = rng();
@@ -321,7 +331,7 @@ mod tests {
         let w = init::uniform(&mut r, &[4, 3, 3, 3], -1.0, 1.0);
         let b = init::uniform(&mut r, &[4], -0.1, 0.1);
         let mut counter = MacCounter::new();
-        let y = dense_conv2d(&x, &w, Some(&b), geom, &mut counter);
+        let y = dense(&x, &w, Some(&b), geom, &mut counter);
         let expect = conv2d_reference(&x.batch_item(0), &w, Some(&b), geom);
         assert!(y.batch_item(0).allclose(&expect, 1e-4));
         // Interior-window MAC count is bounded by the dense formula; with
@@ -352,7 +362,7 @@ mod tests {
             mask.apply_to_item(4, 5, 5, item);
         }
         let mut c2 = MacCounter::new();
-        let dense = dense_conv2d(&xz, &w, None, geom, &mut c2);
+        let dense = dense(&xz, &w, None, geom, &mut c2);
         assert!(masked.allclose(&dense, 1e-4));
         // Masked path must execute roughly half the MACs.
         assert!((c1.total() as f64) < 0.55 * c2.total() as f64);
@@ -376,7 +386,7 @@ mod tests {
         let mut xz = x.clone();
         mask.apply_to_item(2, 4, 4, xz.data_mut());
         let mut c2 = MacCounter::new();
-        let dense = dense_conv2d(&xz, &w, None, geom, &mut c2);
+        let dense = dense(&xz, &w, None, geom, &mut c2);
         assert!(masked.allclose(&dense, 1e-4));
         assert!(c1.total() < c2.total());
     }
@@ -396,7 +406,7 @@ mod tests {
         let mut xz = x.clone();
         mask.apply_to_item(4, 4, 4, xz.data_mut());
         let mut c2 = MacCounter::new();
-        let dense = dense_conv2d(&xz, &w, None, geom, &mut c2);
+        let dense = dense(&xz, &w, None, geom, &mut c2);
         assert!(masked.allclose(&dense, 1e-4));
         // ~ quarter of the MACs (half channels * half columns)
         assert!((c.total() as f64) < 0.3 * c2.total() as f64);
@@ -433,6 +443,53 @@ mod tests {
         // Item 1 fully masked -> exact zeros; item 0 partially kept -> nonzero.
         assert!(y.batch_item(1).data().iter().all(|&v| v == 0.0));
         assert!(y.batch_item(0).data().iter().any(|&v| v != 0.0));
+    }
+
+    /// Runs the fp32 executor on a 2-item `(2, 3, 4, 4)` input whose
+    /// second item carries `bad`.
+    fn run_with_second_mask(bad: FeatureMask) {
+        let mut r = rng();
+        let x = init::uniform(&mut r, &[2, 3, 4, 4], -1.0, 1.0);
+        let w = init::uniform(&mut r, &[2, 3, 3, 3], -1.0, 1.0);
+        let masks = [FeatureMask::keep_all(), bad];
+        let geom = ConvGeometry::new(3, 1, 1);
+        masked_conv2d(&x, &w, None, geom, &masks, &mut MacCounter::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "batch item 1: channel mask has 4 entries, feature map has 3")]
+    fn rejects_too_long_channel_mask() {
+        run_with_second_mask(FeatureMask {
+            channel: Some(vec![true; 4]),
+            spatial: None,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "batch item 1: channel mask has 2 entries, feature map has 3")]
+    fn rejects_too_short_channel_mask() {
+        run_with_second_mask(FeatureMask {
+            channel: Some(vec![true; 2]),
+            spatial: None,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "batch item 1: spatial mask has 17 entries, feature map has 16")]
+    fn rejects_too_long_spatial_mask() {
+        run_with_second_mask(FeatureMask {
+            channel: None,
+            spatial: Some(vec![true; 17]),
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "batch item 1: spatial mask has 15 entries, feature map has 16")]
+    fn rejects_too_short_spatial_mask() {
+        run_with_second_mask(FeatureMask {
+            channel: None,
+            spatial: Some(vec![true; 15]),
+        });
     }
 
     #[test]

@@ -7,19 +7,21 @@
 //! accumulate in `i32` before a single per-channel dequantization
 //! multiply.
 //!
-//! [`quantized_masked_conv2d`] runs the same tap-gather driver as
-//! [`crate::masked::masked_conv2d`] in the int8 domain: it gathers
-//! exactly the same kept taps per output window (masked channels and
-//! spatial columns never enter the int8 domain at all) and charges
-//! exactly the same `taps·Cout` MACs per window — so for identical
-//! masks, the quantized and fp32 executors report identical *counted*
-//! MAC totals, which the `quant_equivalence` integration test pins with
-//! `u64` equality.
+//! [`quantized_masked_conv2d`] is the int8 masked executor, a compacted
+//! GEMM on [`antidote_tensor::quant::gemm_i8`]: each kept input element
+//! is quantized once, masked channels leave the reduction dimension, and
+//! masked or padded positions are exact zeros. Exact `i32` accumulation
+//! makes its logits bit-identical to a tap-gather loop nest over the same
+//! kept taps (`tests/quant_executor_oracle.rs` pins this with `to_bits`
+//! against a naive reference). It charges MACs analytically through the
+//! same counting function as [`crate::masked::masked_conv2d`], so for
+//! identical masks the two executors report identical totals
+//! (`tests/quant_equivalence.rs` pins that with `u64` equality).
 
 use crate::layers::Conv2d;
-use crate::masked::{run_masked_conv, FeatureMask, MacCounter, TapDomain};
-use antidote_tensor::conv::ConvGeometry;
-use antidote_tensor::quant::{quantize_value, QuantizedMatrix};
+use crate::masked::{check_masks, kept_window_taps, FeatureMask, MacCounter};
+use antidote_tensor::conv::{im2col, ConvGeometry};
+use antidote_tensor::quant::{gemm_i8, quantize_value, QuantizedMatrix};
 use antidote_tensor::Tensor;
 use std::sync::Arc;
 
@@ -149,17 +151,32 @@ impl QuantizedConv2d {
 
 /// Int8 convolution that skips masked input channels and masked spatial
 /// columns, per batch item — [`crate::masked::masked_conv2d`] in the
-/// int8 domain.
+/// int8 domain, run as a compacted GEMM.
 ///
-/// Both run the same window/tap-gather driver, so the same windows visit
-/// the same kept `(channel, ky, kx)` taps in the same order. Because the
-/// *set* of gathered taps depends only on the masks and the geometry —
-/// never on the numeric domain — the counted MACs (`taps.len() · Cout`
-/// per window) match the fp32 executor exactly.
+/// For each batch item:
+///
+/// 1. every kept input element is quantized once; masked positions are
+///    0 whatever the input holds there;
+/// 2. the kept channels unfold into an `i8` column matrix of
+///    `K′ = kept·K·K` rows (masked channels leave the reduction
+///    dimension; padding is 0);
+/// 3. [`gemm_i8`] multiplies it by the kept-channel columns of the filter
+///    matrix (the stored matrix itself for items with every channel
+///    kept), splitting the output rows over the `antidote_par` pool;
+/// 4. each output is `bias[co] + acc as f32 * (s_w[co]·s_a)`.
+///
+/// `i32` addition is exact and order-independent and a zero tap adds
+/// exactly 0, so every accumulator equals the per-window sum over the
+/// kept in-bounds taps, and the outputs are bit-identical to a tap-gather
+/// loop nest at every thread budget and kernel backend. MACs are charged
+/// analytically, as for the fp32 executor: kept channels × kept in-bounds
+/// positions × `Cout` per window, so identical masks charge identical
+/// totals in both domains.
 ///
 /// # Panics
 ///
-/// Panics if shapes disagree or `masks.len() != N`.
+/// Panics if shapes disagree, `masks.len() != N`, or a mask's length
+/// does not match the input's channels or `H·W`.
 pub fn quantized_masked_conv2d(
     input: &Tensor,
     layer: &QuantizedConv2d,
@@ -171,30 +188,65 @@ pub fn quantized_masked_conv2d(
         Some(&layer.in_channels),
         "input channel mismatch"
     );
-    let act_scale = layer.act_scale;
-    // Hoisted per-channel dequantization factors: s_a · s_w[co].
-    let deq: Vec<f32> = layer
-        .qweight
-        .scales
-        .iter()
-        .map(|&s| s * act_scale)
-        .collect();
-    // Every kept tap is quantized at gather time, products accumulate in
-    // `i32`, and each window's sum is dequantized once.
-    let domain = TapDomain {
-        name: "nn.quantized_conv2d",
-        weights: &layer.qweight.data[..],
-        load: |v| quantize_value(v, act_scale),
-        dot: |co, taps: &[(usize, i8)], filter: &[i8]| {
-            let mut acc = 0i32;
-            for &(widx, qv) in taps {
-                acc += qv as i32 * filter[widx] as i32;
+    let _span = antidote_obs::span("nn.quantized_conv2d");
+    let (n, cin, h, w) = input.shape().as_nchw().expect("input must be NCHW");
+    check_masks(masks, n, cin, h * w);
+    let (geom, qw) = (layer.geom, &layer.qweight);
+    let (cout, kk) = (qw.rows, geom.kernel * geom.kernel);
+    let (hout, wout) = geom.output_size(h, w);
+    let (plane, l) = (h * w, hout * wout);
+    // The per-channel dequantization factors s_w[co]·s_a, hoisted.
+    let deq: Vec<f32> = qw.scales.iter().map(|&s| s * layer.act_scale).collect();
+    // Scratch sized for a dense item, reused across the batch.
+    let mut qin = vec![0i8; cin * plane];
+    let mut cols = vec![0i8; cin * kk * l];
+    let mut acc = vec![0i32; cout * l];
+    let mut packed = Vec::new();
+    let mut out = Tensor::zeros([n, cout, hout, wout]);
+    let mut macs = 0u64;
+    let items = input.data().chunks(cin * plane).zip(masks);
+    for ((img, mask), out_item) in items.zip(out.data_mut().chunks_mut(cout * l)) {
+        let kept: Vec<usize> = (0..cin).filter(|&c| mask.keeps_channel(c)).collect();
+        let k_dim = kept.len() * kk;
+        for (&c, q_plane) in kept.iter().zip(qin.chunks_mut(plane)) {
+            let src = &img[c * plane..(c + 1) * plane];
+            for (p, (q, &v)) in q_plane.iter_mut().zip(src).enumerate() {
+                *q = if mask.keeps_position(p) {
+                    quantize_value(v, layer.act_scale)
+                } else {
+                    0
+                };
             }
-            acc as f32 * deq[co]
-        },
-    };
-    let (cout, bias) = (layer.qweight.rows, Some(&layer.bias[..]));
-    run_masked_conv(&domain, input, cout, bias, layer.geom, masks, counter)
+        }
+        let cols = &mut cols[..k_dim * l];
+        im2col(&qin[..kept.len() * plane], kept.len(), h, w, geom, cols);
+        let filters: &[i8] = if kept.len() == cin {
+            &qw.data
+        } else {
+            packed.clear();
+            packed.reserve_exact(cout * k_dim);
+            for row in qw.data.chunks(qw.cols) {
+                for &c in &kept {
+                    packed.extend_from_slice(&row[c * kk..(c + 1) * kk]);
+                }
+            }
+            &packed
+        };
+        acc.fill(0);
+        gemm_i8(filters, cols, &mut acc, cout, k_dim, l);
+        let rows = out_item.chunks_mut(l).zip(acc.chunks(l));
+        for ((o_row, a_row), (&b, &d)) in rows.zip(layer.bias.iter().zip(&deq)) {
+            for (o, &a) in o_row.iter_mut().zip(a_row) {
+                *o = b + a as f32 * d;
+            }
+        }
+        macs += kept_window_taps(mask, h, w, geom) * (kept.len() * cout) as u64;
+    }
+    counter.add(macs);
+    if antidote_obs::enabled() {
+        antidote_obs::counter_add("nn.quantized_conv2d.macs", macs);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -339,6 +391,53 @@ mod tests {
         let mut r = rng();
         let conv = Conv2d::new(&mut r, 1, 1, 3, 1, 1);
         let _ = QuantizedConv2d::from_conv(&conv, 0.0);
+    }
+
+    /// Runs the int8 executor on a 2-item `(2, 3, 4, 4)` input whose
+    /// second item carries `bad`.
+    fn run_with_second_mask(bad: FeatureMask) {
+        let mut r = rng();
+        let conv = Conv2d::new(&mut r, 3, 2, 3, 1, 1);
+        let x = init::uniform(&mut r, &[2, 3, 4, 4], -1.0, 1.0);
+        let q = QuantizedConv2d::from_conv(&conv, 0.01);
+        let masks = [FeatureMask::keep_all(), bad];
+        quantized_masked_conv2d(&x, &q, &masks, &mut MacCounter::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "batch item 1: channel mask has 4 entries, feature map has 3")]
+    fn rejects_too_long_channel_mask() {
+        run_with_second_mask(FeatureMask {
+            channel: Some(vec![true; 4]),
+            spatial: None,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "batch item 1: channel mask has 2 entries, feature map has 3")]
+    fn rejects_too_short_channel_mask() {
+        run_with_second_mask(FeatureMask {
+            channel: Some(vec![true; 2]),
+            spatial: None,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "batch item 1: spatial mask has 17 entries, feature map has 16")]
+    fn rejects_too_long_spatial_mask() {
+        run_with_second_mask(FeatureMask {
+            channel: None,
+            spatial: Some(vec![true; 17]),
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "batch item 1: spatial mask has 15 entries, feature map has 16")]
+    fn rejects_too_short_spatial_mask() {
+        run_with_second_mask(FeatureMask {
+            channel: None,
+            spatial: Some(vec![true; 15]),
+        });
     }
 
     #[test]

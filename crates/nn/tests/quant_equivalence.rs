@@ -1,6 +1,8 @@
-//! Satellite test for ISSUE 5: the int8 masked executor must *count*
-//! exactly the same multiply–accumulates as the fp32 masked executor for
-//! identical masks, across a sweep of mask patterns and thread budgets.
+//! The int8 masked executor must *count* exactly the same
+//! multiply–accumulates as the fp32 masked executor for identical masks,
+//! across a sweep of mask patterns and thread budgets, and its outputs
+//! must stay inside the analytic quantization error bound of the fp32
+//! ones.
 //!
 //! Counted-MAC equality is the load-bearing invariant for the paper's
 //! compute-budget accounting: a serving stack that flips
@@ -33,6 +35,19 @@ fn synth_input(n: usize, c: usize, s: usize, seed: u64) -> Tensor {
         })
         .collect();
     Tensor::from_vec(data, &[n, c, s, s]).unwrap()
+}
+
+/// Worst-case `|int8 − fp32|` of one output: every one of the `Cin·K²`
+/// taps errs by half an activation step against a worst-case weight,
+/// plus the weight's own half-step against the activation range (the
+/// bound `nn::quant`'s unit tests use).
+fn quant_tolerance(layer: &QuantizedConv2d, cin: usize, k: usize) -> f32 {
+    let taps = (cin * k * k) as f32;
+    let wmax = layer
+        .weight_scales()
+        .iter()
+        .fold(0.0f32, |m, &s| m.max(s * 127.0));
+    taps * (layer.act_scale() / 2.0 * wmax + layer.act_scale() * 127.0 * wmax / 254.0)
 }
 
 /// Every mask pattern the sweep covers, for a `c`-channel, `s×s` map.
@@ -104,6 +119,11 @@ fn quantized_and_fp32_masked_executors_count_identical_macs() {
                 "MAC counts diverge for pattern `{name}` at {threads} thread(s)"
             );
             assert_eq!(fp32_out.shape().dims(), int8_out.shape().dims());
+            let tol = quant_tolerance(&qconv, cin, k);
+            assert!(
+                fp32_out.allclose(&int8_out, tol),
+                "int8 outputs leave the analytic bound {tol} for pattern `{name}`"
+            );
         }
     }
     antidote_par::set_threads(prev);

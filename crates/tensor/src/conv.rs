@@ -79,18 +79,20 @@ impl ConvGeometry {
 /// `(C·K·K, Hout·Wout)` for GEMM-based convolution.
 ///
 /// `input` is the raw row-major `(C, H, W)` data; `out` must have exactly
-/// `c * k * k * hout * wout` elements and is fully overwritten.
+/// `c * k * k * hout * wout` elements and is fully overwritten. Generic
+/// over the element so the fp32 layers and the int8 executor in
+/// `antidote-nn` share one unfold; padding is `T::default()` (0 / 0.0).
 ///
 /// # Panics
 ///
 /// Panics (debug) if slice lengths disagree with the geometry.
-pub fn im2col(
-    input: &[f32],
+pub fn im2col<T: Copy + Default>(
+    input: &[T],
     c: usize,
     h: usize,
     w: usize,
     geom: ConvGeometry,
-    out: &mut [f32],
+    out: &mut [T],
 ) {
     im2col_on(backend::active(), input, c, h, w, geom, out);
 }
@@ -102,14 +104,14 @@ pub fn im2col(
 /// # Panics
 ///
 /// Panics if `be` is not supported on this host.
-pub fn im2col_on(
+pub fn im2col_on<T: Copy + Default>(
     be: Backend,
-    input: &[f32],
+    input: &[T],
     c: usize,
     h: usize,
     w: usize,
     geom: ConvGeometry,
-    out: &mut [f32],
+    out: &mut [T],
 ) {
     be.assert_supported();
     let k = geom.kernel;
@@ -131,7 +133,7 @@ pub fn im2col_on(
                     let iy = (oy * stride) as isize + ky as isize - pad;
                     let out_row = &mut out[row + oy * wout..row + (oy + 1) * wout];
                     if iy < 0 || iy >= h as isize {
-                        out_row.fill(0.0);
+                        out_row.fill(T::default());
                         continue;
                     }
                     let src_row = &plane[iy as usize * w..(iy as usize + 1) * w];
@@ -140,7 +142,7 @@ pub fn im2col_on(
                         for (ox, slot) in out_row.iter_mut().enumerate() {
                             let ix = (ox * stride) as isize + shift;
                             *slot = if ix < 0 || ix >= w as isize {
-                                0.0
+                                T::default()
                             } else {
                                 src_row[ix as usize]
                             };
@@ -163,8 +165,8 @@ pub fn im2col_on(
                             .div_ceil(stride)
                             .clamp(lo, wout)
                     };
-                    out_row[..lo].fill(0.0);
-                    out_row[hi..].fill(0.0);
+                    out_row[..lo].fill(T::default());
+                    out_row[hi..].fill(T::default());
                     if stride == 1 {
                         let start = (lo as isize + shift) as usize;
                         out_row[lo..hi].copy_from_slice(&src_row[start..start + (hi - lo)]);

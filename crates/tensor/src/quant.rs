@@ -17,6 +17,10 @@
 //!   is what lets the quantized masked executor in `antidote-nn` skip
 //!   pruned MACs precisely as the fp32 one does.
 //!
+//! [`gemm_i8`] is on the served path: `antidote-nn`'s int8 masked
+//! executor runs every int8 conv as one `gemm_i8` per batch item, over
+//! the kept channels' columns only.
+//!
 //! The round-trip error of a value inside the calibrated range is at most
 //! half a quantization step ([`quantize_value`]'s contract, property-
 //! tested in `tests/quant_props.rs`).
