@@ -3,7 +3,14 @@
 //! either weight domain, plus the checkpoint → artifact conversion the
 //! `convert` binary wraps.
 
-use crate::container::{Container, ContainerBuilder, KvValue};
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
+
+use crate::container::{Container, ContainerBuilder, KvValue, Payload};
 use crate::error::ModelFileError;
 use antidote_core::checkpoint::Checkpoint;
 use antidote_core::quant::{quantize_vgg, CalibrationMethod};
@@ -11,7 +18,6 @@ use antidote_data::SynthConfig;
 use antidote_models::{
     BnParts, Network, QuantizedConvParts, VggQuantizedParts, Vgg, VggConfig,
 };
-use antidote_tensor::quant::QuantizedMatrix;
 use antidote_tensor::Tensor;
 use std::path::Path;
 use std::sync::Arc;
@@ -154,8 +160,9 @@ impl ModelArtifact {
     ///
     /// # Errors
     ///
-    /// [`ModelFileError::BadModel`] when the artifact is already int8
-    /// or its input is not the synthetic dataset's 3-channel shape.
+    /// [`ModelFileError::BadModel`] when the artifact is already int8,
+    /// its input is not the synthetic dataset's 3-channel shape, or
+    /// calibration does not yield an int8 network.
     pub fn quantize(
         &self,
         method: CalibrationMethod,
@@ -185,7 +192,9 @@ impl ModelArtifact {
             .generate();
         let parts = quantize_vgg(&mut net, &data.train, calib_batch_size, calib_batches, method)
             .to_quantized_parts()
-            .expect("a quantized network exports int8 parts");
+            .ok_or_else(|| {
+                ModelFileError::BadModel("quantization produced no int8 parts".to_string())
+            })?;
 
         let method_label = match method {
             CalibrationMethod::MinMax => "minmax".to_string(),
@@ -213,17 +222,19 @@ impl ModelArtifact {
         Box::new(self.prototype.clone())
     }
 
-    /// Serializes to an `.adm` file, written atomically.
+    /// Serializes to an `.adm` file, written atomically. The builder
+    /// holds the prototype's weight handles, so saving copies no weight.
     ///
     /// # Errors
     ///
-    /// [`ModelFileError::Io`] when writing fails.
+    /// [`ModelFileError::Io`] when writing fails; `BadModel` if the
+    /// config does not serialize.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ModelFileError> {
         let mut b = ContainerBuilder::new();
         b.kv(KV_FAMILY, KvValue::Str("vgg".to_string()));
         b.kv(KV_DTYPE, KvValue::Str(self.dtype().to_string()));
         let config_json = serde_json::to_string(self.config())
-            .expect("VggConfig serialization cannot fail");
+            .map_err(|e| ModelFileError::BadModel(format!("{KV_CONFIG}: {e}")))?;
         b.kv(KV_CONFIG, KvValue::Str(config_json));
         for (key, value) in &self.extra_kvs {
             b.kv(key.clone(), value.clone());
@@ -233,14 +244,13 @@ impl ModelArtifact {
                 // The visitor wants `&mut`; a clone is pointer copies.
                 let mut i = 0;
                 self.prototype.clone().visit_params_mut(&mut |p| {
-                    b.tensor_f32(format!("param.{i:04}"), p.value.dims(), p.value.data());
+                    b.tensor(format!("param.{i:04}"), p.value.clone());
                     i += 1;
                 });
             }
             Some(parts) => {
                 for (i, conv) in parts.convs.iter().enumerate() {
-                    let q = &conv.qweight;
-                    b.tensor_i8(format!("conv.{i}.qweight"), q.rows, q.cols, &q.data, &q.scales);
+                    b.matrix_i8(format!("conv.{i}.qweight"), Arc::clone(&conv.qweight));
                     b.tensor_f32(format!("conv.{i}.bias"), &[conv.bias.len()], &conv.bias);
                 }
                 let act_scales: Vec<f32> = parts.convs.iter().map(|c| c.act_scale).collect();
@@ -252,19 +262,21 @@ impl ModelArtifact {
                         ("running_mean", &bn.running_mean),
                         ("running_var", &bn.running_var),
                     ] {
-                        b.tensor_f32(format!("bn.{i}.{field}"), t.dims(), t.data());
+                        b.tensor(format!("bn.{i}.{field}"), t.clone());
                     }
                 }
-                b.tensor_f32("linear.weight", parts.linear_weight.dims(), parts.linear_weight.data());
-                b.tensor_f32("linear.bias", parts.linear_bias.dims(), parts.linear_bias.data());
+                b.tensor("linear.weight", parts.linear_weight);
+                b.tensor("linear.bias", parts.linear_bias);
             }
         }
         b.write(path)
     }
 
     /// Loads and fully validates an `.adm` file — the single dtype-aware
-    /// entry point for fp32 and int8 artifacts. Emits a `model.load`
-    /// span and event recording bytes, dtype, and wall time.
+    /// entry point for fp32 and int8 artifacts. The file streams once
+    /// into its decoded payloads, which move into the network, so the
+    /// weights are never held twice. Emits a `model.load` span and event
+    /// recording bytes, dtype, and wall time.
     ///
     /// # Errors
     ///
@@ -277,7 +289,8 @@ impl ModelArtifact {
         let start = std::time::Instant::now();
         let container = Container::read(path)?;
         let read = std::time::Instant::now();
-        let artifact = Self::from_container(&container)?;
+        let (bytes, tensors) = (container.data_len(), container.tensors.len());
+        let artifact = Self::from_container(container)?;
         if antidote_obs::enabled() {
             let dtype = artifact.dtype().to_string();
             antidote_obs::info(
@@ -285,8 +298,8 @@ impl ModelArtifact {
                 &[
                     ("path", antidote_obs::Value::Str(&path.display().to_string())),
                     ("dtype", antidote_obs::Value::Str(&dtype)),
-                    ("bytes", antidote_obs::Value::U64(container.data_len() as u64)),
-                    ("tensors", antidote_obs::Value::U64(container.tensors.len() as u64)),
+                    ("bytes", antidote_obs::Value::U64(bytes as u64)),
+                    ("tensors", antidote_obs::Value::U64(tensors as u64)),
                     (
                         "weight_bytes",
                         antidote_obs::Value::U64(artifact.weight_bytes()),
@@ -305,8 +318,9 @@ impl ModelArtifact {
         Ok(artifact)
     }
 
-    /// Interprets a parsed container as a model.
-    fn from_container(c: &Container) -> Result<Self, ModelFileError> {
+    /// Interprets a parsed container as a model, moving its decoded
+    /// payloads into the network.
+    fn from_container(mut c: Container) -> Result<Self, ModelFileError> {
         let missing = |key: &str| ModelFileError::BadModel(format!("missing {key} metadata"));
         let family = c.kv_str(KV_FAMILY).ok_or_else(|| missing(KV_FAMILY))?;
         if family != "vgg" {
@@ -333,17 +347,6 @@ impl ModelArtifact {
             .cloned()
             .collect();
 
-        let require = |name: &str| {
-            c.tensor(name)
-                .ok_or_else(|| ModelFileError::BadModel(format!("missing tensor {name}")))
-        };
-        let tensor_of = |name: &str| -> Result<Tensor, ModelFileError> {
-            let entry = require(name)?;
-            let dims: Vec<usize> = entry.dims.iter().map(|&d| d as usize).collect();
-            Tensor::from_vec(c.f32_values(entry)?, &dims)
-                .map_err(|e| ModelFileError::BadModel(format!("tensor {name}: {e}")))
-        };
-
         let prototype = match dtype {
             ModelDtype::F32 => {
                 let mut params = Vec::new();
@@ -352,7 +355,7 @@ impl ModelArtifact {
                     if c.tensor(&name).is_none() {
                         break;
                     }
-                    params.push(tensor_of(&name)?);
+                    params.push(tensor_of(&mut c, &name)?);
                 }
                 if params.is_empty() {
                     return Err(ModelFileError::BadModel(
@@ -363,8 +366,7 @@ impl ModelArtifact {
             }
             ModelDtype::Int8 => {
                 let n_convs = config.conv_layer_count();
-                let scales_entry = require("quant.act_scales")?;
-                let act_scales = c.f32_values(scales_entry)?;
+                let (_, act_scales) = f32s_of(&mut c, "quant.act_scales")?;
                 if act_scales.len() != n_convs {
                     return Err(ModelFileError::BadModel(format!(
                         "quant.act_scales holds {} entries, config needs {n_convs}",
@@ -372,38 +374,33 @@ impl ModelArtifact {
                     )));
                 }
                 let mut convs = Vec::with_capacity(n_convs);
-                for (i, act_scale) in act_scales.iter().enumerate() {
-                    let qentry = require(&format!("conv.{i}.qweight"))?;
-                    let (data, scales) = c.i8_values(qentry)?;
-                    let qweight = Arc::new(QuantizedMatrix {
-                        data,
-                        scales,
-                        rows: qentry.dims[0] as usize,
-                        cols: qentry.dims[1] as usize,
-                    });
-                    let bias_t = tensor_of(&format!("conv.{i}.bias"))?;
+                for (i, act_scale) in act_scales.into_iter().enumerate() {
+                    let name = format!("conv.{i}.qweight");
+                    let (_, Payload::Matrix(qweight)) = take(&mut c, &name)? else {
+                        return Err(ModelFileError::Malformed(format!("tensor {name} is f32, not i8")));
+                    };
                     convs.push(QuantizedConvParts {
                         qweight,
-                        bias: bias_t.data().to_vec(),
-                        act_scale: *act_scale,
+                        bias: tensor_of(&mut c, &format!("conv.{i}.bias"))?.into_vec(),
+                        act_scale,
                     });
                 }
                 let mut bns = Vec::new();
                 if config.batchnorm {
                     for i in 0..n_convs {
                         bns.push(BnParts {
-                            gamma: tensor_of(&format!("bn.{i}.gamma"))?,
-                            beta: tensor_of(&format!("bn.{i}.beta"))?,
-                            running_mean: tensor_of(&format!("bn.{i}.running_mean"))?,
-                            running_var: tensor_of(&format!("bn.{i}.running_var"))?,
+                            gamma: tensor_of(&mut c, &format!("bn.{i}.gamma"))?,
+                            beta: tensor_of(&mut c, &format!("bn.{i}.beta"))?,
+                            running_mean: tensor_of(&mut c, &format!("bn.{i}.running_mean"))?,
+                            running_var: tensor_of(&mut c, &format!("bn.{i}.running_var"))?,
                         });
                     }
                 }
                 let parts = VggQuantizedParts {
                     convs,
                     bns,
-                    linear_weight: tensor_of("linear.weight")?,
-                    linear_bias: tensor_of("linear.bias")?,
+                    linear_weight: tensor_of(&mut c, "linear.weight")?,
+                    linear_bias: tensor_of(&mut c, "linear.bias")?,
                 };
                 Vgg::from_quantized_parts(config, parts)
             }
@@ -415,7 +412,31 @@ impl ModelArtifact {
     }
 }
 
+/// Moves the named tensor's dims and decoded payload out of the
+/// container.
+fn take(c: &mut Container, name: &str) -> Result<(Vec<usize>, Payload), ModelFileError> {
+    c.take(name)
+        .ok_or_else(|| ModelFileError::BadModel(format!("missing tensor {name}")))
+}
+
+/// Moves the named f32 tensor's dims and values out of the container.
+fn f32s_of(c: &mut Container, name: &str) -> Result<(Vec<usize>, Vec<f32>), ModelFileError> {
+    match take(c, name)? {
+        (dims, Payload::Values(values)) => Ok((dims, values)),
+        _ => Err(ModelFileError::Malformed(format!("tensor {name} is i8, not f32"))),
+    }
+}
+
+/// Moves the named f32 tensor out of the container as a [`Tensor`]
+/// (its decoded buffer, not a copy).
+fn tensor_of(c: &mut Container, name: &str) -> Result<Tensor, ModelFileError> {
+    let (dims, values) = f32s_of(c, name)?;
+    Tensor::from_vec(values, &dims)
+        .map_err(|e| ModelFileError::BadModel(format!("tensor {name}: {e}")))
+}
+
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;

@@ -9,14 +9,29 @@
 //! whole file arrives with a single sequential read and the hot path
 //! never parses per tensor.
 //!
+//! Neither direction ever holds a payload twice: [`Container::read`]
+//! streams the file through one 64 KiB buffer straight into the
+//! decoded payloads, and [`ContainerBuilder`] encodes from handles.
+//!
 //! Parsing is defensive: every failure mode on hostile bytes is a typed
 //! [`ModelFileError`], never a panic, and every tensor checksum is
-//! verified before [`Container::from_bytes`] returns.
+//! verified before [`Container::read`] or [`Container::from_bytes`]
+//! returns.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 
 use crate::error::ModelFileError;
 use antidote_core::checkpoint::atomic_write;
-use std::io::Write;
+use antidote_tensor::quant::QuantizedMatrix;
+use antidote_tensor::Tensor;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 /// File magic, the first four bytes of every `.adm` file.
 pub const MAGIC: [u8; 4] = *b"ADMF";
@@ -44,15 +59,26 @@ pub const MAX_RANK: u8 = 8;
 /// Most KV entries / tensors a file may declare.
 pub const MAX_COUNT: u32 = 65_536;
 
+/// Bytes per read of [`Container::read`] and per encoded block of
+/// [`ContainerBuilder::write_to`]: the only payload-sized buffer either
+/// direction holds besides the payloads themselves.
+const CHUNK: usize = 64 * 1024;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a 64 over a byte slice — the per-tensor checksum algorithm
 /// (same constants as `antidote-core`'s parameter checksum).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a 64 hash `h` over `bytes`, so a payload can be
+/// hashed in pieces.
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -149,50 +175,57 @@ impl TensorEntry {
     }
 }
 
-/// Byte cursor with typed, never-panicking take helpers.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Typed, never-panicking reads of the file prefix, over the file or an
+/// in-memory image alike.
+struct Cursor<R> {
+    r: R,
+    /// Bytes consumed so far: the file offset of the next read.
+    pos: u64,
 }
 
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+/// Running out of input while reading `what` at file offset `offset` is
+/// [`ModelFileError::Truncated`]; anything else a reader reports is `Io`.
+fn read_error(e: std::io::Error, what: &str, offset: u64) -> ModelFileError {
+    if e.kind() == std::io::ErrorKind::UnexpectedEof {
+        ModelFileError::Truncated {
+            what: what.to_string(),
+            offset,
+        }
+    } else {
+        ModelFileError::Io(e.to_string())
+    }
+}
+
+impl<R: BufRead> Cursor<R> {
+    fn fill(&mut self, buf: &mut [u8], what: &str) -> Result<(), ModelFileError> {
+        self.r
+            .read_exact(buf)
+            .map_err(|e| read_error(e, what, self.pos))?;
+        self.pos += buf.len() as u64;
+        Ok(())
     }
 
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], ModelFileError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| ModelFileError::Malformed(format!("{what}: length overflow")))?;
-        let slice = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| ModelFileError::Truncated {
-                what: what.to_string(),
-                offset: self.pos as u64,
-            })?;
-        self.pos = end;
-        Ok(slice)
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], ModelFileError> {
+        let mut buf = [0; N];
+        self.fill(&mut buf, what)?;
+        Ok(buf)
     }
 
     fn u8(&mut self, what: &str) -> Result<u8, ModelFileError> {
-        Ok(self.take(1, what)?[0])
+        Ok(u8::from_le_bytes(self.array(what)?))
     }
 
     fn u32(&mut self, what: &str) -> Result<u32, ModelFileError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(self.array(what)?))
     }
 
     fn u64(&mut self, what: &str) -> Result<u64, ModelFileError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(u64::from_le_bytes(self.array(what)?))
     }
 
-    /// A length-prefixed UTF-8 string with an explicit length cap.
+    /// A length-prefixed UTF-8 string with an explicit length cap. The
+    /// buffer grows with the bytes actually present, so a declared
+    /// length never sizes an allocation by itself.
     fn string(&mut self, cap: u32, what: &str) -> Result<String, ModelFileError> {
         let len = self.u32(what)?;
         if len > cap {
@@ -202,14 +235,150 @@ impl<'a> Cursor<'a> {
                 limit: cap as u64,
             });
         }
-        let bytes = self.take(len as usize, what)?;
-        String::from_utf8(bytes.to_vec())
+        let mut bytes = Vec::new();
+        let read = (&mut self.r)
+            .take(len as u64)
+            .read_to_end(&mut bytes)
+            .map_err(|e| read_error(e, what, self.pos))?;
+        if read != len as usize {
+            return Err(read_error(std::io::ErrorKind::UnexpectedEof.into(), what, self.pos));
+        }
+        self.pos += len as u64;
+        String::from_utf8(bytes)
             .map_err(|_| ModelFileError::Malformed(format!("{what}: not valid UTF-8")))
     }
 }
 
-/// A parsed `.adm` file: metadata, tensor index, and the raw data
-/// section. Every checksum has been verified by the time a value of
+/// A payload: what the builder encodes and what the reader decodes into.
+/// Either way its bytes are `i8` values, then little-endian `f32`s.
+#[derive(Debug)]
+pub(crate) enum Payload {
+    /// f32 values shared with a tensor (builder only).
+    Tensor(Tensor),
+    /// f32 values owned here.
+    Values(Vec<f32>),
+    /// An i8 matrix and its per-row scales.
+    Matrix(Arc<QuantizedMatrix>),
+}
+
+impl Payload {
+    /// The payload's `(i8 values, f32 values)`, in byte order.
+    fn parts(&self) -> (&[i8], &[f32]) {
+        match self {
+            Payload::Tensor(t) => (&[], t.data()),
+            Payload::Values(v) => (&[], v),
+            Payload::Matrix(q) => (&q.data, &q.scales),
+        }
+    }
+
+    fn dtype(&self) -> Dtype {
+        match self {
+            Payload::Matrix(_) => Dtype::I8,
+            _ => Dtype::F32,
+        }
+    }
+
+    fn nbytes(&self) -> usize {
+        let (i8s, f32s) = self.parts();
+        i8s.len() + 4 * f32s.len()
+    }
+
+    /// Hands the payload's bytes to `emit` in blocks of at most
+    /// [`CHUNK`] bytes, encoded into `block`.
+    fn encode(
+        &self,
+        block: &mut Vec<u8>,
+        emit: &mut dyn FnMut(&[u8]) -> Result<(), ModelFileError>,
+    ) -> Result<(), ModelFileError> {
+        let (i8s, f32s) = self.parts();
+        for values in i8s.chunks(CHUNK) {
+            block.clear();
+            block.extend(values.iter().map(|&v| v as u8));
+            emit(block)?;
+        }
+        for values in f32s.chunks(CHUNK / 4) {
+            block.resize(4 * values.len(), 0);
+            for (word, v) in block.as_chunks_mut::<4>().0.iter_mut().zip(values) {
+                *word = v.to_le_bytes();
+            }
+            emit(block)?;
+        }
+        Ok(())
+    }
+}
+
+/// One payload being hashed and decoded as its bytes stream past, in
+/// pieces cut anywhere.
+struct Sink {
+    hash: u64,
+    /// Leading bytes that are `i8` values: `rows·cols` for an i8 matrix.
+    i8_len: usize,
+    i8s: Vec<i8>,
+    f32s: Vec<f32>,
+    /// The first bytes of an f32 the previous piece cut in two.
+    carry: [u8; 4],
+    carried: usize,
+}
+
+impl Sink {
+    /// Allocates the entry's final buffers; called only once the file is
+    /// known to hold every declared payload byte.
+    fn new(entry: &TensorEntry) -> Self {
+        let i8_len = match (entry.dtype, entry.dims.as_slice()) {
+            (Dtype::I8, &[rows, cols]) => (rows * cols) as usize, // no overflow: checked at parse
+            _ => 0,
+        };
+        Self {
+            hash: FNV_OFFSET,
+            i8_len,
+            i8s: Vec::with_capacity(i8_len),
+            f32s: Vec::with_capacity((entry.nbytes as usize).saturating_sub(i8_len) / 4),
+            carry: [0; 4],
+            carried: 0,
+        }
+    }
+
+    fn feed(&mut self, bytes: &[u8]) {
+        self.hash = fnv1a_extend(self.hash, bytes);
+        let i8_left = self.i8_len - self.i8s.len();
+        let (i8s, mut rest) = bytes.split_at(bytes.len().min(i8_left));
+        self.i8s.extend(i8s.iter().map(|&b| b as i8));
+        if self.carried > 0 {
+            let (head, tail) = rest.split_at(rest.len().min(4 - self.carried));
+            for (slot, &b) in self.carry.iter_mut().skip(self.carried).zip(head) {
+                *slot = b;
+            }
+            self.carried += head.len();
+            rest = tail;
+            if self.carried < 4 {
+                return;
+            }
+            self.f32s.push(f32::from_le_bytes(self.carry));
+            self.carried = 0;
+        }
+        let (words, tail) = rest.as_chunks::<4>();
+        self.f32s.extend(words.iter().map(|w| f32::from_le_bytes(*w)));
+        for (slot, &b) in self.carry.iter_mut().zip(tail) {
+            *slot = b;
+        }
+        self.carried = tail.len();
+    }
+
+    fn finish(self, entry: &TensorEntry) -> Payload {
+        match (entry.dtype, entry.dims.as_slice()) {
+            (Dtype::I8, &[rows, cols]) => Payload::Matrix(Arc::new(QuantizedMatrix {
+                data: self.i8s,
+                scales: self.f32s,
+                rows: rows as usize,
+                cols: cols as usize,
+            })),
+            _ => Payload::Values(self.f32s),
+        }
+    }
+}
+
+/// A parsed `.adm` file: metadata, tensor index, and every payload
+/// decoded. Every checksum has been verified by the time a value of
 /// this type exists.
 #[derive(Debug)]
 pub struct Container {
@@ -217,38 +386,49 @@ pub struct Container {
     pub kvs: Vec<(String, KvValue)>,
     /// Tensor index in file order.
     pub tensors: Vec<TensorEntry>,
-    /// The data section (payload bytes for all tensors).
-    data: Vec<u8>,
+    /// Decoded payloads, parallel to `tensors`; `None` once moved out.
+    payloads: Vec<Option<Payload>>,
+    /// Size of the data section in bytes.
+    data_len: usize,
 }
 
 impl Container {
-    /// Reads and fully validates a file. The payload arrives with one
-    /// sequential [`std::fs::read`]; only the header prefix is parsed.
+    /// Reads and fully validates a file in one front-to-back pass
+    /// through a 64 KiB buffer: the prefix is parsed, then each
+    /// payload is hashed and decoded into its final buffer as it streams
+    /// past, and every checksum is verified before this returns. The
+    /// file's bytes are never held whole.
     ///
     /// # Errors
     ///
     /// [`ModelFileError::Io`] when the file cannot be read, otherwise
-    /// any parse/validation error from [`Container::from_bytes`].
+    /// the error [`Container::from_bytes`] returns for the same bytes.
     pub fn read(path: impl AsRef<Path>) -> Result<Self, ModelFileError> {
-        let bytes =
-            std::fs::read(path.as_ref()).map_err(|e| ModelFileError::Io(e.to_string()))?;
-        Self::from_bytes(bytes)
+        let io = |e: std::io::Error| ModelFileError::Io(e.to_string());
+        let file = std::fs::File::open(path.as_ref()).map_err(io)?;
+        let len = file.metadata().map_err(io)?.len();
+        Self::parse(BufReader::with_capacity(CHUNK, file), len)
     }
 
     /// Parses a file image, verifying magic, version, alignment,
-    /// bounds, and every tensor checksum.
+    /// bounds, and every tensor checksum — the parser
+    /// [`Container::read`] runs, over memory.
     ///
     /// # Errors
     ///
     /// A typed [`ModelFileError`] for every way the bytes can be wrong;
     /// hostile input never panics.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, ModelFileError> {
-        let mut cur = Cursor::new(&bytes);
-        let magic = cur.take(4, "magic")?;
+        Self::parse(bytes.as_slice(), bytes.len() as u64)
+    }
+
+    /// The one parser: `r` yields the file from its first byte and the
+    /// file is `file_len` bytes long.
+    fn parse(r: impl BufRead, file_len: u64) -> Result<Self, ModelFileError> {
+        let mut cur = Cursor { r, pos: 0 };
+        let magic = cur.array("magic")?;
         if magic != MAGIC {
-            return Err(ModelFileError::BadMagic {
-                found: [magic[0], magic[1], magic[2], magic[3]],
-            });
+            return Err(ModelFileError::BadMagic { found: magic });
         }
         let version = cur.u32("version")?;
         if version != FORMAT_VERSION {
@@ -278,7 +458,7 @@ impl Container {
             }
         }
 
-        let mut kvs = Vec::with_capacity(kv_count as usize);
+        let mut kvs = Vec::new();
         for _ in 0..kv_count {
             let key = cur.string(MAX_NAME_LEN, "kv key")?;
             let tag = cur.u8("kv value tag")?;
@@ -292,7 +472,7 @@ impl Container {
             kvs.push((key, value));
         }
 
-        let mut tensors: Vec<TensorEntry> = Vec::with_capacity(tensor_count as usize);
+        let mut tensors: Vec<TensorEntry> = Vec::new();
         for _ in 0..tensor_count {
             let name = cur.string(MAX_NAME_LEN, "tensor name")?;
             let dtype_tag = cur.u8("tensor dtype")?;
@@ -365,53 +545,65 @@ impl Container {
 
         // The data section starts at the next alignment boundary after
         // the index and must hold exactly `data_size` bytes.
-        let data_start = align_up(cur.pos, ALIGNMENT as usize);
-        if bytes
-            .get(cur.pos..data_start)
-            .is_none_or(|pad| pad.iter().any(|&b| b != 0))
-        {
+        let pad_at = cur.pos;
+        let data_start = pad_at.next_multiple_of(ALIGNMENT as u64);
+        let mut pad = vec![0; (data_start - pad_at) as usize];
+        cur.fill(&mut pad, "header padding")?;
+        if pad.iter().any(|&b| b != 0) {
             return Err(ModelFileError::Truncated {
                 what: "header padding".to_string(),
-                offset: cur.pos as u64,
+                offset: pad_at,
             });
         }
-        let actual = (bytes.len() - data_start) as u64;
+        let actual = file_len.saturating_sub(data_start);
         if actual != data_size {
             return Err(ModelFileError::Truncated {
                 what: format!("data section: header declares {data_size} bytes, file holds {actual}"),
-                offset: data_start as u64,
+                offset: data_start,
             });
         }
-        let mut data = bytes;
-        data.drain(..data_start);
 
-        // Verify every payload checksum up front: a loaded Container is
-        // known-good, and the hot path never re-validates.
-        let container = Container { kvs, tensors, data };
-        for entry in &container.tensors {
-            let payload = container.payload(entry)?;
-            let computed = fnv1a(payload);
-            if computed != entry.checksum {
+        // The file holds every declared byte: only now do declared sizes
+        // size buffers. Verify every checksum up front: a loaded
+        // Container is known-good, and the hot path never re-validates.
+        let sinks = stream_payloads(&mut cur, &tensors, data_size)?;
+        let mut payloads = Vec::with_capacity(tensors.len());
+        for (entry, sink) in tensors.iter().zip(sinks) {
+            if sink.hash != entry.checksum {
                 return Err(ModelFileError::ChecksumMismatch {
                     tensor: entry.name.clone(),
                     stored: entry.checksum,
-                    computed,
+                    computed: sink.hash,
                 });
             }
+            payloads.push(Some(sink.finish(entry)));
         }
-        Ok(container)
+        Ok(Container {
+            kvs,
+            tensors,
+            payloads,
+            data_len: data_size as usize,
+        })
     }
 
-    /// Raw payload bytes of an index entry.
-    fn payload(&self, entry: &TensorEntry) -> Result<&[u8], ModelFileError> {
-        let start = entry.offset as usize;
-        let end = start + entry.nbytes as usize; // bounds checked at parse
-        self.data
-            .get(start..end)
-            .ok_or_else(|| ModelFileError::Truncated {
-                what: format!("tensor {} payload", entry.name),
-                offset: entry.offset,
+    /// The decoded payload of the tensor named like `entry`.
+    fn payload(&self, entry: &TensorEntry) -> Result<&Payload, ModelFileError> {
+        self.tensors
+            .iter()
+            .position(|t| t.name == entry.name)
+            .and_then(|i| self.payloads.get(i)?.as_ref())
+            .ok_or_else(|| {
+                ModelFileError::Malformed(format!("tensor {} has no payload here", entry.name))
             })
+    }
+
+    /// Moves a tensor's decoded payload and dims out of the container;
+    /// `None` when no tensor has that name (or it was already taken).
+    pub(crate) fn take(&mut self, name: &str) -> Option<(Vec<usize>, Payload)> {
+        let i = self.tensors.iter().position(|t| t.name == name)?;
+        let payload = self.payloads.get_mut(i)?.take()?;
+        let dims = self.tensors.get(i)?.dims.iter().map(|&d| d as usize).collect();
+        Some((dims, payload))
     }
 
     /// Looks up a metadata value by key.
@@ -432,65 +624,83 @@ impl Container {
         self.tensors.iter().find(|t| t.name == name)
     }
 
-    /// Decodes an [`Dtype::F32`] tensor's payload into values.
+    /// An [`Dtype::F32`] tensor's decoded values.
     ///
     /// # Errors
     ///
     /// [`ModelFileError::Malformed`] when the entry is not `f32`.
-    pub fn f32_values(&self, entry: &TensorEntry) -> Result<Vec<f32>, ModelFileError> {
-        if entry.dtype != Dtype::F32 {
-            return Err(ModelFileError::Malformed(format!(
+    pub fn f32_values(&self, entry: &TensorEntry) -> Result<&[f32], ModelFileError> {
+        match self.payload(entry)? {
+            Payload::Matrix(_) => Err(ModelFileError::Malformed(format!(
                 "tensor {} is {}, not f32",
                 entry.name, entry.dtype
-            )));
+            ))),
+            f32s => Ok(f32s.parts().1),
         }
-        Ok(decode_f32(self.payload(entry)?))
     }
 
-    /// Decodes an [`Dtype::I8`] tensor's payload into `(data, scales)`:
-    /// `rows·cols` int8 values and `rows` per-row scales.
+    /// An [`Dtype::I8`] tensor's decoded `(data, scales)`: `rows·cols`
+    /// int8 values and `rows` per-row scales.
     ///
     /// # Errors
     ///
     /// [`ModelFileError::Malformed`] when the entry is not `i8`.
-    pub fn i8_values(&self, entry: &TensorEntry) -> Result<(Vec<i8>, Vec<f32>), ModelFileError> {
-        if entry.dtype != Dtype::I8 {
-            return Err(ModelFileError::Malformed(format!(
+    pub fn i8_values(&self, entry: &TensorEntry) -> Result<(&[i8], &[f32]), ModelFileError> {
+        match self.payload(entry)? {
+            Payload::Matrix(q) => Ok((&q.data, &q.scales)),
+            _ => Err(ModelFileError::Malformed(format!(
                 "tensor {} is {}, not i8",
                 entry.name, entry.dtype
-            )));
+            ))),
         }
-        let payload = self.payload(entry)?;
-        let rows = entry.dims[0] as usize; // rank 2 checked at parse
-        let split = payload.len() - rows * 4;
-        let data = payload[..split].iter().map(|&b| b as i8).collect();
-        let scales = decode_f32(&payload[split..]);
-        Ok((data, scales))
     }
 
     /// Total payload bytes (the size of the data section).
     pub fn data_len(&self) -> usize {
-        self.data.len()
+        self.data_len
     }
 }
 
-fn decode_f32(bytes: &[u8]) -> Vec<f32> {
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect()
-}
-
-fn align_up(n: usize, align: usize) -> usize {
-    n.div_ceil(align) * align
+/// One forward pass over the data section: hands every byte of every
+/// payload, in whatever order and overlap the index lays them out, to
+/// that payload's [`Sink`] (index order). At most [`MAX_COUNT`] payloads
+/// per [`CHUNK`]-byte chunk is at most one test per byte.
+fn stream_payloads(
+    cur: &mut Cursor<impl BufRead>,
+    tensors: &[TensorEntry],
+    data_size: u64,
+) -> Result<Vec<Sink>, ModelFileError> {
+    let mut sinks: Vec<Sink> = tensors.iter().map(Sink::new).collect();
+    let mut pos = 0;
+    while pos < data_size {
+        let at = cur.pos;
+        let buf = (cur.r.fill_buf()).map_err(|e| read_error(e, "data section", at))?;
+        let n = buf.len().min(usize::try_from(data_size - pos).unwrap_or(usize::MAX));
+        if n == 0 {
+            let eof = std::io::ErrorKind::UnexpectedEof.into();
+            return Err(read_error(eof, "data section", at));
+        }
+        let end = pos + n as u64;
+        for (t, sink) in tensors.iter().zip(&mut sinks) {
+            let (start, stop) = (t.offset.max(pos), (t.offset + t.nbytes).min(end));
+            if let Some(piece) = buf.get((start - pos) as usize..(stop.max(start) - pos) as usize) {
+                sink.feed(piece);
+            }
+        }
+        cur.r.consume(n);
+        cur.pos += n as u64;
+        pos = end;
+    }
+    Ok(sinks)
 }
 
 /// Assembles `.adm` file images. The builder computes aligned offsets
-/// and checksums; callers only name tensors and provide values.
+/// and checksums; callers only name tensors and provide values, by
+/// handle where they can, so building never copies a weight.
 #[derive(Debug, Default)]
 pub struct ContainerBuilder {
     kvs: Vec<(String, KvValue)>,
-    tensors: Vec<(String, Dtype, Vec<u64>, Vec<u8>)>,
+    tensors: Vec<(String, Vec<u64>, Payload)>,
 }
 
 impl ContainerBuilder {
@@ -511,7 +721,24 @@ impl ContainerBuilder {
         self
     }
 
-    /// Appends an f32 tensor.
+    /// Appends an f32 tensor by handle: the builder shares `t`'s
+    /// storage and encodes it only while writing.
+    pub fn tensor(&mut self, name: impl Into<String>, t: Tensor) -> &mut Self {
+        let dims = t.dims().to_vec();
+        self.push(name.into(), &dims, Payload::Tensor(t));
+        self
+    }
+
+    /// Appends an i8 matrix with its per-row scales by handle.
+    pub fn matrix_i8(&mut self, name: impl Into<String>, q: Arc<QuantizedMatrix>) -> &mut Self {
+        let dims = [q.rows, q.cols];
+        assert_eq!(q.data.len(), q.rows * q.cols, "data length must be rows·cols");
+        assert_eq!(q.scales.len(), q.rows, "one scale per row");
+        self.push(name.into(), &dims, Payload::Matrix(q));
+        self
+    }
+
+    /// Appends an f32 tensor, copying `values`.
     ///
     /// # Panics
     ///
@@ -519,15 +746,11 @@ impl ContainerBuilder {
     pub fn tensor_f32(&mut self, name: impl Into<String>, dims: &[usize], values: &[f32]) -> &mut Self {
         let elems: usize = dims.iter().product();
         assert_eq!(elems, values.len(), "dims/value count mismatch");
-        let mut payload = Vec::with_capacity(values.len() * 4);
-        for v in values {
-            payload.extend_from_slice(&v.to_le_bytes());
-        }
-        self.push(name.into(), Dtype::F32, dims, payload);
+        self.push(name.into(), dims, Payload::Values(values.to_vec()));
         self
     }
 
-    /// Appends an i8 matrix with per-row scales.
+    /// Appends an i8 matrix with per-row scales, copying both.
     ///
     /// # Panics
     ///
@@ -540,18 +763,11 @@ impl ContainerBuilder {
         data: &[i8],
         scales: &[f32],
     ) -> &mut Self {
-        assert_eq!(data.len(), rows * cols, "data length must be rows·cols");
-        assert_eq!(scales.len(), rows, "one scale per row");
-        let mut payload = Vec::with_capacity(data.len() + scales.len() * 4);
-        payload.extend(data.iter().map(|&v| v as u8));
-        for s in scales {
-            payload.extend_from_slice(&s.to_le_bytes());
-        }
-        self.push(name.into(), Dtype::I8, &[rows, cols], payload);
-        self
+        let (data, scales) = (data.to_vec(), scales.to_vec());
+        self.matrix_i8(name, Arc::new(QuantizedMatrix { data, scales, rows, cols }))
     }
 
-    fn push(&mut self, name: String, dtype: Dtype, dims: &[usize], payload: Vec<u8>) {
+    fn push(&mut self, name: String, dims: &[usize], payload: Payload) {
         assert!(name.len() <= MAX_NAME_LEN as usize, "tensor name too long");
         assert!(
             !dims.is_empty() && dims.len() <= MAX_RANK as usize,
@@ -562,7 +778,7 @@ impl ContainerBuilder {
             "duplicate tensor name {name}"
         );
         let dims = dims.iter().map(|&d| d as u64).collect();
-        self.tensors.push((name, dtype, dims, payload));
+        self.tensors.push((name, dims, payload));
     }
 
     /// Serializes the file image into memory (tests and
@@ -570,27 +786,37 @@ impl ContainerBuilder {
     /// [`ContainerBuilder::write`], which never holds the image).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        #[allow(clippy::expect_used)] // writing into a Vec never fails
         self.write_to(&mut out)
             .expect("writing to a Vec cannot fail");
         out
     }
 
     /// Streams the file image — header, KV section, tensor index, then
-    /// each payload at its aligned offset — into `w`. The one layout
-    /// routine: [`ContainerBuilder::to_bytes`] and
-    /// [`ContainerBuilder::write`] both emit exactly these bytes.
+    /// each payload at its aligned offset — into `w`. Each payload is
+    /// encoded twice through one 64 KiB block: once for its
+    /// index checksum, once to write. The one layout routine:
+    /// [`ContainerBuilder::to_bytes`] and [`ContainerBuilder::write`]
+    /// both emit exactly these bytes.
     ///
     /// # Errors
     ///
     /// [`ModelFileError::Io`] when `w` refuses a write.
     pub fn write_to(&self, w: &mut impl Write) -> Result<(), ModelFileError> {
-        // Assign aligned payload offsets within the data section.
-        let mut offsets = Vec::with_capacity(self.tensors.len());
+        let mut block = Vec::with_capacity(CHUNK);
+        // Assign aligned payload offsets within the data section and
+        // checksum each payload.
+        let mut index = Vec::with_capacity(self.tensors.len());
         let mut off = 0usize;
-        for (_, _, _, payload) in &self.tensors {
-            off = align_up(off, ALIGNMENT as usize);
-            offsets.push(off);
-            off += payload.len();
+        for (_, _, payload) in &self.tensors {
+            off = off.next_multiple_of(ALIGNMENT as usize);
+            let mut hash = FNV_OFFSET;
+            payload.encode(&mut block, &mut |bytes| {
+                hash = fnv1a_extend(hash, bytes);
+                Ok(())
+            })?;
+            index.push((off, hash));
+            off += payload.nbytes();
         }
         let data_size = off as u64;
 
@@ -628,30 +854,29 @@ impl ContainerBuilder {
             }
         }
 
-        for ((name, dtype, dims, payload), offset) in self.tensors.iter().zip(&offsets) {
+        for ((name, dims, payload), (offset, hash)) in self.tensors.iter().zip(&index) {
             out.extend_from_slice(&(name.len() as u32).to_le_bytes());
             out.extend_from_slice(name.as_bytes());
-            out.push(dtype.tag());
+            out.push(payload.dtype().tag());
             out.push(dims.len() as u8);
             for d in dims {
                 out.extend_from_slice(&d.to_le_bytes());
             }
             out.extend_from_slice(&(*offset as u64).to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+            out.extend_from_slice(&(payload.nbytes() as u64).to_le_bytes());
+            out.extend_from_slice(&hash.to_le_bytes());
         }
 
         // Zero-pad to the data section boundary, then lay payloads at
         // their pre-assigned aligned offsets.
-        out.resize(align_up(out.len(), ALIGNMENT as usize), 0);
+        out.resize(out.len().next_multiple_of(ALIGNMENT as usize), 0);
         let io = |e: std::io::Error| ModelFileError::Io(e.to_string());
         w.write_all(&out).map_err(io)?;
         let mut pos = 0usize;
-        for ((_, _, _, payload), offset) in self.tensors.iter().zip(&offsets) {
-            w.write_all(&[0u8; ALIGNMENT as usize][..offset - pos])
-                .map_err(io)?;
-            w.write_all(payload).map_err(io)?;
-            pos = offset + payload.len();
+        for ((_, _, payload), (offset, _)) in self.tensors.iter().zip(&index) {
+            std::io::copy(&mut std::io::repeat(0).take((offset - pos) as u64), w).map_err(io)?;
+            payload.encode(&mut block, &mut |bytes| w.write_all(bytes).map_err(io))?;
+            pos = offset + payload.nbytes();
         }
         Ok(())
     }
@@ -671,6 +896,7 @@ impl ContainerBuilder {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
 mod tests {
     use super::*;
 

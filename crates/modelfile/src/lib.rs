@@ -7,7 +7,8 @@
 //! binary layout — fixed header, metadata KV section, and dtype-tagged
 //! tensor payloads (f32, or i8 with per-row scales riding next to their
 //! weights) at 64-byte-aligned offsets with per-tensor FNV-1a
-//! checksums, all loaded with **one sequential read**. The artifact
+//! checksums, all streamed in **one sequential pass** that decodes each
+//! payload straight into its tensor. The artifact
 //! layer ([`artifact`]) interprets a container as a model: one
 //! dtype-aware [`ModelArtifact::load`] entry point replaces the
 //! fp32/int8 parallel type twins, and [`ModelArtifact::build_network`]

@@ -4,8 +4,11 @@
 //! a byte offset pinned by the `docs/FORMAT.md` layout.
 
 use antidote_modelfile::{
-    Container, ContainerBuilder, KvValue, ModelArtifact, ModelFileError, HEADER_LEN,
+    fnv1a, Container, ContainerBuilder, Dtype, KvValue, ModelArtifact, ModelFileError, TensorEntry,
+    HEADER_LEN,
 };
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
 
 /// A valid image with no KVs and one f32 tensor named `w` (dims `[2,
 /// 3]`). With a 1-byte name the index layout after the 32-byte header
@@ -225,4 +228,249 @@ fn unknown_kv_keys_are_ignored_for_forward_compat() {
         .tensor_f32("w", &[1], &[1.0]);
     let c = Container::from_bytes(b.to_bytes()).unwrap();
     assert_eq!(c.kv("future.knob"), Some(&KvValue::U64(3)));
+}
+
+// ---------------------------------------------- file reader vs in-memory
+
+/// The file reader's chunk size: `Container::read` streams the file
+/// through one buffer of this many bytes.
+const CHUNK: usize = 64 * 1024;
+
+/// Everything a container holds, with payload values as bits so NaNs
+/// compare equal to themselves.
+type Contents = (String, Vec<TensorEntry>, Vec<Vec<u32>>);
+
+fn contents(c: &Container) -> Contents {
+    let payloads = c
+        .tensors
+        .iter()
+        .map(|t| match t.dtype {
+            Dtype::F32 => c
+                .f32_values(t)
+                .unwrap()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect(),
+            Dtype::I8 => {
+                let (data, scales) = c.i8_values(t).unwrap();
+                let data = data.iter().map(|&v| u32::from(v as u8));
+                data.chain(scales.iter().map(|v| v.to_bits())).collect()
+            }
+        })
+        .collect();
+    (format!("{:?}", c.kvs), c.tensors.clone(), payloads)
+}
+
+fn outcome(r: Result<Container, ModelFileError>) -> Result<Contents, ModelFileError> {
+    r.map(|c| contents(&c))
+}
+
+fn temp_file(name: &str, image: &[u8]) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("adm_{name}_{}.adm", std::process::id()));
+    std::fs::write(&path, image).unwrap();
+    path
+}
+
+/// Both readers on one image: `Container::read` of `path` (which holds
+/// `image`) and `Container::from_bytes` of `image` itself.
+fn both_readers(path: &Path, image: &[u8]) -> [Result<Contents, ModelFileError>; 2] {
+    [
+        outcome(Container::read(path)),
+        outcome(Container::from_bytes(image.to_vec())),
+    ]
+}
+
+/// `(data_start, data_size)` of a well-formed image's header.
+fn data_section(image: &[u8]) -> (usize, usize) {
+    let size = u64::from_le_bytes(image[24..32].try_into().unwrap()) as usize;
+    (image.len() - size, size)
+}
+
+/// Byte positions of each index entry's `offset` and `checksum` fields,
+/// in index order, for an image without KV entries.
+fn index_fields(image: &[u8]) -> Vec<(usize, usize)> {
+    assert_eq!(&image[12..16], &[0; 4], "walker assumes no KV entries");
+    let count = u32::from_le_bytes(image[16..20].try_into().unwrap());
+    let mut pos = HEADER_LEN;
+    (0..count)
+        .map(|_| {
+            let name_len = u32::from_le_bytes(image[pos..pos + 4].try_into().unwrap()) as usize;
+            pos += 4 + name_len + 1;
+            let rank = image[pos] as usize;
+            pos += 1 + 8 * rank;
+            let fields = (pos, pos + 16);
+            pos += 24;
+            fields
+        })
+        .collect()
+}
+
+/// Points index entry `k` at data offset `offset` and stores the
+/// checksum of the `nbytes` bytes it now covers.
+fn repoint(image: &mut [u8], k: usize, offset: usize, nbytes: usize) {
+    let (data_start, _) = data_section(image);
+    let (off_at, sum_at) = index_fields(image)[k];
+    let start = data_start + offset;
+    let sum = fnv1a(&image[start..start + nbytes]);
+    image[off_at..off_at + 8].copy_from_slice(&(offset as u64).to_le_bytes());
+    image[sum_at..sum_at + 8].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// A multi-tensor image longer than two read chunks, with alignment gaps
+/// between payloads: the first chunk boundary falls inside the f32
+/// payload `big`, the second inside the scale block of the i8 matrix
+/// `q`, splitting one scale's four bytes.
+fn chunked_image() -> Vec<u8> {
+    const ROWS: usize = 61;
+    let build = |cols: usize| {
+        let big: Vec<f32> = (0..20_001).map(|i| i as f32 * 0.5 - 3e3).collect();
+        let data: Vec<i8> = (0..ROWS * cols).map(|i| (i * 7 % 251) as i8).collect();
+        let scales: Vec<f32> = (0..ROWS).map(|r| 1.0 / (r as f32 + 3.0)).collect();
+        let mut b = ContainerBuilder::new();
+        b.kv("model.family", KvValue::Str("vgg".into()))
+            .tensor_f32("head", &[5], &[1.0, -2.0, 3.5, 0.0, f32::NAN])
+            .tensor_f32("big", &[3, 6667], &big)
+            .tensor_i8("q", ROWS, cols, &data, &scales)
+            .tensor_f32("tail", &[3], &[7.0, 8.0, 9.0]);
+        b.to_bytes()
+    };
+    // Offsets up to `q`'s scale block do not depend on `q`'s width.
+    let probe = build(1);
+    let (data_start, _) = data_section(&probe);
+    let c = Container::from_bytes(probe).unwrap();
+    let q_start = data_start + c.tensor("q").unwrap().offset as usize;
+    let cols = (1..)
+        .find(|&cols| {
+            let scales = q_start + ROWS * cols;
+            scales < 2 * CHUNK
+                && 2 * CHUNK < scales + 4 * ROWS
+                && !(2 * CHUNK - scales).is_multiple_of(4)
+        })
+        .unwrap();
+    let image = build(cols);
+    let (data_start, _) = data_section(&image);
+    let c = Container::from_bytes(image.clone()).unwrap();
+    let big = c.tensor("big").unwrap();
+    let big_start = data_start + big.offset as usize;
+    assert!(big_start < CHUNK && CHUNK < big_start + big.nbytes as usize);
+    assert!(image.len() > 2 * CHUNK);
+    image
+}
+
+#[test]
+fn file_and_memory_readers_agree_on_every_truncation() {
+    let image = chunked_image();
+    let path = temp_file("agree_truncation", &image);
+    let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    for len in (0..=image.len()).rev() {
+        file.set_len(len as u64).unwrap();
+        let [read, from_bytes] = both_readers(&path, &image[..len]);
+        assert_eq!(read, from_bytes, "truncated to {len} bytes");
+        assert_eq!(read.is_ok(), len == image.len(), "truncated to {len} bytes");
+    }
+    let _ = std::fs::remove_file(path);
+}
+
+/// Flips every byte of the header, KV section, index and padding, and
+/// every data-section byte within 8 of a payload edge, of `q`'s
+/// data/scale split or of a chunk boundary, plus every 509th byte
+/// elsewhere. (A flip inside a payload's interior is that payload's
+/// checksum mismatch in both readers; all 130 K flips would take minutes.)
+#[test]
+fn file_and_memory_readers_agree_on_single_byte_flips() {
+    let image = chunked_image();
+    let (data_start, _) = data_section(&image);
+    let c = Container::from_bytes(image.clone()).unwrap();
+    let mut edges: Vec<usize> = vec![CHUNK, 2 * CHUNK];
+    for t in &c.tensors {
+        let start = data_start + t.offset as usize;
+        edges.extend([start, start + t.nbytes as usize]);
+        if t.dtype == Dtype::I8 {
+            edges.push(start + (t.dims[0] * t.dims[1]) as usize);
+        }
+    }
+    let flips = (0..image.len())
+        .filter(|&i| i < data_start || i % 509 == 0 || edges.iter().any(|&e| i.abs_diff(e) <= 8));
+
+    let path = temp_file("agree_flips", &image);
+    let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    let mut corrupt = image.clone();
+    let mut checked = 0;
+    for i in flips {
+        corrupt[i] ^= 0xff;
+        file.write_all_at(&corrupt[i..=i], i as u64).unwrap();
+        let [read, from_bytes] = both_readers(&path, &corrupt);
+        assert_eq!(read, from_bytes, "byte {i} flipped");
+        corrupt[i] ^= 0xff;
+        file.write_all_at(&corrupt[i..=i], i as u64).unwrap();
+        checked += 1;
+    }
+    assert!(checked > data_start + 200, "only {checked} flips");
+    let _ = std::fs::remove_file(path);
+}
+
+/// The index may list payloads in any offset order: swapping two
+/// entries' offsets and checksums swaps the values they load.
+#[test]
+fn out_of_order_payload_offsets_load_identical_values() {
+    let a: Vec<f32> = (0..16).map(|i| i as f32).collect();
+    let b: Vec<f32> = (0..16).map(|i| -(i as f32) - 0.5).collect();
+    let mut builder = ContainerBuilder::new();
+    builder
+        .tensor_f32("a", &[4, 4], &a)
+        .tensor_f32("gap", &[1], &[0.0])
+        .tensor_f32("b", &[4, 4], &b);
+    let mut image = builder.to_bytes();
+    let c = Container::from_bytes(image.clone()).unwrap();
+    let (oa, ob) = (c.tensors[0].offset as usize, c.tensors[2].offset as usize);
+    repoint(&mut image, 0, ob, 64);
+    repoint(&mut image, 2, oa, 64);
+
+    let path = temp_file("out_of_order", &image);
+    let [read, from_bytes] = both_readers(&path, &image);
+    let _ = std::fs::remove_file(path);
+    assert_eq!(read, from_bytes);
+    let (_, entries, values) = read.unwrap();
+    assert!(entries[0].offset > entries[2].offset);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(values[0], bits(&b));
+    assert_eq!(values[2], bits(&a));
+}
+
+/// Payloads may share bytes: a full alias, an f32 tensor inside another,
+/// and an i8 matrix whose scales start mid-value of the host tensor all
+/// load the bytes they cover.
+#[test]
+fn overlapping_payload_offsets_load_identical_values() {
+    let host: Vec<f32> = (0..64).map(|i| (i as f32 - 20.0) * 1.25).collect();
+    let mut builder = ContainerBuilder::new();
+    builder
+        .tensor_f32("host", &[64], &host)
+        .tensor_f32("alias", &[64], &host)
+        .tensor_f32("inner", &[16], &[0.0; 16])
+        .tensor_i8("q", 2, 5, &[0; 10], &[1.0, 1.0]);
+    let mut image = builder.to_bytes();
+    let host_at = Container::from_bytes(image.clone()).unwrap().tensors[0].offset as usize;
+    repoint(&mut image, 1, host_at, 256);
+    repoint(&mut image, 2, host_at + 64, 64);
+    repoint(&mut image, 3, host_at + 128, 18);
+
+    let path = temp_file("overlapping", &image);
+    let [read, from_bytes] = both_readers(&path, &image);
+    let _ = std::fs::remove_file(path);
+    assert_eq!(read, from_bytes);
+    let (_, _, values) = read.unwrap();
+    let (data_start, _) = data_section(&image);
+    let raw = &image[data_start + host_at..];
+    let f32_bits = |bytes: &[u8]| {
+        bytes
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(values[1], values[0]);
+    assert_eq!(values[2], f32_bits(&raw[64..128]));
+    let mut q: Vec<u32> = raw[128..138].iter().map(|&b| u32::from(b)).collect();
+    q.extend(f32_bits(&raw[138..146]));
+    assert_eq!(values[3], q);
 }
