@@ -19,7 +19,7 @@
 //! - [`settings`]: the exact pruning schedules quoted in Sec. V;
 //! - [`trainer`]: shared SGD/cosine training and evaluation loops;
 //! - [`quant`]: post-training int8 calibration for the quantized
-//!   serving path (`ANTIDOTE_SERVE_QUANT=int8`).
+//!   serving path (an int8 `.adm`, written by `convert --quantize int8`).
 //!
 //! # Example: dynamic pruning end to end
 //!

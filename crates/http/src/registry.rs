@@ -4,9 +4,8 @@
 //! Every registered variant is an independent serving stack — its own
 //! SLO queue, worker replicas, budget mapper, and metrics — so an
 //! overloaded variant degrades and sheds without touching its
-//! neighbours, and an fp32 model and its int8 twin
-//! (`ANTIDOTE_SERVE_QUANT=int8`-style deployments) can run
-//! side by side behind one listener. The first registered entry is the
+//! neighbours, and an fp32 model and its int8 twin (two `.adm` files)
+//! can run side by side behind one listener. The first registered entry is the
 //! default route for requests that omit `model`.
 
 use antidote_modelfile::{ModelArtifact, ModelDtype};

@@ -9,9 +9,13 @@
 //! data and reproduce the paper's exact full-scale layer shapes (the
 //! Table I baseline FLOPs fall out of [`ConvShape::macs`] sums); the
 //! trainable [`Vgg`]/[`ResNet`] networks are usually instantiated at
-//! reduced width for CPU-scale training. Int8 inference is not a second
-//! network type: [`Vgg::quantize`] is a transform `Vgg → Vgg` whose
-//! convs carry int8 payloads through the same op list and walkers.
+//! reduced width for CPU-scale training. Both families are one flat op
+//! list with one set of walkers (hooked and measured forward, backward,
+//! parameter visit); a ResNet basic block is a fork … join on that list.
+//! Int8 inference is not a second network type: [`Vgg::quantize`] is a
+//! transform `Vgg → Vgg` whose convs carry int8 payloads through the
+//! same walkers. Filter surgery ([`Vgg::shrink`], [`ResNet::shrink`]) is
+//! one transform over the op list, returning a [`ShrunkNetwork`].
 //!
 //! # Example
 //!
@@ -32,17 +36,18 @@
 
 mod config;
 mod network;
+mod oplist;
 mod profiled;
 mod quantized;
 mod resnet;
-pub mod shrunk;
+mod shrunk;
 mod tap;
 mod vgg;
 
 pub use config::{ConvShape, ResNetConfig, VggBlock, VggConfig};
 pub use network::Network;
 pub use quantized::{BnParts, QuantizedConvParts, VggQuantizedParts};
-pub use resnet::{ResNet, ShrunkResNet};
-pub use shrunk::ShrunkVgg;
+pub use resnet::ResNet;
+pub use shrunk::ShrunkNetwork;
 pub use tap::{masks_to_tensor, FeatureHook, NoopHook, TapId, TapInfo};
 pub use vgg::Vgg;

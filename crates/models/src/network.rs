@@ -98,7 +98,7 @@ mod thread_safety {
     //! mutability). A regression here (e.g. an `Rc` or `RefCell` slipped
     //! into a layer) fails to compile rather than deadlocking at runtime.
 
-    use crate::{Network, ResNet, ShrunkResNet, ShrunkVgg, Vgg};
+    use crate::{Network, ResNet, ShrunkNetwork, Vgg};
 
     fn assert_send_sync<T: Send + Sync>() {}
     fn assert_send<T: Send + ?Sized>() {}
@@ -107,8 +107,7 @@ mod thread_safety {
     fn models_are_send_and_sync() {
         assert_send_sync::<Vgg>();
         assert_send_sync::<ResNet>();
-        assert_send_sync::<ShrunkVgg>();
-        assert_send_sync::<ShrunkResNet>();
+        assert_send_sync::<ShrunkNetwork>();
     }
 
     #[test]

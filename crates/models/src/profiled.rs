@@ -1,6 +1,6 @@
 //! Per-layer profiling shim for the measured forward paths.
 //!
-//! `forward_measured` implementations route every conv that appears in
+//! The measured forward routes every conv that appears in
 //! [`crate::ConvShape`] order through [`profiled_masked_conv`], which
 //! tags the call with the layer's forward-order index. With
 //! observability enabled (`antidote_obs::enabled`) each layer gets:

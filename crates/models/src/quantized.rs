@@ -7,7 +7,8 @@
 //! convs carry int8 payloads (see the module docs of `vgg`).
 
 use crate::config::VggConfig;
-use crate::vgg::{ConvOp, Op, Vgg};
+use crate::oplist::{ConvOp, Op};
+use crate::vgg::Vgg;
 use antidote_nn::layers::{BatchNorm2d, Linear};
 use antidote_nn::quant::QuantizedConv2d;
 use antidote_tensor::conv::ConvGeometry;
@@ -66,7 +67,7 @@ impl Vgg {
         let mut convs = Vec::new();
         let mut bns = Vec::new();
         let mut linear = None;
-        for op in &self.ops {
+        for op in &self.net.ops {
             match op {
                 Op::Conv(ConvOp::F32(_)) => return None,
                 Op::Conv(ConvOp::Int8(c)) => convs.push(QuantizedConvParts {

@@ -8,204 +8,15 @@
 
 use crate::config::{ConvShape, ResNetConfig};
 use crate::network::Network;
-use crate::profiled::{profiled_masked_conv, ConvRef};
-use crate::tap::{masks_to_tensor, FeatureHook, TapId, TapInfo};
+use crate::oplist::{ConvOp, Op, OpList, Projection};
+use crate::shrunk::ShrunkNetwork;
+use crate::tap::{FeatureHook, TapInfo};
 use antidote_nn::layers::{BatchNorm2d, Conv2d, GlobalAvgPool, Linear, Relu};
-use antidote_nn::masked::{masked_conv2d, FeatureMask, MacCounter};
-use antidote_nn::{Layer, Mode, Parameter};
+use antidote_nn::masked::MacCounter;
+use antidote_nn::{Mode, Parameter};
 use antidote_tensor::Tensor;
 use rand::Rng;
-
-/// One basic residual block: `relu(bn2(conv2(tap(relu(bn1(conv1(x)))))) +
-/// shortcut(x))`.
-#[derive(Debug)]
-struct BasicBlock {
-    conv1: Conv2d,
-    bn1: Option<BatchNorm2d>,
-    relu1: Relu,
-    conv2: Conv2d,
-    bn2: Option<BatchNorm2d>,
-    relu2: Relu,
-    /// 1×1 stride-matching projection on the skip path when shapes change.
-    projection: Option<(Conv2d, Option<BatchNorm2d>)>,
-    tap: TapInfo,
-    /// Mask tensor applied at the tap (train mode), for backward.
-    tap_mask: Option<Tensor>,
-    /// Input cached for the skip path backward.
-    skip_cache: Option<Tensor>,
-}
-
-impl BasicBlock {
-    #[allow(clippy::too_many_arguments)]
-    fn new<R: Rng + ?Sized>(
-        rng: &mut R,
-        in_channels: usize,
-        out_channels: usize,
-        stride: usize,
-        batchnorm: bool,
-        tap: TapInfo,
-    ) -> Self {
-        let projection = (stride != 1 || in_channels != out_channels).then(|| {
-            (
-                Conv2d::new(rng, in_channels, out_channels, 1, stride, 0),
-                batchnorm.then(|| BatchNorm2d::new(out_channels)),
-            )
-        });
-        Self {
-            conv1: Conv2d::new(rng, in_channels, out_channels, 3, stride, 1),
-            bn1: batchnorm.then(|| BatchNorm2d::new(out_channels)),
-            relu1: Relu::new(),
-            conv2: Conv2d::new(rng, out_channels, out_channels, 3, 1, 1),
-            bn2: batchnorm.then(|| BatchNorm2d::new(out_channels)),
-            relu2: Relu::new(),
-            projection,
-            tap,
-            tap_mask: None,
-            skip_cache: None,
-        }
-    }
-
-    fn forward(&mut self, x: &Tensor, mode: Mode, hook: &mut dyn FeatureHook) -> Tensor {
-        if mode.is_train() {
-            self.skip_cache = Some(x.clone());
-        }
-        let mut h = self.conv1.forward(x, mode);
-        if let Some(bn) = &mut self.bn1 {
-            h = bn.forward(&h, mode);
-        }
-        h = self.relu1.forward(&h, mode);
-        // Tap: the prunable odd-layer feature map.
-        self.tap_mask = None;
-        if let Some(item_masks) = hook.on_feature(self.tap, &h, mode) {
-            let (n, c, hh, ww) = h.shape().as_nchw().expect("tap expects NCHW");
-            let m = masks_to_tensor(&item_masks, n, c, hh, ww);
-            h = h.zip(&m, |a, b| a * b);
-            if mode.is_train() {
-                self.tap_mask = Some(m);
-            }
-        }
-        h = self.conv2.forward(&h, mode);
-        if let Some(bn) = &mut self.bn2 {
-            h = bn.forward(&h, mode);
-        }
-        let skip = match &mut self.projection {
-            Some((conv, bn)) => {
-                let mut s = conv.forward(x, mode);
-                if let Some(bn) = bn {
-                    s = bn.forward(&s, mode);
-                }
-                s
-            }
-            None => x.clone(),
-        };
-        self.relu2.forward(&(&h + &skip), mode)
-    }
-
-    /// Measured-MAC inference: conv2 executes through the masked kernel
-    /// using the tap's masks; conv1 and the projection run dense (their
-    /// inputs are unpruned).
-    ///
-    /// `layer_base` is conv1's forward-order index in `conv_shapes()`
-    /// (conv2 is `layer_base + 1`) for per-layer profiling attribution;
-    /// the projection is not in `conv_shapes` and is timed under the
-    /// aggregate `fwd.projection` span.
-    fn forward_measured(
-        &mut self,
-        x: &Tensor,
-        hook: &mut dyn FeatureHook,
-        counter: &mut MacCounter,
-        layer_base: usize,
-    ) -> Tensor {
-        let mode = Mode::Eval;
-        let n = x.dims()[0];
-        let keep_all = vec![FeatureMask::keep_all(); n];
-        let mut h = profiled_masked_conv(layer_base, x, ConvRef::F32(&self.conv1), &keep_all, counter);
-        if let Some(bn) = &mut self.bn1 {
-            h = bn.forward(&h, mode);
-        }
-        h = self.relu1.forward(&h, mode);
-        let masks = match hook.on_feature(self.tap, &h, mode) {
-            Some(item_masks) => {
-                let (nn, c, hh, ww) = h.shape().as_nchw().expect("tap expects NCHW");
-                let m = masks_to_tensor(&item_masks, nn, c, hh, ww);
-                h = h.zip(&m, |a, b| a * b);
-                item_masks
-            }
-            None => keep_all.clone(),
-        };
-        h = profiled_masked_conv(layer_base + 1, &h, ConvRef::F32(&self.conv2), &masks, counter);
-        if let Some(bn) = &mut self.bn2 {
-            h = bn.forward(&h, mode);
-        }
-        let skip = match &mut self.projection {
-            Some((conv, bn)) => {
-                let _span = antidote_obs::span("fwd.projection");
-                let mut s = masked_conv2d(
-                    x,
-                    &conv.weight().value,
-                    Some(&conv.bias().value),
-                    conv.geometry(),
-                    &keep_all,
-                    counter,
-                );
-                if let Some(bn) = bn {
-                    s = bn.forward(&s, mode);
-                }
-                s
-            }
-            None => x.clone(),
-        };
-        self.relu2.forward(&(&h + &skip), mode)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let g = self.relu2.backward(grad_out);
-        // Main path.
-        let mut gm = g.clone();
-        if let Some(bn) = &mut self.bn2 {
-            gm = bn.backward(&gm);
-        }
-        gm = self.conv2.backward(&gm);
-        if let Some(m) = self.tap_mask.take() {
-            gm = gm.zip(&m, |a, b| a * b);
-        }
-        gm = self.relu1.backward(&gm);
-        if let Some(bn) = &mut self.bn1 {
-            gm = bn.backward(&gm);
-        }
-        gm = self.conv1.backward(&gm);
-        // Skip path.
-        let gs = match &mut self.projection {
-            Some((conv, bn)) => {
-                let mut s = g;
-                if let Some(bn) = bn {
-                    s = bn.backward(&s);
-                }
-                conv.backward(&s)
-            }
-            None => g,
-        };
-        self.skip_cache = None;
-        &gm + &gs
-    }
-
-    fn visit_params_mut(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
-        self.conv1.visit_params_mut(visitor);
-        if let Some(bn) = &mut self.bn1 {
-            bn.visit_params_mut(visitor);
-        }
-        self.conv2.visit_params_mut(visitor);
-        if let Some(bn) = &mut self.bn2 {
-            bn.visit_params_mut(visitor);
-        }
-        if let Some((conv, bn)) = &mut self.projection {
-            conv.visit_params_mut(visitor);
-            if let Some(bn) = bn {
-                bn.visit_params_mut(visitor);
-            }
-        }
-    }
-}
+use std::collections::BTreeMap;
 
 /// A CIFAR-style ResNet instantiated from a [`ResNetConfig`].
 ///
@@ -225,52 +36,50 @@ impl BasicBlock {
 #[derive(Debug)]
 pub struct ResNet {
     config: ResNetConfig,
-    stem_conv: Conv2d,
-    stem_bn: Option<BatchNorm2d>,
-    stem_relu: Relu,
-    blocks: Vec<BasicBlock>,
-    pool: GlobalAvgPool,
-    head: Linear,
-    taps: Vec<TapInfo>,
+    net: OpList,
 }
 
 impl ResNet {
-    /// Builds a ResNet with freshly initialized weights.
+    /// Builds a ResNet with freshly initialized weights: a stem conv →
+    /// \[bn\] → relu, then per basic block `fork → conv1 → [bn1] → relu →
+    /// tap → conv2 → [bn2] → join → relu`, then global average pooling
+    /// and the linear head.
     pub fn new<R: Rng + ?Sized>(rng: &mut R, config: ResNetConfig) -> Self {
-        let stem_conv = Conv2d::new(rng, config.input_channels, config.group_channels[0], 3, 1, 1);
-        let stem_bn = config.batchnorm.then(|| BatchNorm2d::new(config.group_channels[0]));
-        let mut blocks = Vec::new();
-        let mut taps = Vec::new();
+        let bn = |channels| config.batchnorm.then(|| BatchNorm2d::new(channels));
         let mut in_ch = config.group_channels[0];
-        let mut tap_idx = 0;
+        let mut net = OpList::default();
+        let stem = Conv2d::new(rng, config.input_channels, in_ch, 3, 1, 1);
+        net.conv(ConvOp::F32(stem), bn(in_ch));
+        net.ops.push(Op::Relu(Relu::new()));
         for g in 0..3 {
             let ch = config.group_channels[g];
-            let spatial = config.group_spatial(g);
             for b in 0..config.blocks_per_group {
                 let stride = if g > 0 && b == 0 { 2 } else { 1 };
-                let tap = TapInfo {
-                    id: TapId(tap_idx),
-                    block: g,
-                    channels: ch,
-                    spatial,
-                };
-                taps.push(tap);
-                blocks.push(BasicBlock::new(rng, in_ch, ch, stride, config.batchnorm, tap));
-                tap_idx += 1;
+                // 1×1 stride-matching projection on the skip path when
+                // shapes change. Drawn before the block's convs: seeded
+                // networks and their checkpoints depend on the RNG order.
+                let projection = (stride != 1 || in_ch != ch).then(|| {
+                    Box::new(Projection {
+                        conv: Conv2d::new(rng, in_ch, ch, 1, stride, 0),
+                        bn: bn(ch),
+                    })
+                });
+                net.ops.push(Op::Fork);
+                let conv1 = Conv2d::new(rng, in_ch, ch, 3, stride, 1);
+                net.conv(ConvOp::F32(conv1), bn(ch));
+                // Tap: the prunable odd-layer feature map.
+                net.relu_tap(g, ch, config.group_spatial(g));
+                let conv2 = Conv2d::new(rng, ch, ch, 3, 1, 1);
+                net.conv(ConvOp::F32(conv2), bn(ch));
+                net.ops.push(Op::Join { projection });
+                net.ops.push(Op::Relu(Relu::new()));
                 in_ch = ch;
             }
         }
+        net.ops.push(Op::GlobalAvgPool(GlobalAvgPool::new()));
         let head = Linear::new(rng, config.group_channels[2], config.classes);
-        Self {
-            config,
-            stem_conv,
-            stem_bn,
-            stem_relu: Relu::new(),
-            blocks,
-            pool: GlobalAvgPool::new(),
-            head,
-            taps,
-        }
+        net.ops.push(Op::Linear(head));
+        Self { config, net }
     }
 
     /// The generating configuration.
@@ -278,211 +87,19 @@ impl ResNet {
         &self.config
     }
 
-    /// Compiles *static* per-tap channel keep-masks into a physically
-    /// smaller inference network. Because of the skip connections only
-    /// the odd (first) conv of each basic block shrinks its output —
-    /// exactly the layers the paper declares prunable (Sec. V-B b): the
-    /// masked filters are removed from `conv1`/`bn1` and from `conv2`'s
-    /// input slices, while block outputs keep their width.
+    /// Filter surgery (see [`ShrunkNetwork`]). Because of the skip
+    /// connections only the odd (first) conv of each basic block shrinks
+    /// its output — exactly the layers the paper declares prunable
+    /// (Sec. V-B b): the masked filters are removed from `conv1`/`bn1`
+    /// and from `conv2`'s input slices, while block outputs keep their
+    /// width.
     ///
     /// # Panics
     ///
     /// Panics if a mask's length disagrees with its tap's channel count
     /// or prunes all channels of a layer.
-    pub fn shrink(
-        &self,
-        masks: &std::collections::BTreeMap<usize, Vec<bool>>,
-    ) -> ShrunkResNet {
-        use crate::shrunk::{shrink_conv_weight, shrink_vec};
-        let blocks = self
-            .blocks
-            .iter()
-            .enumerate()
-            .map(|(tap, block)| {
-                let cout = block.conv1.out_channels();
-                let keep = masks.get(&tap).cloned().unwrap_or_else(|| vec![true; cout]);
-                assert_eq!(keep.len(), cout, "mask length mismatch at tap {tap}");
-                let all_in = vec![true; block.conv1.in_channels()];
-                let all_out = vec![true; block.conv2.out_channels()];
-                let g1 = block.conv1.geometry();
-                let conv1 = Conv2d::from_parts(
-                    shrink_conv_weight(&block.conv1.weight().value, &keep, &all_in),
-                    shrink_vec(&block.conv1.bias().value, &keep),
-                    g1.stride,
-                    g1.padding,
-                );
-                let bn1 = block.bn1.as_ref().map(|bn| {
-                    BatchNorm2d::from_parts(
-                        shrink_vec(&bn.gamma().value, &keep),
-                        shrink_vec(&bn.beta().value, &keep),
-                        shrink_vec(bn.running_mean(), &keep),
-                        shrink_vec(bn.running_var(), &keep),
-                    )
-                });
-                let g2 = block.conv2.geometry();
-                let conv2 = Conv2d::from_parts(
-                    shrink_conv_weight(&block.conv2.weight().value, &all_out, &keep),
-                    block.conv2.bias().value.clone(),
-                    g2.stride,
-                    g2.padding,
-                );
-                let bn2 = block.bn2.as_ref().map(clone_bn);
-                let projection = block.projection.as_ref().map(|(conv, bn)| {
-                    let g = conv.geometry();
-                    (
-                        Conv2d::from_parts(
-                            conv.weight().value.clone(),
-                            conv.bias().value.clone(),
-                            g.stride,
-                            g.padding,
-                        ),
-                        bn.as_ref().map(clone_bn),
-                    )
-                });
-                ShrunkBasicBlock {
-                    conv1,
-                    bn1,
-                    conv2,
-                    bn2,
-                    projection,
-                }
-            })
-            .collect();
-        let stem_geom = self.stem_conv.geometry();
-        ShrunkResNet {
-            stem_conv: Conv2d::from_parts(
-                self.stem_conv.weight().value.clone(),
-                self.stem_conv.bias().value.clone(),
-                stem_geom.stride,
-                stem_geom.padding,
-            ),
-            stem_bn: self.stem_bn.as_ref().map(clone_bn),
-            blocks,
-            head: Linear::from_parts(
-                self.head.weight().value.clone(),
-                self.head.bias().value.clone(),
-            ),
-            input_size: self.config.input_size,
-        }
-    }
-}
-
-/// Clones a batch-norm layer's inference state (weights + running stats).
-fn clone_bn(bn: &BatchNorm2d) -> BatchNorm2d {
-    BatchNorm2d::from_parts(
-        bn.gamma().value.clone(),
-        bn.beta().value.clone(),
-        bn.running_mean().clone(),
-        bn.running_var().clone(),
-    )
-}
-
-/// A basic block after filter surgery (inference-only).
-#[derive(Debug)]
-struct ShrunkBasicBlock {
-    conv1: Conv2d,
-    bn1: Option<BatchNorm2d>,
-    conv2: Conv2d,
-    bn2: Option<BatchNorm2d>,
-    projection: Option<(Conv2d, Option<BatchNorm2d>)>,
-}
-
-/// An inference-only ResNet produced by [`ResNet::shrink`].
-#[derive(Debug)]
-pub struct ShrunkResNet {
-    stem_conv: Conv2d,
-    stem_bn: Option<BatchNorm2d>,
-    blocks: Vec<ShrunkBasicBlock>,
-    head: Linear,
-    input_size: usize,
-}
-
-impl ShrunkResNet {
-    /// Inference forward pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` does not match the original network's input
-    /// shape.
-    pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mode = Mode::Eval;
-        let mut relu = Relu::new();
-        let mut x = self.stem_conv.forward(input, mode);
-        if let Some(bn) = &mut self.stem_bn {
-            x = bn.forward(&x, mode);
-        }
-        x = relu.forward(&x, mode);
-        for block in &mut self.blocks {
-            let mut h = block.conv1.forward(&x, mode);
-            if let Some(bn) = &mut block.bn1 {
-                h = bn.forward(&h, mode);
-            }
-            h = relu.forward(&h, mode);
-            h = block.conv2.forward(&h, mode);
-            if let Some(bn) = &mut block.bn2 {
-                h = bn.forward(&h, mode);
-            }
-            let skip = match &mut block.projection {
-                Some((conv, bn)) => {
-                    let mut s = conv.forward(&x, mode);
-                    if let Some(bn) = bn {
-                        s = bn.forward(&s, mode);
-                    }
-                    s
-                }
-                None => x.clone(),
-            };
-            x = relu.forward(&(&h + &skip), mode);
-        }
-        let mut pool = GlobalAvgPool::new();
-        let x = pool.forward(&x, mode);
-        self.head.forward(&x, mode)
-    }
-
-    /// Dense multiply–accumulate count for one image at the network's
-    /// native input size.
-    pub fn macs(&self) -> u64 {
-        let mut total = 0u64;
-        let mut hw = self.input_size;
-        total += self.stem_conv.macs(hw, hw);
-        for block in &self.blocks {
-            if block.conv1.geometry().stride == 2 {
-                hw /= 2;
-            }
-            // conv1 output spatial == conv2 spatial == hw after stride.
-            let in_hw = hw * block.conv1.geometry().stride;
-            total += block.conv1.macs(in_hw, in_hw);
-            total += block.conv2.macs(hw, hw);
-            if let Some((conv, _)) = &block.projection {
-                total += conv.macs(in_hw, in_hw);
-            }
-        }
-        total += self.head.macs();
-        total
-    }
-
-    /// Total parameter count.
-    pub fn param_count(&mut self) -> usize {
-        let mut n = self.stem_conv.param_count() + self.head.param_count();
-        if let Some(bn) = &mut self.stem_bn {
-            n += bn.param_count();
-        }
-        for block in &mut self.blocks {
-            n += block.conv1.param_count() + block.conv2.param_count();
-            if let Some(bn) = &mut block.bn1 {
-                n += bn.param_count();
-            }
-            if let Some(bn) = &mut block.bn2 {
-                n += bn.param_count();
-            }
-            if let Some((conv, bn)) = &mut block.projection {
-                n += conv.param_count();
-                if let Some(bn) = bn {
-                    n += bn.param_count();
-                }
-            }
-        }
-        n
+    pub fn shrink(&self, masks: &BTreeMap<usize, Vec<bool>>) -> ShrunkNetwork {
+        ShrunkNetwork::compile(&self.net, masks, self.config.input_channels)
     }
 }
 
@@ -493,29 +110,11 @@ impl Network for ResNet {
         mode: Mode,
         hook: &mut dyn FeatureHook,
     ) -> Tensor {
-        let mut x = self.stem_conv.forward(input, mode);
-        if let Some(bn) = &mut self.stem_bn {
-            x = bn.forward(&x, mode);
-        }
-        x = self.stem_relu.forward(&x, mode);
-        for block in &mut self.blocks {
-            x = block.forward(&x, mode, hook);
-        }
-        let x = self.pool.forward(&x, mode);
-        self.head.forward(&x, mode)
+        self.net.forward_hooked(input, mode, hook)
     }
 
     fn backward(&mut self, grad_logits: &Tensor) -> Tensor {
-        let g = self.head.backward(grad_logits);
-        let mut g = self.pool.backward(&g);
-        for block in self.blocks.iter_mut().rev() {
-            g = block.backward(&g);
-        }
-        g = self.stem_relu.backward(&g);
-        if let Some(bn) = &mut self.stem_bn {
-            g = bn.backward(&g);
-        }
-        self.stem_conv.backward(&g)
+        self.net.backward(grad_logits)
     }
 
     fn forward_measured(
@@ -524,44 +123,19 @@ impl Network for ResNet {
         hook: &mut dyn FeatureHook,
         counter: &mut MacCounter,
     ) -> Tensor {
-        let mode = Mode::Eval;
-        let n = input.dims()[0];
-        let keep_all = vec![FeatureMask::keep_all(); n];
-        // Stem conv is conv_shapes() layer 0; block i's convs are
-        // layers 1 + 2i and 2 + 2i.
-        let mut x = profiled_masked_conv(0, input, ConvRef::F32(&self.stem_conv), &keep_all, counter);
-        if let Some(bn) = &mut self.stem_bn {
-            x = bn.forward(&x, mode);
-        }
-        x = self.stem_relu.forward(&x, mode);
-        for (bi, block) in self.blocks.iter_mut().enumerate() {
-            x = block.forward_measured(&x, hook, counter, 1 + 2 * bi);
-        }
-        let x = self.pool.forward(&x, mode);
-        let _s = antidote_obs::span("fwd.linear");
-        counter.add(self.head.macs() * n as u64);
-        self.head.forward(&x, mode)
+        self.net.forward_measured(input, hook, counter)
     }
 
     fn visit_params_mut(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
-        self.stem_conv.visit_params_mut(visitor);
-        if let Some(bn) = &mut self.stem_bn {
-            bn.visit_params_mut(visitor);
-        }
-        for block in &mut self.blocks {
-            block.visit_params_mut(visitor);
-        }
-        self.head.visit_params_mut(visitor);
+        self.net.visit_params_mut(visitor);
     }
 
     fn taps(&self) -> Vec<TapInfo> {
-        self.taps.clone()
+        self.net.taps()
     }
 
     fn visit_tap_convs(&self, visitor: &mut dyn FnMut(usize, &Conv2d)) {
-        for (tap_idx, block) in self.blocks.iter().enumerate() {
-            visitor(tap_idx, &block.conv1);
-        }
+        self.net.visit_tap_convs(visitor);
     }
 
     fn conv_shapes(&self) -> Vec<ConvShape> {
@@ -583,8 +157,9 @@ impl Network for ResNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use antidote_nn::loss::softmax_cross_entropy;
     use crate::tap::NoopHook;
+    use antidote_nn::loss::softmax_cross_entropy;
+    use antidote_nn::masked::FeatureMask;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -678,8 +253,17 @@ mod tests {
         // Zero out all main-path conv2 weights: output should still vary
         // with the input thanks to the skip path.
         let mut net = tiny();
-        for block in &mut net.blocks {
-            block.conv2.weight_mut().value.data_mut().fill(0.0);
+        // conv2 is the conv right after each tap.
+        let mut after_tap = false;
+        for op in &mut net.net.ops {
+            match op {
+                Op::Tap { .. } => after_tap = true,
+                Op::Conv(ConvOp::F32(conv2)) if after_tap => {
+                    conv2.weight_mut().value.data_mut().fill(0.0);
+                    after_tap = false;
+                }
+                _ => {}
+            }
         }
         let a = net.forward(&Tensor::full([1, 3, 8, 8], 0.5), Mode::Eval);
         let b = net.forward(&Tensor::full([1, 3, 8, 8], -0.5), Mode::Eval);
@@ -722,9 +306,16 @@ mod tests {
     #[test]
     fn downsampling_projection_exists_only_at_group_entries() {
         let net = tiny();
-        assert!(net.blocks[0].projection.is_none());
-        assert!(net.blocks[1].projection.is_some());
-        assert!(net.blocks[2].projection.is_some());
+        let projections: Vec<bool> = net
+            .net
+            .ops
+            .iter()
+            .filter_map(|op| match op {
+                Op::Join { projection } => Some(projection.is_some()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(projections, [false, true, true]);
     }
 
     #[test]

@@ -8,31 +8,26 @@
 //! deleted too, and batch-norm statistics are carried over. The result
 //! computes exactly what the masked network computes, with a genuinely
 //! smaller weight footprint and MAC count (the deployment artifact of
-//! static pruning).
+//! static pruning). It is one transform over the shared op list, so VGG
+//! and ResNet shrink the same way and the result runs on the same eval
+//! pass.
 
-use antidote_nn::layers::{BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, Relu};
-use antidote_nn::{Layer, Mode};
+use crate::oplist::{ConvOp, Op, OpList};
+use crate::tap::NoopHook;
+use antidote_nn::layers::{BatchNorm2d, Conv2d, Linear};
+use antidote_nn::Mode;
 use antidote_tensor::Tensor;
+use std::collections::BTreeMap;
 
-/// One op of a shrunk (inference-only) sequential network.
-#[derive(Debug)]
-pub(crate) enum ShrunkOp {
-    /// Convolution (weights already shrunk).
-    Conv(Conv2d),
-    /// Batch norm (statistics already shrunk).
-    Bn(BatchNorm2d),
-    /// ReLU.
-    Relu(Relu),
-    /// Max pool.
-    Pool(MaxPool2d),
-    /// Flatten.
-    Flatten(Flatten),
-    /// Classifier head (input features already shrunk).
-    Linear(Linear),
-}
-
-/// An inference-only network produced by compiling static channel masks
-/// into physically smaller layers (see [`crate::Vgg::shrink`]).
+/// An inference-only network produced by compiling static per-tap
+/// channel keep-masks into physically smaller layers ([`crate::Vgg::shrink`],
+/// [`crate::ResNet::shrink`]).
+///
+/// Masked filters are removed from the tapped conv and its batch norm,
+/// and the matching input slices from the next conv (or the matching
+/// stripes from the classifier). Taps absent from the masks keep all
+/// channels. Residual connections never lose channels: a ResNet tap
+/// sits inside its block, so only `conv1` narrows (Sec. V-B b).
 ///
 /// # Examples
 ///
@@ -52,12 +47,79 @@ pub(crate) enum ShrunkOp {
 /// assert_eq!(y.dims(), &[1, 2]);
 /// assert!(small.param_count() < 1000);
 /// ```
-#[derive(Debug)]
-pub struct ShrunkVgg {
-    pub(crate) ops: Vec<ShrunkOp>,
+#[derive(Debug, Clone)]
+pub struct ShrunkNetwork {
+    net: OpList,
 }
 
-impl ShrunkVgg {
+impl ShrunkNetwork {
+    /// Filter surgery over `net`, whose input has `input_channels`
+    /// channels; `masks` maps tap index to channel keep-mask.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a mask's length disagrees with its tap's channel count,
+    /// a mask prunes *all* channels of a layer, or a conv is int8.
+    pub(crate) fn compile(
+        net: &OpList,
+        masks: &BTreeMap<usize, Vec<bool>>,
+        input_channels: usize,
+    ) -> Self {
+        let tap_of: BTreeMap<usize, usize> = net
+            .tapped_convs()
+            .into_iter()
+            .map(|(i, tap)| (i, tap.id.0))
+            .collect();
+        // Which channels of the current activation survive.
+        let mut keep = vec![true; input_channels];
+        let mut ops = Vec::new();
+        for (i, op) in net.ops.iter().enumerate() {
+            ops.push(match op {
+                Op::Conv(ConvOp::F32(conv)) => {
+                    let out_keep = match tap_of.get(&i).and_then(|t| masks.get(t).map(|m| (t, m))) {
+                        Some((tap, mask)) => {
+                            assert_eq!(
+                                mask.len(),
+                                conv.out_channels(),
+                                "mask length mismatch at tap {tap}"
+                            );
+                            mask.clone()
+                        }
+                        None => vec![true; conv.out_channels()],
+                    };
+                    let geom = conv.geometry();
+                    let shrunk = Conv2d::from_parts(
+                        shrink_conv_weight(&conv.weight().value, &out_keep, &keep),
+                        shrink_vec(&conv.bias().value, &out_keep),
+                        geom.stride,
+                        geom.padding,
+                    );
+                    keep = out_keep;
+                    Op::Conv(ConvOp::F32(shrunk))
+                }
+                Op::Conv(ConvOp::Int8(_)) => panic!("filter surgery needs fp32 weights"),
+                Op::Bn(bn) => Op::Bn(BatchNorm2d::from_parts(
+                    shrink_vec(&bn.gamma().value, &keep),
+                    shrink_vec(&bn.beta().value, &keep),
+                    shrink_vec(bn.running_mean(), &keep),
+                    shrink_vec(bn.running_var(), &keep),
+                )),
+                Op::Linear(fc) => {
+                    let spatial = fc.in_features() / keep.len();
+                    Op::Linear(Linear::from_parts(
+                        shrink_linear_weight(&fc.weight().value, &keep, spatial),
+                        fc.bias().value.clone(),
+                    ))
+                }
+                Op::Tap { .. } => continue, // compiled away
+                _ => op.clone(),
+            });
+        }
+        Self {
+            net: OpList { ops },
+        }
+    }
+
     /// Inference forward pass.
     ///
     /// # Panics
@@ -65,45 +127,36 @@ impl ShrunkVgg {
     /// Panics if `input` does not match the original network's input
     /// shape.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut x = input.clone();
-        for op in &mut self.ops {
-            x = match op {
-                ShrunkOp::Conv(l) => l.forward(&x, Mode::Eval),
-                ShrunkOp::Bn(l) => l.forward(&x, Mode::Eval),
-                ShrunkOp::Relu(l) => l.forward(&x, Mode::Eval),
-                ShrunkOp::Pool(l) => l.forward(&x, Mode::Eval),
-                ShrunkOp::Flatten(l) => l.forward(&x, Mode::Eval),
-                ShrunkOp::Linear(l) => l.forward(&x, Mode::Eval),
-            };
-        }
-        x
+        self.net.forward_hooked(input, Mode::Eval, &mut NoopHook)
     }
 
     /// Total trainable scalar count of the shrunk network.
     pub fn param_count(&mut self) -> usize {
         let mut n = 0;
-        for op in &mut self.ops {
-            match op {
-                ShrunkOp::Conv(l) => n += l.param_count(),
-                ShrunkOp::Bn(l) => n += l.param_count(),
-                ShrunkOp::Linear(l) => n += l.param_count(),
-                _ => {}
-            }
-        }
+        self.net.visit_params_mut(&mut |p| n += p.len());
         n
     }
 
     /// Dense multiply–accumulate count for one image of `(h, w)` input.
     pub fn macs(&self, mut h: usize, mut w: usize) -> u64 {
         let mut total = 0u64;
-        for op in &self.ops {
+        let mut forks = Vec::new();
+        for op in &self.net.ops {
             match op {
-                ShrunkOp::Conv(l) => total += l.macs(h, w),
-                ShrunkOp::Pool(l) => {
+                Op::Conv(ConvOp::F32(l)) => {
+                    total += l.macs(h, w);
+                    (h, w) = l.geometry().output_size(h, w);
+                }
+                Op::Pool(l) => {
                     h /= l.window();
                     w /= l.window();
                 }
-                ShrunkOp::Linear(l) => total += l.macs(),
+                Op::Linear(l) => total += l.macs(),
+                Op::Fork => forks.push((h, w)),
+                Op::Join { projection } => {
+                    let (fh, fw) = forks.pop().expect("a join follows its fork");
+                    total += projection.as_ref().map_or(0, |p| p.conv.macs(fh, fw));
+                }
                 _ => {}
             }
         }

@@ -9,50 +9,16 @@
 
 use crate::config::{ConvShape, VggConfig};
 use crate::network::Network;
-use crate::profiled::{profiled_masked_conv, ConvRef};
-use crate::tap::{masks_to_tensor, FeatureHook, TapId, TapInfo};
-use antidote_nn::layers::{BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, Relu};
-use antidote_nn::masked::{FeatureMask, MacCounter};
+use crate::oplist::{ConvOp, Op, OpList};
+use crate::shrunk::ShrunkNetwork;
+use crate::tap::{FeatureHook, TapInfo};
+use antidote_nn::layers::{BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d};
+use antidote_nn::masked::MacCounter;
 use antidote_nn::quant::QuantizedConv2d;
-use antidote_nn::{Layer, Mode, Parameter};
+use antidote_nn::{Mode, Parameter};
 use antidote_tensor::Tensor;
 use rand::Rng;
-
-/// A conv op's weights, tagged by numeric domain. The tag is the only
-/// thing that tells an fp32 network from an int8 one.
-#[derive(Debug, Clone)]
-pub(crate) enum ConvOp {
-    F32(Conv2d),
-    Int8(QuantizedConv2d),
-}
-
-const EVAL_ONLY: &str =
-    "an int8 Vgg is an eval-only inference artifact; train and backpropagate on the fp32 network";
-
-impl ConvOp {
-    fn as_ref(&self) -> ConvRef<'_> {
-        match self {
-            ConvOp::F32(conv) => ConvRef::F32(conv),
-            ConvOp::Int8(conv) => ConvRef::Int8(conv),
-        }
-    }
-}
-
-/// One element of the flat VGG op sequence.
-#[derive(Debug, Clone)]
-pub(crate) enum Op {
-    Conv(ConvOp),
-    Bn(BatchNorm2d),
-    Relu(Relu),
-    Pool(MaxPool2d),
-    Flatten(Flatten),
-    Linear(Linear),
-    /// A feature tap; caches the applied mask tensor for backward.
-    Tap {
-        info: TapInfo,
-        mask: Option<Tensor>,
-    },
-}
+use std::collections::BTreeMap;
 
 /// A VGG network instantiated from a [`VggConfig`].
 ///
@@ -76,8 +42,7 @@ pub(crate) enum Op {
 #[derive(Debug, Clone)]
 pub struct Vgg {
     pub(crate) config: VggConfig,
-    pub(crate) ops: Vec<Op>,
-    pub(crate) taps: Vec<TapInfo>,
+    pub(crate) net: OpList,
 }
 
 impl Vgg {
@@ -175,29 +140,22 @@ impl Vgg {
         linear: Linear,
     ) -> Self {
         let (mut convs, mut bns) = (convs.into_iter(), bns.into_iter());
-        let mut ops = Vec::new();
-        let mut taps = Vec::new();
+        let mut net = OpList::default();
         for (b, block) in config.blocks.iter().enumerate() {
             for _ in 0..block.layers {
-                ops.push(Op::Conv(convs.next().expect("one conv per layer")));
-                if config.batchnorm {
-                    ops.push(Op::Bn(bns.next().expect("one batch norm per conv")));
-                }
-                ops.push(Op::Relu(Relu::new()));
-                let info = TapInfo {
-                    id: TapId(taps.len()),
-                    block: b,
-                    channels: block.channels,
-                    spatial: config.block_spatial(b),
-                };
-                taps.push(info);
-                ops.push(Op::Tap { info, mask: None });
+                net.conv(
+                    convs.next().expect("one conv per layer"),
+                    config
+                        .batchnorm
+                        .then(|| bns.next().expect("one batch norm per conv")),
+                );
+                net.relu_tap(b, block.channels, config.block_spatial(b));
             }
-            ops.push(Op::Pool(MaxPool2d::new(2)));
+            net.ops.push(Op::Pool(MaxPool2d::new(2)));
         }
-        ops.push(Op::Flatten(Flatten::new()));
-        ops.push(Op::Linear(linear));
-        Self { config, ops, taps }
+        net.ops.push(Op::Flatten(Flatten::new()));
+        net.ops.push(Op::Linear(linear));
+        Self { config, net }
     }
 
     /// The generating configuration.
@@ -207,9 +165,7 @@ impl Vgg {
 
     /// `true` when the convs carry int8 payloads (an eval-only network).
     pub fn is_int8(&self) -> bool {
-        self.ops
-            .iter()
-            .any(|op| matches!(op, Op::Conv(ConvOp::Int8(_))))
+        self.net.is_int8()
     }
 
     /// Bytes of weight storage one copy of this network holds: fp32
@@ -217,7 +173,8 @@ impl Vgg {
     /// training state, not weights, and are not counted).
     pub fn weight_bytes(&self) -> usize {
         let f32s = |a: &Tensor, b: &Tensor| 4 * (a.len() + b.len());
-        self.ops
+        self.net
+            .ops
             .iter()
             .map(|op| match op {
                 Op::Conv(ConvOp::F32(c)) => f32s(&c.weight().value, &c.bias().value),
@@ -254,12 +211,12 @@ impl Vgg {
     pub fn quantize(&self, input_scale: f32, tap_scales: &[f32]) -> Vgg {
         assert_eq!(
             tap_scales.len(),
-            self.taps.len(),
+            self.net.taps().len(),
             "need one activation scale per tap"
         );
         let mut act_scales = std::iter::once(&input_scale).chain(tap_scales);
         let (mut convs, mut bns, mut linear) = (Vec::new(), Vec::new(), None);
-        for op in &self.ops {
+        for op in &self.net.ops {
             match op {
                 Op::Conv(ConvOp::F32(conv)) => {
                     let act_scale = *act_scales.next().expect("one scale per conv");
@@ -283,98 +240,19 @@ impl Vgg {
         Self::layout(self.config.clone(), convs, bns, linear)
     }
 
-    /// Compiles *static* per-tap channel keep-masks into a physically
-    /// smaller inference network (filter surgery): masked filters are
-    /// removed from their conv, from the following batch norm, from the
-    /// next conv's input slices, and from the classifier's input stripes.
-    ///
-    /// The shrunk network computes exactly what the masked network
-    /// computes at inference (masked channels contribute zero either
-    /// way), with genuinely fewer parameters and MACs — the deployment
-    /// artifact of the static-pruning baselines. Taps absent from
-    /// `masks` keep all channels.
+    /// Filter surgery (see [`ShrunkNetwork`]): the shrunk network
+    /// computes exactly what the masked network computes at inference
+    /// (masked channels contribute zero either way), with genuinely
+    /// fewer parameters and MACs — the deployment artifact of the
+    /// static-pruning baselines.
     ///
     /// # Panics
     ///
     /// Panics if a mask's length disagrees with its tap's channel count,
     /// a mask prunes *all* channels of a layer, or the network is int8
     /// (surgery ranks and slices fp32 filters; shrink before quantizing).
-    pub fn shrink(
-        &self,
-        masks: &std::collections::BTreeMap<usize, Vec<bool>>,
-    ) -> crate::shrunk::ShrunkVgg {
-        use crate::shrunk::{shrink_conv_weight, shrink_linear_weight, shrink_vec, ShrunkOp};
-        let mut ops = Vec::new();
-        let mut in_keep = vec![true; self.config.input_channels];
-        let mut out_keep = in_keep.clone();
-        let mut conv_idx = 0usize;
-        for op in &self.ops {
-            match op {
-                Op::Conv(ConvOp::F32(conv)) => {
-                    let full = vec![true; conv.out_channels()];
-                    out_keep = masks.get(&conv_idx).cloned().unwrap_or(full);
-                    assert_eq!(
-                        out_keep.len(),
-                        conv.out_channels(),
-                        "mask length mismatch at conv {conv_idx}"
-                    );
-                    let geom = conv.geometry();
-                    let w = shrink_conv_weight(&conv.weight().value, &out_keep, &in_keep);
-                    let b = shrink_vec(&conv.bias().value, &out_keep);
-                    ops.push(ShrunkOp::Conv(Conv2d::from_parts(
-                        w,
-                        b,
-                        geom.stride,
-                        geom.padding,
-                    )));
-                    in_keep = out_keep.clone();
-                    conv_idx += 1;
-                }
-                Op::Conv(ConvOp::Int8(_)) => panic!("filter surgery needs fp32 weights"),
-                Op::Bn(bn) => {
-                    ops.push(ShrunkOp::Bn(BatchNorm2d::from_parts(
-                        shrink_vec(&bn.gamma().value, &out_keep),
-                        shrink_vec(&bn.beta().value, &out_keep),
-                        shrink_vec(bn.running_mean(), &out_keep),
-                        shrink_vec(bn.running_var(), &out_keep),
-                    )));
-                }
-                Op::Relu(_) => ops.push(ShrunkOp::Relu(Relu::new())),
-                Op::Pool(p) => ops.push(ShrunkOp::Pool(MaxPool2d::new(p.window()))),
-                Op::Flatten(_) => ops.push(ShrunkOp::Flatten(Flatten::new())),
-                Op::Linear(fc) => {
-                    let spatial = self.config.final_spatial() * self.config.final_spatial();
-                    let w = shrink_linear_weight(&fc.weight().value, &in_keep, spatial);
-                    ops.push(ShrunkOp::Linear(Linear::from_parts(
-                        w,
-                        fc.bias().value.clone(),
-                    )));
-                }
-                Op::Tap { .. } => {} // compiled away
-            }
-        }
-        crate::shrunk::ShrunkVgg { ops }
-    }
-}
-
-/// Downsamples a tap's spatial keep-mask through a `k×k` max pool: a
-/// pooled position stays kept if *any* position of its window was kept
-/// (all-masked windows pool to exactly 0 on post-ReLU maps, so skipping
-/// them is lossless).
-pub(crate) fn pool_mask(mask: &FeatureMask, h: usize, w: usize, k: usize) -> FeatureMask {
-    let spatial = mask.spatial.as_ref().map(|m| {
-        let (ho, wo) = (h / k, w / k);
-        let mut out = vec![false; ho * wo];
-        for (oy, row) in out.chunks_mut(wo).enumerate() {
-            for (ox, slot) in row.iter_mut().enumerate() {
-                *slot = (0..k).any(|dy| (0..k).any(|dx| m[(oy * k + dy) * w + (ox * k + dx)]));
-            }
-        }
-        out
-    });
-    FeatureMask {
-        channel: mask.channel.clone(),
-        spatial,
+    pub fn shrink(&self, masks: &BTreeMap<usize, Vec<bool>>) -> ShrunkNetwork {
+        ShrunkNetwork::compile(&self.net, masks, self.config.input_channels)
     }
 }
 
@@ -385,60 +263,11 @@ impl Network for Vgg {
         mode: Mode,
         hook: &mut dyn FeatureHook,
     ) -> Tensor {
-        if self.is_int8() {
-            // No activation caches to fill, so the skipping executor is
-            // the int8 network's only forward path.
-            assert!(!mode.is_train(), "{EVAL_ONLY}");
-            return self.forward_measured(input, hook, &mut MacCounter::new());
-        }
-        let mut x = input.clone();
-        for op in &mut self.ops {
-            x = match op {
-                Op::Conv(ConvOp::F32(l)) => l.forward(&x, mode),
-                Op::Conv(ConvOp::Int8(_)) => unreachable!("int8 networks returned above"),
-                Op::Bn(l) => l.forward(&x, mode),
-                Op::Relu(l) => l.forward(&x, mode),
-                Op::Pool(l) => l.forward(&x, mode),
-                Op::Flatten(l) => l.forward(&x, mode),
-                Op::Linear(l) => l.forward(&x, mode),
-                Op::Tap { info, mask } => {
-                    *mask = None;
-                    if let Some(item_masks) = hook.on_feature(*info, &x, mode) {
-                        let (n, c, h, w) = x.shape().as_nchw().expect("tap expects NCHW");
-                        let m = masks_to_tensor(&item_masks, n, c, h, w);
-                        let masked = x.zip(&m, |a, b| a * b);
-                        if mode.is_train() {
-                            *mask = Some(m);
-                        }
-                        masked
-                    } else {
-                        x
-                    }
-                }
-            };
-        }
-        x
+        self.net.forward_hooked(input, mode, hook)
     }
 
     fn backward(&mut self, grad_logits: &Tensor) -> Tensor {
-        assert!(!self.is_int8(), "{EVAL_ONLY}");
-        let mut g = grad_logits.clone();
-        for op in self.ops.iter_mut().rev() {
-            g = match op {
-                Op::Conv(ConvOp::F32(l)) => l.backward(&g),
-                Op::Conv(ConvOp::Int8(_)) => unreachable!("int8 networks panicked above"),
-                Op::Bn(l) => l.backward(&g),
-                Op::Relu(l) => l.backward(&g),
-                Op::Pool(l) => l.backward(&g),
-                Op::Flatten(l) => l.backward(&g),
-                Op::Linear(l) => l.backward(&g),
-                Op::Tap { mask, .. } => match mask.take() {
-                    Some(m) => g.zip(&m, |a, b| a * b),
-                    None => g,
-                },
-            };
-        }
-        g
+        self.net.backward(grad_logits)
     }
 
     fn forward_measured(
@@ -447,93 +276,19 @@ impl Network for Vgg {
         hook: &mut dyn FeatureHook,
         counter: &mut MacCounter,
     ) -> Tensor {
-        let mode = Mode::Eval;
-        let mut x = input.clone();
-        // Masks from the most recent tap, consumed by the next conv.
-        let mut pending: Option<Vec<FeatureMask>> = None;
-        // Forward-order conv index, matching `conv_shapes()` for
-        // per-layer profiling attribution.
-        let mut conv_idx = 0usize;
-        for op in &mut self.ops {
-            x = match op {
-                Op::Conv(l) => {
-                    let n = x.dims()[0];
-                    let masks = pending
-                        .take()
-                        .unwrap_or_else(|| vec![FeatureMask::keep_all(); n]);
-                    let out = profiled_masked_conv(conv_idx, &x, l.as_ref(), &masks, counter);
-                    conv_idx += 1;
-                    out
-                }
-                Op::Bn(l) => l.forward(&x, mode),
-                Op::Relu(l) => l.forward(&x, mode),
-                Op::Pool(l) => {
-                    let (_, _, h, w) = x.shape().as_nchw().expect("pool expects NCHW");
-                    if let Some(masks) = pending.take() {
-                        pending = Some(
-                            masks
-                                .iter()
-                                .map(|m| pool_mask(m, h, w, l.window()))
-                                .collect(),
-                        );
-                    }
-                    l.forward(&x, mode)
-                }
-                Op::Flatten(l) => l.forward(&x, mode),
-                Op::Linear(l) => {
-                    let _s = antidote_obs::span("fwd.linear");
-                    counter.add(l.macs() * x.dims()[0] as u64);
-                    l.forward(&x, mode)
-                }
-                Op::Tap { info, mask } => {
-                    *mask = None;
-                    if let Some(item_masks) = hook.on_feature(*info, &x, mode) {
-                        let (n, c, h, w) = x.shape().as_nchw().expect("tap expects NCHW");
-                        let m = masks_to_tensor(&item_masks, n, c, h, w);
-                        let masked = x.zip(&m, |a, b| a * b);
-                        pending = Some(item_masks);
-                        masked
-                    } else {
-                        pending = None;
-                        x
-                    }
-                }
-            };
-        }
-        x
+        self.net.forward_measured(input, hook, counter)
     }
 
     fn visit_params_mut(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
-        if self.is_int8() {
-            // Frozen inference constants, not parameters — the fp32
-            // batch norms and classifier included.
-            return;
-        }
-        for op in &mut self.ops {
-            match op {
-                Op::Conv(ConvOp::F32(l)) => l.visit_params_mut(visitor),
-                Op::Bn(l) => l.visit_params_mut(visitor),
-                Op::Linear(l) => l.visit_params_mut(visitor),
-                _ => {}
-            }
-        }
+        self.net.visit_params_mut(visitor);
     }
 
     fn taps(&self) -> Vec<TapInfo> {
-        self.taps.clone()
+        self.net.taps()
     }
 
     fn visit_tap_convs(&self, visitor: &mut dyn FnMut(usize, &Conv2d)) {
-        // Every conv feeds exactly one tap, so conv order is tap order.
-        // An int8 network visits nothing: static-pruning baselines rank
-        // filters on the fp32 network before quantization.
-        let convs = self.ops.iter().filter_map(|op| match op {
-            Op::Conv(ConvOp::F32(conv)) => Some(conv),
-            _ => None,
-        });
-        for (tap_idx, conv) in convs.enumerate() {
-            visitor(tap_idx, conv);
-        }
+        self.net.visit_tap_convs(visitor);
     }
 
     fn conv_shapes(&self) -> Vec<ConvShape> {
@@ -559,7 +314,9 @@ impl Network for Vgg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oplist::pool_mask;
     use crate::tap::NoopHook;
+    use antidote_nn::masked::FeatureMask;
     use antidote_nn::loss::softmax_cross_entropy;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -575,7 +332,7 @@ mod tests {
     /// scales keep everything in range.
     fn int8_pair(config: VggConfig) -> (Vgg, Vgg) {
         let vgg = Vgg::new(&mut SmallRng::seed_from_u64(3), config);
-        let int8 = vgg.quantize(0.01, &vec![0.05; vgg.taps.len()]);
+        let int8 = vgg.quantize(0.01, &vec![0.05; vgg.taps().len()]);
         (vgg, int8)
     }
 
@@ -860,7 +617,7 @@ mod tests {
     #[should_panic(expected = "needs fp32 weights")]
     fn shrinking_an_int8_network_panics() {
         let (_, q) = tiny_int8_pair();
-        let _ = q.shrink(&std::collections::BTreeMap::new());
+        let _ = q.shrink(&BTreeMap::new());
     }
 
     #[test]
@@ -967,7 +724,7 @@ mod tests {
         let (vgg, q) = int8_pair(VggConfig::vgg_tiny(8, 3).with_batchnorm());
         for net in [vgg, q] {
             let copy = net.clone();
-            for (a, b) in net.ops.iter().zip(&copy.ops) {
+            for (a, b) in net.net.ops.iter().zip(&copy.net.ops) {
                 let shared = match (a, b) {
                     (Op::Conv(ConvOp::F32(a)), Op::Conv(ConvOp::F32(b))) => {
                         a.weight().value.shares_storage(&b.weight().value)

@@ -62,6 +62,10 @@ fn shrunk_equals_masked_plain_vgg() {
 fn shrunk_equals_masked_batchnorm_vgg() {
     let mut rng = SmallRng::seed_from_u64(2);
     let mut net = Vgg::new(&mut rng, VggConfig::vgg_tiny(8, 2).with_batchnorm());
+    // Push some data through in train mode so BN running stats are
+    // non-trivial: a surgery that reset them would then change logits.
+    let warm = init::uniform(&mut rng, &[4, 3, 8, 8], -1.0, 1.0);
+    let _ = net.forward(&warm, Mode::Train);
     // Uneven masks: keep 3 of 4 at tap 0, 2 of 8 at tap 1.
     let mut masks = BTreeMap::new();
     masks.insert(0usize, vec![true, true, true, false]);
@@ -101,6 +105,15 @@ fn missing_masks_mean_identity_surgery() {
     let mut same = net.shrink(&BTreeMap::new());
     assert!(plain.allclose(&same.forward(&x), 1e-4));
     assert_eq!(same.param_count(), net.param_count());
+    // The analytic MAC walker agrees with the config's FLOPs model.
+    let config = net.config();
+    let dense: u64 = config
+        .conv_shapes()
+        .iter()
+        .map(antidote_models::ConvShape::macs)
+        .sum();
+    let classifier = (config.classes * config.classifier_inputs()) as u64;
+    assert_eq!(same.macs(8, 8), dense + classifier);
 }
 
 #[test]

@@ -194,7 +194,7 @@ impl Layer for AvgPool2d {
 
 /// Global average pooling `(N, C, H, W) → (N, C)` — the classifier head
 /// reduction used by ResNet.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct GlobalAvgPool {
     input_dims: Option<Vec<usize>>,
 }

@@ -62,8 +62,6 @@ pub mod masked;
 pub mod optim;
 mod param;
 pub mod quant;
-mod sequential;
 
 pub use layer::{Layer, Mode};
 pub use param::Parameter;
-pub use sequential::Sequential;

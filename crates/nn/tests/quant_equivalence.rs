@@ -5,8 +5,8 @@
 //! ones.
 //!
 //! Counted-MAC equality is the load-bearing invariant for the paper's
-//! compute-budget accounting: a serving stack that flips
-//! `ANTIDOTE_SERVE_QUANT=int8` must report the same pruning savings as
+//! compute-budget accounting: a serving stack that loads
+//! an int8 `.adm` must report the same pruning savings as
 //! the fp32 path, because the masks — not the arithmetic width — decide
 //! what gets skipped.
 

@@ -89,7 +89,6 @@ pub const KNOWN_KNOBS: &[&str] = &[
     "ANTIDOTE_SERVE_MAX_WAIT_MS",
     "ANTIDOTE_SERVE_QUEUE_CAP",
     "ANTIDOTE_SERVE_DEADLINE_MS",
-    "ANTIDOTE_SERVE_QUANT",
     "ANTIDOTE_SERVE_SHED_DEGRADE_WATERMARK",
     "ANTIDOTE_SERVE_SHED_WATERMARK",
     // chaos mode (serve)
@@ -209,7 +208,7 @@ mod tests {
         let vars = [
             ("ANTIDOTE_THREDS", "4"),         // typo'd knob: must warn
             ("ANTIDOTE_THREADS", "4"),        // known knob: silent
-            ("ANTIDOTE_SERVE_QUANT", "int8"), // known knob: silent
+            ("ANTIDOTE_SERVE_WORKERS", "2"),  // known knob: silent
             ("ANTIDOTE_TEST_WHATEVER", "x"),  // reserved test prefix: silent
             ("PATH", "/usr/bin"),             // foreign var: silent
         ];
@@ -221,7 +220,7 @@ mod tests {
             lines.iter().any(|l| l.contains("env.ignored") && l.contains("ANTIDOTE_THREDS")),
             "typo'd knob must produce an env.ignored event: {lines:?}"
         );
-        for silent in ["ANTIDOTE_THREADS", "ANTIDOTE_SERVE_QUANT", "ANTIDOTE_TEST_WHATEVER", "PATH"] {
+        for silent in ["ANTIDOTE_THREADS", "ANTIDOTE_SERVE_WORKERS", "ANTIDOTE_TEST_WHATEVER", "PATH"] {
             assert!(
                 lines.iter().all(|l| !l.contains(silent)),
                 "{silent} must not be warned about: {lines:?}"
@@ -231,7 +230,7 @@ mod tests {
 
     #[test]
     fn every_known_knob_has_the_antidote_prefix() {
-        assert_eq!(KNOWN_KNOBS.len(), 37, "update the README knob table with the allowlist");
+        assert_eq!(KNOWN_KNOBS.len(), 36, "update the README knob table with the allowlist");
         for knob in KNOWN_KNOBS {
             assert!(knob.starts_with("ANTIDOTE_"), "bad allowlist entry {knob}");
             assert!(!knob.starts_with(super::TEST_PREFIX), "test keys do not belong in the allowlist");

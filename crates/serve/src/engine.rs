@@ -75,11 +75,10 @@ pub type ModelFactory = Arc<dyn Fn(usize) -> Box<dyn Network> + Send + Sync>;
 
 /// Numeric domain the model replicas serve in.
 ///
-/// [`QuantMode::Int8`] asks the operator's model factory to build
-/// int8-quantized replicas (`antidote_models::Vgg::quantize`); the
-/// engine itself is domain-agnostic — the mode is configuration that
-/// factories consult, which keeps quantization strictly a deployment
-/// decision (see DESIGN.md §11).
+/// The engine itself is domain-agnostic: the replicas are whatever the
+/// model factory builds, and an int8 model is served from an int8
+/// `.adm` (`convert --quantize`). The mode records that dtype for
+/// reporting; the model registry sets it from the artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QuantMode {
     /// Serve fp32 replicas (the default).
@@ -128,7 +127,8 @@ pub struct ServeConfig {
     pub default_deadline: Duration,
     /// The most aggressive pruning schedule budgets may scale up to.
     pub base_schedule: PruneSchedule,
-    /// Numeric domain for model replicas (`ANTIDOTE_SERVE_QUANT`).
+    /// The artifact's dtype, set by the registry. Informational: no
+    /// factory reads it.
     pub quant: QuantMode,
     /// Degrade-before-shed watermarks
     /// (`ANTIDOTE_SERVE_SHED_DEGRADE_WATERMARK` /
@@ -168,8 +168,6 @@ impl ServeConfig {
     /// - `ANTIDOTE_SERVE_MAX_WAIT_MS` — batch window, milliseconds;
     /// - `ANTIDOTE_SERVE_QUEUE_CAP` — queue capacity;
     /// - `ANTIDOTE_SERVE_DEADLINE_MS` — default request deadline, ms;
-    /// - `ANTIDOTE_SERVE_QUANT` — replica numeric domain, `off` (or
-    ///   `fp32`) / `int8`, case-insensitive;
     /// - `ANTIDOTE_SERVE_SHED_DEGRADE_WATERMARK` /
     ///   `ANTIDOTE_SERVE_SHED_WATERMARK` — degrade-before-shed pressure
     ///   watermarks, fractions of queue capacity in `(0, 1]`;
@@ -203,18 +201,6 @@ impl ServeConfig {
         }
         if let Some(v) = positive("ANTIDOTE_SERVE_DEADLINE_MS") {
             self.default_deadline = Duration::from_millis(v);
-        }
-        if let Ok(raw) = std::env::var("ANTIDOTE_SERVE_QUANT") {
-            match raw.parse::<QuantMode>() {
-                Ok(mode) => self.quant = mode,
-                Err(_) => {
-                    antidote_obs::env::warn_ignored(
-                        "ANTIDOTE_SERVE_QUANT",
-                        &raw,
-                        "must be `off` (or `fp32`) or `int8`",
-                    );
-                }
-            }
         }
         for (key, slot) in [
             (
@@ -1148,27 +1134,6 @@ mod tests {
         assert!("int4".parse::<QuantMode>().is_err());
         assert_eq!(QuantMode::Int8.to_string(), "int8");
         assert_eq!(QuantMode::default(), QuantMode::Off);
-    }
-
-    #[test]
-    fn quant_env_override_applies_and_bad_values_keep_default() {
-        // Env vars are process-global: use a dedicated knob-free default
-        // config and set/remove the variable inside one test only.
-        std::env::set_var("ANTIDOTE_SERVE_QUANT", "int8");
-        assert_eq!(
-            ServeConfig::default().with_env_overrides().quant,
-            QuantMode::Int8
-        );
-        std::env::set_var("ANTIDOTE_SERVE_QUANT", "int999");
-        assert_eq!(
-            ServeConfig::default().with_env_overrides().quant,
-            QuantMode::Off
-        );
-        std::env::remove_var("ANTIDOTE_SERVE_QUANT");
-        assert_eq!(
-            ServeConfig::default().with_env_overrides().quant,
-            QuantMode::Off
-        );
     }
 
     #[test]
