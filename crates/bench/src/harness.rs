@@ -1,9 +1,9 @@
-//! Shared experiment plumbing: parameter snapshots, static-baseline
-//! schedules, and the Table I row runner.
+//! Shared experiment plumbing: static-baseline schedules and the Table I
+//! row runner.
 
 use crate::workloads::ReproWorkload;
 use antidote_baselines::{prune_statically, StaticMethod, StaticPruneConfig};
-use antidote_core::checkpoint::{atomic_write, restore_tensors, LoadCheckpointError};
+use antidote_core::checkpoint::{atomic_write, Checkpoint, LoadCheckpointError};
 use antidote_core::flops::analytic_flops;
 use antidote_core::report::ExperimentRow;
 use antidote_core::settings::{baseline_rows, PaperSetting, Workload};
@@ -16,37 +16,9 @@ use antidote_models::{FeatureHook, Network, NoopHook};
 use antidote_nn::loss::accuracy;
 use antidote_nn::masked::MacCounter;
 use antidote_serve::LatencySummary;
-use antidote_tensor::Tensor;
 use std::fmt;
 use std::io::Write;
 use std::time::Instant;
-
-/// Copies every trainable parameter of `net` (used to reset a trained
-/// network between static-baseline runs so all methods start from the
-/// same weights).
-pub fn snapshot_params(net: &mut dyn Network) -> Vec<Tensor> {
-    let mut snap = Vec::new();
-    net.visit_params_mut(&mut |p| snap.push(p.value.clone()));
-    snap
-}
-
-/// Restores a parameter snapshot taken with [`snapshot_params`].
-///
-/// Shares the validate-first restore path with
-/// [`antidote_core::checkpoint::Checkpoint::restore`]: on any mismatch a
-/// typed error is returned and the network is left untouched.
-///
-/// # Errors
-///
-/// [`LoadCheckpointError::ParamCountMismatch`] or
-/// [`LoadCheckpointError::ShapeMismatch`] when the snapshot does not
-/// match the network's parameter list.
-pub fn restore_params(
-    net: &mut dyn Network,
-    snapshot: &[Tensor],
-) -> Result<(), LoadCheckpointError> {
-    restore_tensors(net, snapshot)
-}
 
 /// Per-run knobs of the workload runner: recovery bounds, gradient
 /// clipping, and fault injection for exercising the failure paths.
@@ -302,7 +274,9 @@ pub fn run_table1_workload(
         dense_eval.latency.p99_ms,
         dense_eval.latency.count,
     ));
-    let trained_snapshot = snapshot_params(baseline_net.as_mut());
+    // Every static baseline starts from this trained state: parameters
+    // and batch-norm running statistics.
+    let trained = Checkpoint::capture(baseline_net.as_mut());
 
     // --- static baselines ---------------------------------------------
     let static_schedule = static_schedule_for(rw.workload);
@@ -316,7 +290,7 @@ pub fn run_table1_workload(
         let Some(paper_row) = paper_row else {
             continue;
         };
-        restore_params(baseline_net.as_mut(), &trained_snapshot).map_err(WorkloadError::Restore)?;
+        trained.restore(baseline_net.as_mut()).map_err(WorkloadError::Restore)?;
         let cfg = StaticPruneConfig {
             method,
             schedule: static_schedule.clone(),
@@ -429,6 +403,7 @@ pub fn write_report(report: &antidote_core::report::ExperimentReport, name: &str
 mod tests {
     use super::*;
     use crate::workloads::Scale;
+    use antidote_tensor::Tensor;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -436,51 +411,62 @@ mod tests {
     fn snapshot_round_trip() {
         let rw = ReproWorkload::for_workload(Workload::Vgg16Cifar10, Scale::Quick);
         let mut net = rw.build_network(5);
-        let snap = snapshot_params(net.as_mut());
+        let trained = Checkpoint::capture(net.as_mut());
+        assert!(!trained.buffers.is_empty(), "the repro VGG has batch norm");
         // Perturb, then restore.
         net.visit_params_mut(&mut |p| {
             for v in p.value.data_mut() {
                 *v += 1.0;
             }
         });
-        restore_params(net.as_mut(), &snap).unwrap();
-        let mut i = 0;
-        net.visit_params_mut(&mut |p| {
-            assert_eq!(p.value.data(), snap[i].data());
-            i += 1;
+        net.visit_buffers_mut(&mut |b| {
+            for v in b.data_mut() {
+                *v += 1.0;
+            }
         });
+        trained.restore(net.as_mut()).unwrap();
+        assert_eq!(Checkpoint::capture(net.as_mut()), trained);
     }
 
-    #[test]
-    fn restore_validates_length() {
-        let rw = ReproWorkload::for_workload(Workload::Vgg16Cifar10, Scale::Quick);
-        let mut net = rw.build_network(5);
-        let mut snap = snapshot_params(net.as_mut());
-        snap.pop();
-        let before = snapshot_params(net.as_mut());
-        let err = restore_params(net.as_mut(), &snap).unwrap_err();
-        assert!(matches!(
-            err,
-            LoadCheckpointError::ParamCountMismatch { .. }
-        ));
-        // The failed restore must leave the network untouched.
-        let after = snapshot_params(net.as_mut());
-        for (a, b) in before.iter().zip(&after) {
-            assert_eq!(a.data(), b.data());
+    /// The Table I reset between static baselines: capture the trained
+    /// network, let a baseline fine-tune it (training-mode forwards move
+    /// the batch-norm running statistics; a parameter nudge stands in
+    /// for the optimizer), restore, and the eval logits are back bit for
+    /// bit.
+    fn reset_restores_eval_logits(batchnorm: bool) {
+        use antidote_models::{Vgg, VggConfig};
+        use antidote_nn::Mode;
+
+        let config = VggConfig::vgg_tiny(8, 3);
+        let config = if batchnorm { config.with_batchnorm() } else { config };
+        let mut net: Box<dyn Network> = Box::new(Vgg::new(&mut SmallRng::seed_from_u64(5), config));
+        let x = Tensor::from_fn([4, 3, 8, 8], |i| (i as f32 * 0.031).sin());
+        let eval_bits = |net: &mut dyn Network| -> Vec<u32> {
+            let logits = net.forward(&x, Mode::Eval);
+            logits.data().iter().map(|v| v.to_bits()).collect()
+        };
+        let before = eval_bits(net.as_mut());
+        let trained = Checkpoint::capture(net.as_mut());
+        for _ in 0..3 {
+            let _ = net.forward(&x, Mode::Train);
         }
+        net.visit_params_mut(&mut |p| {
+            for v in p.value.data_mut() {
+                *v += 0.25;
+            }
+        });
+        trained.restore(net.as_mut()).unwrap();
+        assert_eq!(eval_bits(net.as_mut()), before, "batchnorm={batchnorm}");
     }
 
     #[test]
-    fn restore_validates_shapes() {
-        let rw = ReproWorkload::for_workload(Workload::Vgg16Cifar10, Scale::Quick);
-        let mut net = rw.build_network(5);
-        let mut snap = snapshot_params(net.as_mut());
-        let last = snap.len() - 1;
-        snap[last] = Tensor::zeros([1, 2, 3]);
-        assert!(matches!(
-            restore_params(net.as_mut(), &snap).unwrap_err(),
-            LoadCheckpointError::ShapeMismatch { .. }
-        ));
+    fn table1_reset_restores_eval_logits_plain() {
+        reset_restores_eval_logits(false);
+    }
+
+    #[test]
+    fn table1_reset_restores_eval_logits_batchnorm() {
+        reset_restores_eval_logits(true);
     }
 
     #[test]

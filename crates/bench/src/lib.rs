@@ -24,8 +24,7 @@ mod harness;
 mod workloads;
 
 pub use harness::{
-    evaluate_measured_timed, restore_params, run_table1_workload, snapshot_params,
-    static_schedule_for, write_report, MeasuredEval, WorkloadError, WorkloadResult,
+    evaluate_measured_timed, run_table1_workload, static_schedule_for, write_report, MeasuredEval, WorkloadError, WorkloadResult,
     WorkloadRunOptions,
 };
 pub use workloads::{ModelKind, ReproWorkload, Scale};

@@ -1,5 +1,6 @@
-//! Weight checkpointing: save and restore a network's trainable
-//! parameters (and, optionally, full training state) as JSON.
+//! Network-state checkpointing: save and restore a network's state —
+//! its trainable parameters plus its batch-norm running statistics —
+//! (and, optionally, full training state) as JSON.
 //!
 //! TTD training at `full` scale takes CPU-minutes; checkpoints let the
 //! experiment binaries reuse trained weights across runs, let users ship
@@ -14,12 +15,18 @@
 //! - **versioned header** — [`CHECKPOINT_VERSION`] is embedded and
 //!   verified at load (v1 files, which predate the header, decode as
 //!   version 0 and are rejected with a typed error);
-//! - **parameter checksum** — an FNV-1a digest over every shape and
-//!   value bit-pattern, verified at load, catches silent corruption that
-//!   still parses as JSON;
-//! - **finiteness validation** — non-finite parameters are rejected at
-//!   save time (JSON cannot represent them; they round-trip as `null`)
-//!   and again at load time.
+//! - **state checksum** — an FNV-1a digest over every shape and value
+//!   bit-pattern of the parameters, then of the buffers, verified at
+//!   load, catches silent corruption that still parses as JSON;
+//! - **finiteness validation** — non-finite tensors are rejected at save
+//!   time (JSON cannot represent them; they round-trip as `null`) and
+//!   again at load time.
+//!
+//! [`Checkpoint::capture`] / [`Checkpoint::restore`] are the only code
+//! that copies a network's state out and in (resume, rollback, `.adm`
+//! conversion, the Table I reset). A file written before buffers were
+//! stored loads with none; restoring it into a network with batch norm
+//! is a typed [`LoadCheckpointError::CountMismatch`].
 //!
 //! Every failure path returns a typed error; loading never panics on bad
 //! input.
@@ -50,7 +57,13 @@ pub struct Checkpoint {
     pub architecture: String,
     /// Parameter tensors in visit order.
     pub params: Vec<Tensor>,
-    /// FNV-1a digest over parameter shapes and value bit-patterns.
+    /// Buffer tensors (batch-norm running statistics) in visit order;
+    /// empty for networks without batch norm and in files written
+    /// before the field existed.
+    #[serde(default)]
+    pub buffers: Vec<Tensor>,
+    /// FNV-1a digest over the parameters' shapes and value bit-patterns,
+    /// continued over the buffers'.
     #[serde(default)]
     pub checksum: u64,
     /// Training state for resumable runs (`None` for weights-only
@@ -67,20 +80,45 @@ pub struct Checkpoint {
     pub vgg_config: Option<VggConfig>,
 }
 
+/// Which half of a network's state a tensor belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StatePart {
+    /// A trainable parameter (`Network::visit_params_mut` order).
+    Param,
+    /// A buffer, a batch-norm running statistic
+    /// (`Network::visit_buffers_mut` order).
+    Buffer,
+}
+
+impl fmt::Display for StatePart {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            StatePart::Param => "parameter",
+            StatePart::Buffer => "buffer",
+        })
+    }
+}
+
 /// Error raised when loading a checkpoint, or restoring one into an
 /// incompatible network.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LoadCheckpointError {
-    /// Parameter count differs from the target network.
-    ParamCountMismatch {
-        /// Parameters in the checkpoint.
+    /// The parameter or buffer count differs from the target network
+    /// (for example a checkpoint written before buffers were stored,
+    /// restored into a network with batch norm).
+    CountMismatch {
+        /// Parameters or buffers.
+        part: StatePart,
+        /// Tensors in the checkpoint.
         checkpoint: usize,
-        /// Parameters in the network.
+        /// Tensors in the network.
         network: usize,
     },
-    /// A parameter's shape differs.
+    /// A parameter's or buffer's shape differs.
     ShapeMismatch {
-        /// Index of the offending parameter (visit order).
+        /// Parameters or buffers.
+        part: StatePart,
+        /// Index of the offending tensor (visit order).
         index: usize,
     },
     /// The file could not be read.
@@ -95,16 +133,18 @@ pub enum LoadCheckpointError {
         /// Version this build expects.
         expected: u32,
     },
-    /// The stored checksum does not match the stored parameters.
+    /// The stored checksum does not match the stored tensors.
     ChecksumMismatch {
         /// Checksum recorded in the file.
         stored: u64,
-        /// Checksum recomputed from the file's parameters.
+        /// Checksum recomputed from the file's tensors.
         computed: u64,
     },
-    /// A stored parameter contains NaN or infinite values.
-    NonFiniteParam {
-        /// Index of the offending parameter (visit order).
+    /// A stored parameter or buffer contains NaN or infinite values.
+    NonFinite {
+        /// Parameters or buffers.
+        part: StatePart,
+        /// Index of the offending tensor (visit order).
         index: usize,
     },
 }
@@ -112,15 +152,16 @@ pub enum LoadCheckpointError {
 impl fmt::Display for LoadCheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LoadCheckpointError::ParamCountMismatch {
+            LoadCheckpointError::CountMismatch {
+                part,
                 checkpoint,
                 network,
             } => write!(
                 f,
-                "checkpoint has {checkpoint} parameters but network has {network}"
+                "checkpoint has {checkpoint} {part}s but network has {network}"
             ),
-            LoadCheckpointError::ShapeMismatch { index } => {
-                write!(f, "parameter {index} has a different shape")
+            LoadCheckpointError::ShapeMismatch { part, index } => {
+                write!(f, "{part} {index} has a different shape")
             }
             LoadCheckpointError::Io(msg) => write!(f, "cannot read checkpoint: {msg}"),
             LoadCheckpointError::Malformed(msg) => {
@@ -134,8 +175,8 @@ impl fmt::Display for LoadCheckpointError {
                 f,
                 "checkpoint checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
             ),
-            LoadCheckpointError::NonFiniteParam { index } => {
-                write!(f, "parameter {index} contains non-finite values")
+            LoadCheckpointError::NonFinite { part, index } => {
+                write!(f, "{part} {index} contains non-finite values")
             }
         }
     }
@@ -146,10 +187,12 @@ impl Error for LoadCheckpointError {}
 /// Error raised when saving a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SaveCheckpointError {
-    /// A parameter contains NaN or infinite values (JSON would silently
-    /// store them as `null`, so they are rejected up front).
-    NonFiniteParam {
-        /// Index of the offending parameter (visit order).
+    /// A parameter or buffer contains NaN or infinite values (JSON would
+    /// silently store them as `null`, so they are rejected up front).
+    NonFinite {
+        /// Parameters or buffers.
+        part: StatePart,
+        /// Index of the offending tensor (visit order).
         index: usize,
     },
     /// Writing the file failed.
@@ -159,8 +202,8 @@ pub enum SaveCheckpointError {
 impl fmt::Display for SaveCheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SaveCheckpointError::NonFiniteParam { index } => {
-                write!(f, "refusing to save: parameter {index} is non-finite")
+            SaveCheckpointError::NonFinite { part, index } => {
+                write!(f, "refusing to save: {part} {index} is non-finite")
             }
             SaveCheckpointError::Io(msg) => write!(f, "cannot write checkpoint: {msg}"),
         }
@@ -169,83 +212,55 @@ impl fmt::Display for SaveCheckpointError {
 
 impl Error for SaveCheckpointError {}
 
-/// FNV-1a digest over every parameter's shape and value bit-patterns.
-pub fn param_checksum(params: &[Tensor]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mix = |h: u64, bytes: &[u8]| {
-        let mut h = h;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-        h
-    };
-    for t in params {
-        for &d in t.dims() {
-            h = mix(h, &(d as u64).to_le_bytes());
-        }
-        for &v in t.data() {
-            h = mix(h, &v.to_bits().to_le_bytes());
-        }
+/// FNV-1a 64 offset basis: the digest of no bytes.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64 over a byte slice — the one implementation behind the
+/// checkpoint state checksum and the `.adm` per-tensor checksums.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a 64 digest `h` over `bytes`, so input can be
+/// hashed in pieces.
+pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
 
-/// Index of the first tensor containing a non-finite value, if any.
-fn first_non_finite(params: &[Tensor]) -> Option<usize> {
-    params
-        .iter()
-        .position(|t| !t.data().iter().all(|v| v.is_finite()))
-}
-
-/// Validates `tensors` against `net` (count and shapes) and, only if
-/// everything matches, copies them into the network's parameters and
-/// clears gradients. On error the network is left untouched.
-///
-/// This is the single restore path shared by [`Checkpoint::restore`] and
-/// the bench harness.
-///
-/// # Errors
-///
-/// [`LoadCheckpointError::ParamCountMismatch`] or
-/// [`LoadCheckpointError::ShapeMismatch`].
-pub fn restore_tensors(net: &mut dyn Network, tensors: &[Tensor]) -> Result<(), LoadCheckpointError> {
-    // Validate first so a failed restore cannot half-apply.
-    let mut shapes = Vec::new();
-    net.visit_params_mut(&mut |p| shapes.push(p.value.dims().to_vec()));
-    if shapes.len() != tensors.len() {
-        return Err(LoadCheckpointError::ParamCountMismatch {
-            checkpoint: tensors.len(),
-            network: shapes.len(),
-        });
-    }
-    for (index, (shape, param)) in shapes.iter().zip(tensors).enumerate() {
-        if shape != param.dims() {
-            return Err(LoadCheckpointError::ShapeMismatch { index });
+/// FNV-1a digest over every tensor's shape and value bit-patterns,
+/// parameters first, then buffers — so a state without buffers has the
+/// digest its parameters alone always had.
+fn state_checksum(params: &[Tensor], buffers: &[Tensor]) -> u64 {
+    params.iter().chain(buffers).fold(FNV_OFFSET, |mut h, t| {
+        for &d in t.dims() {
+            h = fnv1a_extend(h, &(d as u64).to_le_bytes());
         }
-    }
-    let mut i = 0;
-    net.visit_params_mut(&mut |p| {
-        p.value = tensors[i].clone();
-        p.zero_grad();
-        i += 1;
-    });
-    Ok(())
+        for &v in t.data() {
+            h = fnv1a_extend(h, &v.to_bits().to_le_bytes());
+        }
+        h
+    })
 }
 
 impl Checkpoint {
-    /// Captures the current parameters of `net` (weights only; attach
-    /// training state with [`Checkpoint::with_train_state`]).
+    /// Captures the current state of `net` — parameters and buffers,
+    /// as handles on its storage, not copies (attach training state
+    /// with [`Checkpoint::with_train_state`]).
     pub fn capture(net: &mut dyn Network) -> Self {
-        let mut params = Vec::new();
+        let (mut params, mut buffers) = (Vec::new(), Vec::new());
         net.visit_params_mut(&mut |p| params.push(p.value.clone()));
-        let checksum = param_checksum(&params);
+        net.visit_buffers_mut(&mut |b| buffers.push(b.clone()));
+        let checksum = state_checksum(&params, &buffers);
         Self {
             version: CHECKPOINT_VERSION,
             architecture: net.describe(),
             params,
+            buffers,
             checksum,
             train_state: None,
             vgg_config: None,
@@ -265,14 +280,50 @@ impl Checkpoint {
         self
     }
 
-    /// Restores the captured parameters into `net`.
+    /// The stored parameters and buffers, each with its tag.
+    fn parts(&self) -> [(StatePart, &[Tensor]); 2] {
+        [(StatePart::Param, &self.params), (StatePart::Buffer, &self.buffers)]
+    }
+
+    /// The first stored tensor holding NaN or Inf, if any.
+    fn first_non_finite(&self) -> Option<(StatePart, usize)> {
+        self.parts().into_iter().find_map(|(part, stored)| {
+            let finite = |t: &Tensor| t.data().iter().all(|v| v.is_finite());
+            Some((part, stored.iter().position(|t| !finite(t))?))
+        })
+    }
+
+    /// Restores the captured parameters and buffers into `net` and
+    /// clears its gradients. Both lists are validated before anything is
+    /// written, so a failed restore leaves the network unchanged.
     ///
     /// # Errors
     ///
-    /// Returns [`LoadCheckpointError`] if the parameter count or any
-    /// shape differs; the network is left unchanged in that case.
+    /// [`LoadCheckpointError::CountMismatch`] or
+    /// [`LoadCheckpointError::ShapeMismatch`].
     pub fn restore(&self, net: &mut dyn Network) -> Result<(), LoadCheckpointError> {
-        restore_tensors(net, &self.params)
+        let (mut params, mut buffers) = (Vec::new(), Vec::new());
+        net.visit_params_mut(&mut |p| params.push(p.value.dims().to_vec()));
+        net.visit_buffers_mut(&mut |b| buffers.push(b.dims().to_vec()));
+        for ((part, stored), network) in self.parts().into_iter().zip([params, buffers]) {
+            if stored.len() != network.len() {
+                return Err(LoadCheckpointError::CountMismatch {
+                    part,
+                    checkpoint: stored.len(),
+                    network: network.len(),
+                });
+            }
+            if let Some(index) = network.iter().zip(stored).position(|(n, t)| n != t.dims()) {
+                return Err(LoadCheckpointError::ShapeMismatch { part, index });
+            }
+        }
+        let (mut params, mut buffers) = (self.params.iter(), self.buffers.iter());
+        net.visit_params_mut(&mut |p| {
+            p.value = params.next().expect("count validated").clone();
+            p.zero_grad();
+        });
+        net.visit_buffers_mut(&mut |b| *b = buffers.next().expect("count validated").clone());
+        Ok(())
     }
 
     /// Saves as JSON, atomically: the content is written to a temporary
@@ -280,21 +331,21 @@ impl Checkpoint {
     /// leaves a truncated checkpoint behind.
     ///
     /// The version and checksum fields are recomputed at save time, so a
-    /// checkpoint whose `params` were modified after capture still
+    /// checkpoint whose tensors were modified after capture still
     /// round-trips.
     ///
     /// # Errors
     ///
-    /// [`SaveCheckpointError::NonFiniteParam`] if any parameter holds
-    /// NaN/Inf (JSON cannot represent them), or
-    /// [`SaveCheckpointError::Io`] if writing fails.
+    /// [`SaveCheckpointError::NonFinite`] if any tensor holds NaN/Inf
+    /// (JSON cannot represent them), or [`SaveCheckpointError::Io`] if
+    /// writing fails.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SaveCheckpointError> {
-        if let Some(index) = first_non_finite(&self.params) {
-            return Err(SaveCheckpointError::NonFiniteParam { index });
+        if let Some((part, index)) = self.first_non_finite() {
+            return Err(SaveCheckpointError::NonFinite { part, index });
         }
         let normalized = Self {
             version: CHECKPOINT_VERSION,
-            checksum: param_checksum(&self.params),
+            checksum: state_checksum(&self.params, &self.buffers),
             ..self.clone()
         };
         let json =
@@ -304,7 +355,7 @@ impl Checkpoint {
     }
 
     /// Loads from a JSON file written by [`Checkpoint::save`], verifying
-    /// the format version, the parameter checksum and finiteness.
+    /// the format version, the state checksum and finiteness.
     ///
     /// # Errors
     ///
@@ -321,15 +372,15 @@ impl Checkpoint {
                 expected: CHECKPOINT_VERSION,
             });
         }
-        let computed = param_checksum(&ckpt.params);
+        let computed = state_checksum(&ckpt.params, &ckpt.buffers);
         if computed != ckpt.checksum {
             return Err(LoadCheckpointError::ChecksumMismatch {
                 stored: ckpt.checksum,
                 computed,
             });
         }
-        if let Some(index) = first_non_finite(&ckpt.params) {
-            return Err(LoadCheckpointError::NonFiniteParam { index });
+        if let Some((part, index)) = ckpt.first_non_finite() {
+            return Err(LoadCheckpointError::NonFinite { part, index });
         }
         Ok(ckpt)
     }
@@ -393,20 +444,86 @@ mod tests {
     #[test]
     fn capture_restore_round_trip() {
         let mut rng = SmallRng::seed_from_u64(81);
-        let mut net = Vgg::new(&mut rng, VggConfig::vgg_tiny(8, 2));
-        let x = antidote_tensor::Tensor::from_fn([1, 3, 8, 8], |i| (i as f32 * 0.01).sin());
-        let before = net.forward(&x, Mode::Eval);
-        let ckpt = Checkpoint::capture(net.as_mut_network());
+        let x = antidote_tensor::Tensor::from_fn([2, 3, 8, 8], |i| (i as f32 * 0.01).sin());
+        let nets: [Box<dyn Network>; 3] = [
+            Box::new(Vgg::new(&mut rng, VggConfig::vgg_tiny(8, 2))),
+            Box::new(Vgg::new(&mut rng, VggConfig::vgg_tiny(8, 2).with_batchnorm())),
+            // Projection shortcuts carry batch norms of their own.
+            Box::new(ResNet::new(&mut rng, ResNetConfig::resnet_small(8, 2, 4))),
+        ];
+        for mut net in nets {
+            let before = net.forward(&x, Mode::Eval);
+            let ckpt = Checkpoint::capture(net.as_mut());
+            let mut buffers = 0;
+            net.visit_buffers_mut(&mut |_| buffers += 1);
+            assert_eq!(ckpt.buffers.len(), buffers);
 
-        // Perturb, then restore.
-        net.visit_params_mut(&mut |p| {
-            for v in p.value.data_mut() {
-                *v += 0.5;
+            // Perturb parameters and running statistics, then restore.
+            let _ = net.forward(&x, Mode::Train);
+            net.visit_params_mut(&mut |p| {
+                for v in p.value.data_mut() {
+                    *v += 0.5;
+                }
+            });
+            assert!(!net.forward(&x, Mode::Eval).allclose(&before, 1e-6));
+            ckpt.restore(net.as_mut()).unwrap();
+            assert!(net.forward(&x, Mode::Eval).allclose(&before, 0.0));
+        }
+    }
+
+    #[test]
+    fn batchnorm_state_without_buffers_is_refused_typed() {
+        let mut rng = SmallRng::seed_from_u64(92);
+        let mut net = Vgg::new(&mut rng, VggConfig::vgg_tiny(8, 2).with_batchnorm());
+        let x = antidote_tensor::Tensor::from_fn([2, 3, 8, 8], |i| (i as f32 * 0.02).cos());
+        let _ = net.forward(&x, Mode::Train);
+        let before = net.forward(&x, Mode::Eval);
+        let mut ckpt = Checkpoint::capture(net.as_mut_network());
+        ckpt.buffers.clear();
+        assert_eq!(
+            ckpt.restore(net.as_mut_network()).unwrap_err(),
+            LoadCheckpointError::CountMismatch {
+                part: StatePart::Buffer,
+                checkpoint: 0,
+                network: 4
             }
-        });
-        assert!(!net.forward(&x, Mode::Eval).allclose(&before, 1e-6));
-        ckpt.restore(net.as_mut_network()).unwrap();
-        assert!(net.forward(&x, Mode::Eval).allclose(&before, 1e-6));
+        );
+        assert!(net.forward(&x, Mode::Eval).allclose(&before, 0.0));
+
+        // A file written before buffers were stored lacks the field: it
+        // decodes with none and its params-only checksum still verifies,
+        // so it loads — and the restore is refused the same way.
+        let path = temp_path("no_buffers");
+        ckpt.save(&path).unwrap();
+        let json = std::fs::read_to_string(&path).unwrap();
+        let legacy = json.replace("\"buffers\":[],", "");
+        assert_ne!(json, legacy, "test must actually strip the field");
+        std::fs::write(&path, legacy).unwrap();
+        let loaded = Checkpoint::load(&path).unwrap();
+        assert!(loaded.buffers.is_empty());
+        assert!(matches!(
+            loaded.restore(net.as_mut_network()),
+            Err(LoadCheckpointError::CountMismatch {
+                part: StatePart::Buffer,
+                ..
+            })
+        ));
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn restore_rejects_a_buffer_of_the_wrong_shape() {
+        let mut rng = SmallRng::seed_from_u64(93);
+        let mut net = Vgg::new(&mut rng, VggConfig::vgg_tiny(8, 2).with_batchnorm());
+        let mut ckpt = Checkpoint::capture(net.as_mut_network());
+        ckpt.buffers[3] = antidote_tensor::Tensor::zeros([3]);
+        assert_eq!(
+            ckpt.restore(net.as_mut_network()).unwrap_err(),
+            LoadCheckpointError::ShapeMismatch {
+                part: StatePart::Buffer,
+                index: 3
+            }
+        );
     }
 
     #[test]
@@ -478,8 +595,13 @@ mod tests {
         let err = ckpt.restore(other.as_mut_network()).unwrap_err();
         assert!(matches!(
             err,
-            LoadCheckpointError::ParamCountMismatch { .. }
-                | LoadCheckpointError::ShapeMismatch { .. }
+            LoadCheckpointError::CountMismatch {
+                part: StatePart::Param,
+                ..
+            } | LoadCheckpointError::ShapeMismatch {
+                part: StatePart::Param,
+                ..
+            }
         ));
     }
 
@@ -622,7 +744,10 @@ mod tests {
         let path = temp_path("nonfinite");
         assert_eq!(
             ckpt.save(&path).unwrap_err(),
-            SaveCheckpointError::NonFiniteParam { index: 1 }
+            SaveCheckpointError::NonFinite {
+                part: StatePart::Param,
+                index: 1
+            }
         );
         assert!(!path.exists(), "no file may be left behind");
     }
@@ -707,28 +832,56 @@ mod tests {
         use antidote_tensor::Tensor;
         let a = vec![Tensor::from_fn([2, 3], |i| i as f32)];
         let b = vec![Tensor::from_fn([3, 2], |i| i as f32)];
-        assert_ne!(param_checksum(&a), param_checksum(&b));
+        assert_ne!(state_checksum(&a, &[]), state_checksum(&b, &[]));
         let mut c = a.clone();
         c[0].data_mut()[0] += 1.0;
-        assert_ne!(param_checksum(&a), param_checksum(&c));
-        assert_eq!(param_checksum(&a), param_checksum(&a.clone()));
+        assert_ne!(state_checksum(&a, &[]), state_checksum(&c, &[]));
+        assert_eq!(state_checksum(&a, &[]), state_checksum(&a.clone(), &[]));
+        // Buffers continue the parameters' digest.
+        let ab: Vec<Tensor> = a.iter().chain(&b).cloned().collect();
+        assert_eq!(state_checksum(&a, &b), state_checksum(&ab, &[]));
+        assert_ne!(state_checksum(&a, &b), state_checksum(&a, &[]));
+    }
+
+    #[test]
+    fn save_rejects_non_finite_buffers() {
+        let mut rng = SmallRng::seed_from_u64(94);
+        let mut net = Vgg::new(&mut rng, VggConfig::vgg_tiny(8, 2).with_batchnorm());
+        let mut ckpt = Checkpoint::capture(net.as_mut_network());
+        ckpt.buffers[1].data_mut()[0] = f32::INFINITY;
+        let path = temp_path("nonfinite_buffer");
+        assert_eq!(
+            ckpt.save(&path).unwrap_err(),
+            SaveCheckpointError::NonFinite {
+                part: StatePart::Buffer,
+                index: 1
+            }
+        );
+        assert!(!path.exists(), "no file may be left behind");
     }
 
     #[test]
     fn error_display() {
-        let e = LoadCheckpointError::ParamCountMismatch {
+        let e = LoadCheckpointError::CountMismatch {
+            part: StatePart::Buffer,
             checkpoint: 2,
             network: 3,
         };
-        assert!(e.to_string().contains("2"));
-        let e = LoadCheckpointError::ShapeMismatch { index: 5 };
-        assert!(e.to_string().contains("5"));
+        assert_eq!(e.to_string(), "checkpoint has 2 buffers but network has 3");
+        let e = LoadCheckpointError::ShapeMismatch {
+            part: StatePart::Param,
+            index: 5,
+        };
+        assert_eq!(e.to_string(), "parameter 5 has a different shape");
         let e = LoadCheckpointError::VersionMismatch {
             found: 0,
             expected: CHECKPOINT_VERSION,
         };
         assert!(e.to_string().contains("version 0"));
-        let e = SaveCheckpointError::NonFiniteParam { index: 4 };
-        assert!(e.to_string().contains("4"));
+        let e = SaveCheckpointError::NonFinite {
+            part: StatePart::Buffer,
+            index: 4,
+        };
+        assert!(e.to_string().contains("buffer 4"));
     }
 }

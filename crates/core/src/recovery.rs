@@ -9,7 +9,9 @@
 //!
 //! - **Divergence sentinel** — after every epoch the loss and all
 //!   parameters are checked for finiteness. On a trip, the run rolls
-//!   back to the last healthy snapshot (parameters *and* SGD momentum),
+//!   back to the last healthy snapshot (the network state — parameters
+//!   and batch-norm running statistics, as a [`Checkpoint`] — *and* SGD
+//!   momentum),
 //!   scales the learning rate down by a backoff factor, and retries the
 //!   same epoch. Retries are bounded; exhausting them returns a typed
 //!   [`TrainError::Diverged`] carrying the healthy partial history.
@@ -27,10 +29,10 @@
 //! same data order, and a killed-and-resumed run reproduces the epoch
 //! history of an uninterrupted one exactly.
 
+use crate::checkpoint::Checkpoint;
 use crate::trainer::{TrainConfig, TrainHistory};
 use antidote_models::Network;
 use antidote_nn::optim::{Sgd, SgdState};
-use antidote_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::PathBuf;
@@ -213,7 +215,7 @@ pub(crate) fn save_run_checkpoint(
     state: TrainState,
     path: &std::path::Path,
 ) -> Result<(), TrainError> {
-    crate::checkpoint::Checkpoint::capture(net)
+    Checkpoint::capture(net)
         .with_train_state(state)
         .save(path)
         .map_err(|e| TrainError::Checkpoint(e.to_string()))
@@ -228,7 +230,7 @@ pub(crate) fn load_resume_state(
     net: &mut dyn Network,
     expect_ttd: bool,
 ) -> Result<TrainState, TrainError> {
-    let ckpt = crate::checkpoint::Checkpoint::load(path)
+    let ckpt = Checkpoint::load(path)
         .map_err(|e| TrainError::Checkpoint(e.to_string()))?;
     let state = match &ckpt.train_state {
         Some(s) => s.clone(),
@@ -262,9 +264,9 @@ pub(crate) fn load_resume_state(
 /// and `train_ttd` loops.
 pub(crate) struct Supervisor {
     settings: RecoverySettings,
-    params: Vec<Tensor>,
-    sgd: SgdState,
-    ttd: Option<TtdState>,
+    /// The last healthy point — network state, optimizer state, ascent
+    /// state — or `None` before the first snapshot.
+    healthy: Option<(Checkpoint, SgdState, Option<TtdState>)>,
     pub(crate) lr_scale: f32,
     pub(crate) retries_used: usize,
     injected: bool,
@@ -278,14 +280,7 @@ impl Supervisor {
         );
         Self {
             settings,
-            params: Vec::new(),
-            sgd: SgdState {
-                lr: 0.0,
-                momentum: 0.0,
-                weight_decay: 0.0,
-                velocities: Vec::new(),
-            },
-            ttd: None,
+            healthy: None,
             lr_scale: 1.0,
             retries_used: 0,
             injected: false,
@@ -294,10 +289,7 @@ impl Supervisor {
 
     /// Records the current state as the last known-healthy point.
     pub(crate) fn snapshot(&mut self, net: &mut dyn Network, sgd: &Sgd, ttd: Option<&TtdState>) {
-        self.params.clear();
-        net.visit_params_mut(&mut |p| self.params.push(p.value.clone()));
-        self.sgd = sgd.export_state();
-        self.ttd = ttd.cloned();
+        self.healthy = Some((Checkpoint::capture(net), sgd.export_state(), ttd.cloned()));
     }
 
     /// One-shot fault injection: after epoch `epoch`, if requested and
@@ -348,14 +340,13 @@ impl Supervisor {
         net: &mut dyn Network,
         sgd: &mut Sgd,
     ) -> (RecoveryEvent, Option<TtdState>) {
-        let mut i = 0;
-        net.visit_params_mut(&mut |p| {
-            p.value = self.params[i].clone();
-            p.zero_grad();
-            i += 1;
-        });
-        debug_assert_eq!(i, self.params.len(), "snapshot drifted from network");
-        sgd.load_state(&self.sgd);
+        let (state, sgd_state, ttd) = self
+            .healthy
+            .as_ref()
+            .expect("a snapshot precedes every rollback");
+        state.restore(net).expect("snapshot drifted from network");
+        sgd.load_state(sgd_state);
+        let ttd = ttd.clone();
         self.retries_used += 1;
         self.lr_scale *= self.settings.lr_backoff;
         let event = RecoveryEvent {
@@ -375,7 +366,7 @@ impl Supervisor {
                 ],
             );
         }
-        (event, self.ttd.clone())
+        (event, ttd)
     }
 }
 

@@ -15,9 +15,7 @@ use crate::error::ModelFileError;
 use antidote_core::checkpoint::Checkpoint;
 use antidote_core::quant::{quantize_vgg, CalibrationMethod};
 use antidote_data::SynthConfig;
-use antidote_models::{
-    BnParts, Network, QuantizedConvParts, VggQuantizedParts, Vgg, VggConfig,
-};
+use antidote_models::{BnParts, ConvParts, ConvWeight, Network, Vgg, VggConfig, VggParts};
 use antidote_tensor::Tensor;
 use std::path::Path;
 use std::sync::Arc;
@@ -34,7 +32,7 @@ pub const KV_CALIBRATION: &str = "calibration.method";
 pub const KV_QUANT_SCHEME: &str = "quant.scheme";
 /// Metadata key: `describe()` string of the source network.
 pub const KV_PROVENANCE_ARCH: &str = "provenance.architecture";
-/// Metadata key: parameter checksum of the source checkpoint.
+/// Metadata key: state checksum of the source checkpoint.
 pub const KV_PROVENANCE_CHECKSUM: &str = "provenance.param_checksum";
 
 /// The quantization scheme every int8 artifact declares: symmetric
@@ -117,15 +115,18 @@ impl ModelArtifact {
         &self.extra_kvs
     }
 
-    /// Builds an fp32 artifact from a v2 checkpoint. The architecture
-    /// comes from the checkpoint's embedded [`VggConfig`] (see
+    /// Builds an fp32 artifact from a v2 checkpoint — its parameters and
+    /// batch-norm running statistics. The architecture comes from the
+    /// checkpoint's embedded [`VggConfig`] (see
     /// `Checkpoint::with_vgg_config`) or the explicit `config` override,
     /// which wins when both are present.
     ///
     /// # Errors
     ///
     /// [`ModelFileError::BadModel`] when no config is available, the
-    /// config is invalid, or the checkpoint's parameters do not fit it.
+    /// config is invalid, or the checkpoint's state does not fit it
+    /// (wrong count or shape, a non-finite value, or a batch-norm
+    /// network's checkpoint without its running statistics).
     pub fn from_checkpoint(
         ckpt: &Checkpoint,
         config: Option<VggConfig>,
@@ -138,7 +139,8 @@ impl ModelArtifact {
                 )
             })?;
         Ok(Self {
-            prototype: Vgg::from_params(config, &ckpt.params).map_err(ModelFileError::BadModel)?,
+            prototype: Vgg::from_params(config, &ckpt.params, &ckpt.buffers)
+                .map_err(ModelFileError::BadModel)?,
             extra_kvs: vec![
                 (
                     KV_PROVENANCE_ARCH.to_string(),
@@ -190,11 +192,8 @@ impl ModelArtifact {
             .with_samples(per_class, 1)
             .with_seed(calib_seed)
             .generate();
-        let parts = quantize_vgg(&mut net, &data.train, calib_batch_size, calib_batches, method)
-            .to_quantized_parts()
-            .ok_or_else(|| {
-                ModelFileError::BadModel("quantization produced no int8 parts".to_string())
-            })?;
+        let prototype =
+            quantize_vgg(&mut net, &data.train, calib_batch_size, calib_batches, method);
 
         let method_label = match method {
             CalibrationMethod::MinMax => "minmax".to_string(),
@@ -207,8 +206,7 @@ impl ModelArtifact {
             KvValue::Str(QUANT_SCHEME.to_string()),
         ));
         Ok(Self {
-            prototype: Vgg::from_quantized_parts(config.clone(), parts)
-                .map_err(ModelFileError::BadModel)?,
+            prototype,
             extra_kvs,
         })
     }
@@ -239,36 +237,33 @@ impl ModelArtifact {
         for (key, value) in &self.extra_kvs {
             b.kv(key.clone(), value.clone());
         }
-        match self.prototype.to_quantized_parts() {
-            None => {
-                // The visitor wants `&mut`; a clone is pointer copies.
-                let mut i = 0;
-                self.prototype.clone().visit_params_mut(&mut |p| {
-                    b.tensor(format!("param.{i:04}"), p.value.clone());
-                    i += 1;
-                });
-            }
-            Some(parts) => {
-                for (i, conv) in parts.convs.iter().enumerate() {
-                    b.matrix_i8(format!("conv.{i}.qweight"), Arc::clone(&conv.qweight));
-                    b.tensor_f32(format!("conv.{i}.bias"), &[conv.bias.len()], &conv.bias);
+        let parts = self.prototype.to_parts();
+        let mut act_scales = Vec::new();
+        for (i, conv) in parts.convs.iter().enumerate() {
+            match &conv.weight {
+                ConvWeight::F32(w) => b.tensor(format!("conv.{i}.weight"), w.clone()),
+                ConvWeight::Int8 { qweight, act_scale } => {
+                    act_scales.push(*act_scale);
+                    b.matrix_i8(format!("conv.{i}.qweight"), Arc::clone(qweight))
                 }
-                let act_scales: Vec<f32> = parts.convs.iter().map(|c| c.act_scale).collect();
-                b.tensor_f32("quant.act_scales", &[act_scales.len()], &act_scales);
-                for (i, bn) in parts.bns.iter().enumerate() {
-                    for (field, t) in [
-                        ("gamma", &bn.gamma),
-                        ("beta", &bn.beta),
-                        ("running_mean", &bn.running_mean),
-                        ("running_var", &bn.running_var),
-                    ] {
-                        b.tensor(format!("bn.{i}.{field}"), t.clone());
-                    }
-                }
-                b.tensor("linear.weight", parts.linear_weight);
-                b.tensor("linear.bias", parts.linear_bias);
+            };
+            b.tensor(format!("conv.{i}.bias"), conv.bias.clone());
+        }
+        if self.prototype.is_int8() {
+            b.tensor_f32("quant.act_scales", &[act_scales.len()], &act_scales);
+        }
+        for (i, bn) in parts.bns.iter().enumerate() {
+            for (field, t) in [
+                ("gamma", &bn.gamma),
+                ("beta", &bn.beta),
+                ("running_mean", &bn.running_mean),
+                ("running_var", &bn.running_var),
+            ] {
+                b.tensor(format!("bn.{i}.{field}"), t.clone());
             }
         }
+        b.tensor("linear.weight", parts.linear_weight);
+        b.tensor("linear.bias", parts.linear_bias);
         b.write(path)
     }
 
@@ -347,64 +342,54 @@ impl ModelArtifact {
             .cloned()
             .collect();
 
-        let prototype = match dtype {
-            ModelDtype::F32 => {
-                let mut params = Vec::new();
-                loop {
-                    let name = format!("param.{:04}", params.len());
-                    if c.tensor(&name).is_none() {
-                        break;
-                    }
-                    params.push(tensor_of(&mut c, &name)?);
-                }
-                if params.is_empty() {
-                    return Err(ModelFileError::BadModel(
-                        "f32 artifact holds no param.* tensors".to_string(),
-                    ));
-                }
-                Vgg::from_params(config, &params)
-            }
+        // One schema for both dtypes: only a conv's weight differs.
+        let n_convs = config.conv_layer_count();
+        let mut act_scales = match dtype {
+            ModelDtype::F32 => None,
             ModelDtype::Int8 => {
-                let n_convs = config.conv_layer_count();
-                let (_, act_scales) = f32s_of(&mut c, "quant.act_scales")?;
-                if act_scales.len() != n_convs {
+                let (_, scales) = f32s_of(&mut c, "quant.act_scales")?;
+                if scales.len() != n_convs {
                     return Err(ModelFileError::BadModel(format!(
                         "quant.act_scales holds {} entries, config needs {n_convs}",
-                        act_scales.len()
+                        scales.len()
                     )));
                 }
-                let mut convs = Vec::with_capacity(n_convs);
-                for (i, act_scale) in act_scales.into_iter().enumerate() {
+                Some(scales.into_iter())
+            }
+        };
+        let mut convs = Vec::with_capacity(n_convs);
+        for i in 0..n_convs {
+            let weight = match act_scales.as_mut().and_then(Iterator::next) {
+                None => ConvWeight::F32(tensor_of(&mut c, &format!("conv.{i}.weight"))?),
+                Some(act_scale) => {
                     let name = format!("conv.{i}.qweight");
                     let (_, Payload::Matrix(qweight)) = take(&mut c, &name)? else {
                         return Err(ModelFileError::Malformed(format!("tensor {name} is f32, not i8")));
                     };
-                    convs.push(QuantizedConvParts {
-                        qweight,
-                        bias: tensor_of(&mut c, &format!("conv.{i}.bias"))?.into_vec(),
-                        act_scale,
-                    });
+                    ConvWeight::Int8 { qweight, act_scale }
                 }
-                let mut bns = Vec::new();
-                if config.batchnorm {
-                    for i in 0..n_convs {
-                        bns.push(BnParts {
-                            gamma: tensor_of(&mut c, &format!("bn.{i}.gamma"))?,
-                            beta: tensor_of(&mut c, &format!("bn.{i}.beta"))?,
-                            running_mean: tensor_of(&mut c, &format!("bn.{i}.running_mean"))?,
-                            running_var: tensor_of(&mut c, &format!("bn.{i}.running_var"))?,
-                        });
-                    }
-                }
-                let parts = VggQuantizedParts {
-                    convs,
-                    bns,
-                    linear_weight: tensor_of(&mut c, "linear.weight")?,
-                    linear_bias: tensor_of(&mut c, "linear.bias")?,
-                };
-                Vgg::from_quantized_parts(config, parts)
+            };
+            let bias = tensor_of(&mut c, &format!("conv.{i}.bias"))?;
+            convs.push(ConvParts { weight, bias });
+        }
+        let mut bns = Vec::new();
+        if config.batchnorm {
+            for i in 0..n_convs {
+                bns.push(BnParts {
+                    gamma: tensor_of(&mut c, &format!("bn.{i}.gamma"))?,
+                    beta: tensor_of(&mut c, &format!("bn.{i}.beta"))?,
+                    running_mean: tensor_of(&mut c, &format!("bn.{i}.running_mean"))?,
+                    running_var: tensor_of(&mut c, &format!("bn.{i}.running_var"))?,
+                });
             }
+        }
+        let parts = VggParts {
+            convs,
+            bns,
+            linear_weight: tensor_of(&mut c, "linear.weight")?,
+            linear_bias: tensor_of(&mut c, "linear.bias")?,
         };
+        let prototype = Vgg::from_parts(config, parts);
         Ok(Self {
             prototype: prototype.map_err(ModelFileError::BadModel)?,
             extra_kvs,
@@ -451,31 +436,31 @@ mod tests {
         ModelArtifact::from_checkpoint(&ckpt, None).unwrap()
     }
 
-    /// The network's parameter tensors (handles, not copies).
-    fn params_of(net: &mut dyn Network) -> Vec<Tensor> {
-        Checkpoint::capture(net).params
+    /// The network's state: parameters, then buffers (handles, not
+    /// copies).
+    fn state_of(net: &mut dyn Network) -> Vec<Tensor> {
+        let ckpt = Checkpoint::capture(net);
+        ckpt.params.into_iter().chain(ckpt.buffers).collect()
     }
 
     #[test]
     fn fp32_replicas_share_every_parameter_with_the_artifact() {
         let artifact = fp32_artifact();
-        let held = params_of(&mut artifact.prototype.clone());
+        let held = state_of(&mut artifact.prototype.clone());
         assert_eq!(
             held.len(),
-            2 * 4 + 2,
+            2 * (4 + 2) + 2,
             "2 convs with batch norm, 1 classifier"
         );
         for _ in 0..REPLICAS {
-            let replica = params_of(artifact.build_network().as_mut());
+            let replica = state_of(artifact.build_network().as_mut());
             assert_eq!(replica.len(), held.len());
             for (r, h) in replica.iter().zip(&held) {
-                assert!(r.shares_storage(h), "a replica copied a parameter");
+                assert!(r.shares_storage(h), "a replica copied a tensor");
             }
         }
         let total: usize = held.iter().map(|t| 4 * t.len()).sum();
-        // Weights are the parameters plus each batch norm's two running
-        // statistics (4 + 8 channels).
-        assert_eq!(artifact.weight_bytes() as usize, total + 4 * 2 * (4 + 8));
+        assert_eq!(artifact.weight_bytes() as usize, total);
     }
 
     /// `build_network` boxes exactly `prototype.clone()`; an int8 network
@@ -486,16 +471,16 @@ mod tests {
         let artifact = fp32_artifact()
             .quantize(CalibrationMethod::MinMax, 8, 2, 7)
             .unwrap();
-        let held = artifact.prototype.to_quantized_parts().expect("int8");
+        let held = artifact.prototype.to_parts();
+        let qweight = |c: &ConvParts| match &c.weight {
+            ConvWeight::Int8 { qweight, .. } => Arc::clone(qweight),
+            ConvWeight::F32(_) => panic!("int8 artifact holds an fp32 conv"),
+        };
         for _ in 0..REPLICAS {
-            let replica = artifact
-                .prototype
-                .clone()
-                .to_quantized_parts()
-                .expect("int8");
+            let replica = artifact.prototype.clone().to_parts();
             for (r, h) in replica.convs.iter().zip(&held.convs) {
                 assert!(
-                    Arc::ptr_eq(&r.qweight, &h.qweight),
+                    Arc::ptr_eq(&qweight(r), &qweight(h)),
                     "a replica copied a matrix"
                 );
             }
@@ -511,13 +496,15 @@ mod tests {
 
     #[test]
     fn a_checkpoint_its_artifact_and_the_captured_net_hold_one_copy() {
-        let config = VggConfig::vgg_tiny(8, 4);
+        let config = VggConfig::vgg_tiny(8, 4).with_batchnorm();
         let mut net = Vgg::new(&mut SmallRng::seed_from_u64(9), config.clone());
         let ckpt = Checkpoint::capture(&mut net).with_vgg_config(config);
         let artifact = ModelArtifact::from_checkpoint(&ckpt, None).unwrap();
-        let live = params_of(&mut net);
-        let served = params_of(artifact.build_network().as_mut());
-        for ((l, c), s) in live.iter().zip(&ckpt.params).zip(&served) {
+        let live = state_of(&mut net);
+        let served = state_of(artifact.build_network().as_mut());
+        assert_eq!(served.len(), live.len());
+        let stored = ckpt.params.iter().chain(&ckpt.buffers);
+        for ((l, c), s) in live.iter().zip(stored).zip(&served) {
             assert!(l.shares_storage(c) && c.shares_storage(s));
         }
     }

@@ -26,7 +26,7 @@
 )]
 
 use crate::error::ModelFileError;
-use antidote_core::checkpoint::atomic_write;
+use antidote_core::checkpoint::{atomic_write, fnv1a_extend, FNV_OFFSET};
 use antidote_tensor::quant::QuantizedMatrix;
 use antidote_tensor::Tensor;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -64,24 +64,10 @@ pub const MAX_COUNT: u32 = 65_536;
 /// direction holds besides the payloads themselves.
 const CHUNK: usize = 64 * 1024;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64 over a byte slice — the per-tensor checksum algorithm
-/// (same constants as `antidote-core`'s parameter checksum).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_extend(FNV_OFFSET, bytes)
-}
-
-/// Continues an FNV-1a 64 hash `h` over `bytes`, so a payload can be
-/// hashed in pieces.
-fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+/// FNV-1a 64 over a byte slice — the per-tensor checksum algorithm, the
+/// same function as the checkpoint state checksum (re-exported from
+/// `antidote-core`).
+pub use antidote_core::checkpoint::fnv1a;
 
 /// A metadata value. Unknown *keys* are ignored by loaders (forward
 /// compatibility); an unknown value-type *tag* is a typed error because

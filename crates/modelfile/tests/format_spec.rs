@@ -107,8 +107,9 @@ fn spec_pins_checksum_algorithm() {
 #[test]
 fn spec_pins_tensor_name_schemas() {
     for (needle, what) in [
-        ("`param.NNNN`", "the fp32 parameter naming"),
+        ("`conv.{i}.weight`", "the fp32 conv weight naming"),
         ("`conv.{i}.qweight`", "the int8 conv weight naming"),
+        ("`bn.{i}.running_var`", "the batch-norm statistics naming"),
         ("`quant.act_scales`", "the activation-scales tensor"),
         ("`linear.weight`", "the classifier head naming"),
     ] {

@@ -137,7 +137,9 @@ const BATCHNORM_LOGITS: [u64; 4] = [
     0x7674_7b1f_6b84_117c,
 ];
 const PLAIN_ADM: u64 = 0xfe0d_70f3_a868_0df0;
-const BATCHNORM_ADM: u64 = 0xbdd3_1359_018f_3cec;
+/// Its `provenance.param_checksum` KV covers the batch-norm running
+/// statistics along with the parameters.
+const BATCHNORM_ADM: u64 = 0x2db3_b8b7_ad77_2c1d;
 
 #[test]
 fn forward_bits_and_int8_adm_bytes_match_the_recorded_goldens() {

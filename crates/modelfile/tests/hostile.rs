@@ -3,10 +3,14 @@
 //! model. Each case starts from a valid image and corrupts one field at
 //! a byte offset pinned by the `docs/FORMAT.md` layout.
 
+use antidote_core::checkpoint::Checkpoint;
 use antidote_modelfile::{
     fnv1a, Container, ContainerBuilder, Dtype, KvValue, ModelArtifact, ModelFileError, TensorEntry,
-    HEADER_LEN,
+    HEADER_LEN, KV_CONFIG, KV_DTYPE, KV_FAMILY,
 };
+use antidote_models::{Vgg, VggConfig};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
@@ -228,6 +232,87 @@ fn unknown_kv_keys_are_ignored_for_forward_compat() {
         .tensor_f32("w", &[1], &[1.0]);
     let c = Container::from_bytes(b.to_bytes()).unwrap();
     assert_eq!(c.kv("future.knob"), Some(&KvValue::U64(3)));
+}
+
+// ------------------------------------------------ hostile network state
+
+/// A seeded `vgg_tiny` captured with its config.
+fn tiny_checkpoint(batchnorm: bool) -> Checkpoint {
+    let mut config = VggConfig::vgg_tiny(8, 3);
+    config.batchnorm = batchnorm;
+    let mut net = Vgg::new(&mut SmallRng::seed_from_u64(17), config.clone());
+    Checkpoint::capture(&mut net).with_vgg_config(config)
+}
+
+fn bad_model<T: std::fmt::Debug>(r: Result<T, ModelFileError>) -> String {
+    match r {
+        Err(ModelFileError::BadModel(msg)) => msg,
+        other => panic!("expected BadModel, got {other:?}"),
+    }
+}
+
+#[test]
+fn non_finite_fp32_weight_in_a_checkpoint_is_bad_model() {
+    let mut ckpt = tiny_checkpoint(false);
+    ckpt.params[0].data_mut()[5] = f32::NAN;
+    let msg = bad_model(ModelArtifact::from_checkpoint(&ckpt, None));
+    assert!(msg.contains("non-finite"), "{msg}");
+}
+
+#[test]
+fn batchnorm_checkpoint_without_buffers_is_bad_model() {
+    let mut ckpt = tiny_checkpoint(true);
+    ckpt.buffers.clear();
+    let msg = bad_model(ModelArtifact::from_checkpoint(&ckpt, None));
+    assert!(msg.contains("buffer"), "{msg}");
+}
+
+#[test]
+fn non_finite_fp32_weight_in_an_adm_is_bad_model() {
+    let path = temp_file("nan_weight", &[]);
+    ModelArtifact::from_checkpoint(&tiny_checkpoint(true), None)
+        .unwrap()
+        .save(&path)
+        .unwrap();
+    // Re-assemble the file with one poisoned weight; every container
+    // checksum is valid, so only the model validator can refuse it.
+    let c = Container::read(&path).unwrap();
+    let mut b = ContainerBuilder::new();
+    for (key, value) in &c.kvs {
+        b.kv(key.clone(), value.clone());
+    }
+    for entry in &c.tensors {
+        let mut values = c.f32_values(entry).unwrap().to_vec();
+        if entry.name == "conv.1.weight" {
+            values[7] = f32::INFINITY;
+        }
+        let dims: Vec<usize> = entry.dims.iter().map(|&d| d as usize).collect();
+        b.tensor_f32(entry.name.clone(), &dims, &values);
+    }
+    b.write(&path).unwrap();
+    let msg = bad_model(ModelArtifact::load(&path));
+    assert!(msg.contains("conv 1 weight"), "{msg}");
+    let _ = std::fs::remove_file(path);
+}
+
+/// An fp32 file in the positional schema older builds wrote (one
+/// `param.NNNN` tensor per checkpoint parameter) names none of the
+/// tensors the loader needs.
+#[test]
+fn positional_fp32_adm_is_bad_model() {
+    let ckpt = tiny_checkpoint(false);
+    let config = ckpt.vgg_config.clone().unwrap();
+    let mut b = ContainerBuilder::new();
+    b.kv(KV_FAMILY, KvValue::Str("vgg".into()))
+        .kv(KV_DTYPE, KvValue::Str("f32".into()))
+        .kv(KV_CONFIG, KvValue::Str(serde_json::to_string(&config).unwrap()));
+    for (i, t) in ckpt.params.iter().enumerate() {
+        b.tensor(format!("param.{i:04}"), t.clone());
+    }
+    let path = temp_file("positional", &b.to_bytes());
+    let msg = bad_model(ModelArtifact::load(&path));
+    assert!(msg.contains("conv.0.weight"), "{msg}");
+    let _ = std::fs::remove_file(path);
 }
 
 // ---------------------------------------------- file reader vs in-memory

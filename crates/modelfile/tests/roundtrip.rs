@@ -7,6 +7,8 @@ use antidote_core::checkpoint::Checkpoint;
 use antidote_core::quant::CalibrationMethod;
 use antidote_modelfile::{Container, ContainerBuilder, ModelArtifact, ModelDtype};
 use antidote_models::{Network, Vgg, VggConfig};
+use antidote_nn::loss::softmax_cross_entropy;
+use antidote_nn::optim::Sgd;
 use antidote_nn::Mode;
 use antidote_tensor::Tensor;
 use proptest::collection;
@@ -89,16 +91,96 @@ fn int8_save_load_serves_bit_identical_logits() {
     let _ = std::fs::remove_file(path);
 }
 
-/// The fp32 `.adm` of a seeded network is the file the commit before
-/// weight sharing wrote (FNV-1a over its bytes, recorded there); the
-/// int8 file is pinned the same way in `golden_bits.rs`. Covers the
-/// artifact reading its tensors out of the shared prototype and the
-/// streamed writer.
+/// A trained `vgg_tiny`: three SGD steps on a seeded batch move the
+/// parameters and, with batch norm, the running statistics off their
+/// initial values.
+fn trained_vgg(batchnorm: bool) -> Vgg {
+    let mut config = VggConfig::vgg_tiny(8, 4);
+    config.batchnorm = batchnorm;
+    let mut net = Vgg::new(&mut SmallRng::seed_from_u64(31), config);
+    let x = Tensor::from_fn([4, 3, 8, 8], |i| (i as f32 * 0.043).sin());
+    let mut sgd = Sgd::new(0.05);
+    for _ in 0..3 {
+        let logits = net.forward(&x, Mode::Train);
+        net.zero_grad();
+        net.backward(&softmax_cross_entropy(&logits, &[0, 1, 2, 3]).grad);
+        sgd.begin_step();
+        net.visit_params_mut(&mut |p| sgd.update(p));
+    }
+    net
+}
+
+/// The whole conversion chain keeps a trained network's state: checkpoint
+/// `save`/`load`, `from_checkpoint`, `.adm` `save`/`load` serve the
+/// trained eval logits bit for bit, and the int8 artifact quantized from
+/// it stores the trained batch-norm running statistics.
+fn trained_state_survives_conversion(batchnorm: bool) {
+    let mut trained = trained_vgg(batchnorm);
+    let config = trained.config().clone();
+    let tag = u8::from(batchnorm);
+    let ckpt_path = std::env::temp_dir().join(format!("adm_trained_{tag}_{}.json", std::process::id()));
+    let (fp32_path, int8_path) = (tmp_path(&format!("trained_f32_{tag}")), tmp_path(&format!("trained_i8_{tag}")));
+
+    Checkpoint::capture(&mut trained)
+        .with_vgg_config(config.clone())
+        .save(&ckpt_path)
+        .unwrap();
+    let ckpt = Checkpoint::load(&ckpt_path).unwrap();
+    ModelArtifact::from_checkpoint(&ckpt, None)
+        .unwrap()
+        .save(&fp32_path)
+        .unwrap();
+    let fp32 = ModelArtifact::load(&fp32_path).unwrap();
+    let input = probe_input(&config);
+    assert_eq!(
+        logits_bits(fp32.build_network().as_mut(), &input),
+        logits_bits(&mut trained, &input),
+        "fp32 logits after conversion (batchnorm={batchnorm})"
+    );
+
+    fp32.quantize(CalibrationMethod::MinMax, 8, 2, 7)
+        .unwrap()
+        .save(&int8_path)
+        .unwrap();
+    let stored = Container::read(&int8_path).unwrap();
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let parts = trained.to_parts();
+    assert_eq!(parts.bns.len(), if batchnorm { 2 } else { 0 });
+    for (i, bn) in parts.bns.iter().enumerate() {
+        for (field, want) in [("running_mean", &bn.running_mean), ("running_var", &bn.running_var)] {
+            let entry = stored.tensor(&format!("bn.{i}.{field}")).unwrap();
+            assert_eq!(
+                bits(stored.f32_values(entry).unwrap()),
+                bits(want.data()),
+                "int8 bn.{i}.{field} is not the trained statistic"
+            );
+        }
+    }
+    for path in [&fp32_path, &int8_path, &ckpt_path] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
+fn trained_state_survives_checkpoint_and_adm_conversion_plain() {
+    trained_state_survives_conversion(false);
+}
+
+#[test]
+fn trained_state_survives_checkpoint_and_adm_conversion_batchnorm() {
+    trained_state_survives_conversion(true);
+}
+
+/// The fp32 `.adm` of a seeded network, pinned by length and FNV-1a over
+/// its bytes; the int8 file is pinned the same way in `golden_bits.rs`.
+/// Covers the artifact reading its tensors out of the shared prototype
+/// and the streamed writer, in the one named schema both dtypes share
+/// (`conv.{i}.weight`, and with batch norm `bn.{i}.running_*`).
 #[test]
 fn fp32_adm_bytes_are_the_pre_sharing_file() {
     for (batchnorm, len, golden) in [
-        (false, 2960, 0xef1b_19dc_64c6_537a_u64),
-        (true, 3408, 0xb314_3aea_f568_ed1f),
+        (false, 2960, 0x0dfb_d455_0a9c_15e2_u64),
+        (true, 3920, 0x694f_2ea9_15f1_a11a),
     ] {
         let mut config = VggConfig::vgg_tiny(8, 4);
         config.batchnorm = batchnorm;

@@ -37,8 +37,8 @@
 mod config;
 mod network;
 mod oplist;
+mod parts;
 mod profiled;
-mod quantized;
 mod resnet;
 mod shrunk;
 mod tap;
@@ -46,7 +46,7 @@ mod vgg;
 
 pub use config::{ConvShape, ResNetConfig, VggBlock, VggConfig};
 pub use network::Network;
-pub use quantized::{BnParts, QuantizedConvParts, VggQuantizedParts};
+pub use parts::{BnParts, ConvParts, ConvWeight, VggParts};
 pub use resnet::ResNet;
 pub use shrunk::ShrunkNetwork;
 pub use tap::{masks_to_tensor, FeatureHook, NoopHook, TapId, TapInfo};

@@ -58,6 +58,14 @@ pub trait Network: std::fmt::Debug + Send {
     /// Visits every trainable parameter in a stable order.
     fn visit_params_mut(&mut self, visitor: &mut dyn FnMut(&mut Parameter));
 
+    /// Visits every buffer — a batch-norm running mean or variance — in
+    /// a stable order. A network's state is its parameters plus these;
+    /// the optimizer and [`Network::param_count`] never see them. A
+    /// wrapper must forward this, or its checkpoints lose the statistics.
+    fn visit_buffers_mut(&mut self, visitor: &mut dyn FnMut(&mut Tensor)) {
+        let _ = visitor;
+    }
+
     /// All taps, in forward order.
     fn taps(&self) -> Vec<TapInfo>;
 

@@ -4,7 +4,8 @@
 //! → tap per layer, a max pool per block, then flatten → linear. ResNet
 //! wraps each basic block in [`Op::Fork`] … [`Op::Join`] and ends on a
 //! global average pool. Every pass — hooked forward, backward, measured
-//! forward, the parameter and tap-conv visits — is written once, here.
+//! forward, the parameter, buffer and tap-conv visits — is written once,
+//! here.
 //!
 //! Hooked and measured forwards stay two passes on purpose: they run
 //! different conv executors (the layer's own, which caches for backward,
@@ -341,6 +342,21 @@ impl OpList {
                 }
                 _ => {}
             }
+        }
+    }
+
+    /// Visits every batch norm's running statistics, projections
+    /// included, in forward order; an int8 network visits none, as for
+    /// parameters.
+    pub(crate) fn visit_buffers_mut(&mut self, visitor: &mut dyn FnMut(&mut Tensor)) {
+        let int8 = self.is_int8();
+        let bns = self.ops.iter_mut().filter(|_| !int8).filter_map(|op| match op {
+            Op::Bn(bn) => Some(bn),
+            Op::Join { projection: Some(p) } => p.bn.as_mut(),
+            _ => None,
+        });
+        for bn in bns {
+            bn.visit_buffers_mut(visitor);
         }
     }
 

@@ -130,6 +130,10 @@ impl Network for ResNet {
         self.net.visit_params_mut(visitor);
     }
 
+    fn visit_buffers_mut(&mut self, visitor: &mut dyn FnMut(&mut Tensor)) {
+        self.net.visit_buffers_mut(visitor);
+    }
+
     fn taps(&self) -> Vec<TapInfo> {
         self.net.taps()
     }

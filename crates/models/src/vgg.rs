@@ -2,23 +2,25 @@
 //!
 //! One flat op list and one set of walkers serve both numeric domains:
 //! [`Vgg::new`] builds fp32 convs that train, and int8 is a transform of
-//! such a network ([`Vgg::quantize`]; [`Vgg::from_quantized_parts`] for
-//! weights read from a file) — strictly an inference artifact that
+//! such a network ([`Vgg::quantize`]; [`Vgg::from_parts`] rebuilds either
+//! dtype from stored weights) — strictly an inference artifact that
 //! panics on `Mode::Train` and [`Network::backward`], exposes no
 //! trainable parameters and visits no tap convs.
 
 use crate::config::{ConvShape, VggConfig};
 use crate::network::Network;
 use crate::oplist::{ConvOp, Op, OpList};
+use crate::parts::ConvWeight;
 use crate::shrunk::ShrunkNetwork;
 use crate::tap::{FeatureHook, TapInfo};
 use antidote_nn::layers::{BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d};
 use antidote_nn::masked::MacCounter;
-use antidote_nn::quant::QuantizedConv2d;
 use antidote_nn::{Mode, Parameter};
+use antidote_tensor::quant::QuantizedMatrix;
 use antidote_tensor::Tensor;
 use rand::Rng;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A VGG network instantiated from a [`VggConfig`].
 ///
@@ -73,59 +75,6 @@ impl Vgg {
             .collect();
         let linear = Linear::new(rng, config.classifier_inputs(), config.classes);
         Self::layout(config, convs, bns, linear)
-    }
-
-    /// Builds an fp32 VGG around existing parameter tensors, in visit
-    /// order (per conv: weight, bias, then γ, β when the config enables
-    /// batch norm; classifier weight and bias last), checking every shape
-    /// against `config` first — the fp32 mirror of
-    /// [`Vgg::from_quantized_parts`]. The tensors are shared, not copied;
-    /// batch-norm running statistics start at their defaults, as in
-    /// [`Vgg::new`].
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first inconsistency (config
-    /// invariant, parameter count, or tensor shape); never panics.
-    pub fn from_params(config: VggConfig, params: &[Tensor]) -> Result<Self, String> {
-        config.validate()?;
-        let shapes = config.conv_shapes();
-        let per_conv = if config.batchnorm { 4 } else { 2 };
-        let want = shapes.len() * per_conv + 2;
-        if params.len() != want {
-            return Err(format!(
-                "{} parameter tensors stored but config needs {want}",
-                params.len()
-            ));
-        }
-        let mut stored = params.iter().enumerate();
-        let mut take = |want: &[usize]| -> Result<Tensor, String> {
-            let (i, t) = stored.next().expect("count checked above");
-            if t.dims() != want {
-                return Err(format!(
-                    "parameter {i} has shape {:?}, needs {want:?}",
-                    t.dims()
-                ));
-            }
-            Ok(t.clone())
-        };
-        let (mut convs, mut bns) = (Vec::new(), Vec::new());
-        for s in &shapes {
-            let weight = take(&[s.out_channels, s.in_channels, s.kernel, s.kernel])?;
-            let bias = take(&[s.out_channels])?;
-            convs.push(ConvOp::F32(Conv2d::from_parts(weight, bias, 1, 1)));
-            if config.batchnorm {
-                let (gamma, beta) = (take(&[s.out_channels])?, take(&[s.out_channels])?);
-                let (mean, var) = (
-                    Tensor::zeros([s.out_channels]),
-                    Tensor::ones([s.out_channels]),
-                );
-                bns.push(BatchNorm2d::from_parts(gamma, beta, mean, var));
-            }
-        }
-        let weight = take(&[config.classes, config.classifier_inputs()])?;
-        let linear = Linear::from_parts(weight, take(&[config.classes])?);
-        Ok(Self::layout(config, convs, bns, linear))
     }
 
     /// The one place the VGG op sequence is laid out: conv → \[bn\] →
@@ -214,30 +163,22 @@ impl Vgg {
             self.net.taps().len(),
             "need one activation scale per tap"
         );
-        let mut act_scales = std::iter::once(&input_scale).chain(tap_scales);
-        let (mut convs, mut bns, mut linear) = (Vec::new(), Vec::new(), None);
-        for op in &self.net.ops {
-            match op {
-                Op::Conv(ConvOp::F32(conv)) => {
-                    let act_scale = *act_scales.next().expect("one scale per conv");
-                    convs.push(ConvOp::Int8(QuantizedConv2d::from_conv(conv, act_scale)));
-                }
-                Op::Conv(ConvOp::Int8(_)) => panic!("network is already int8"),
-                Op::Bn(bn) => bns.push(BatchNorm2d::from_parts(
-                    bn.gamma().value.clone(),
-                    bn.beta().value.clone(),
-                    bn.running_mean().clone(),
-                    bn.running_var().clone(),
-                )),
-                Op::Linear(fc) => {
-                    let (weight, bias) = (fc.weight().value.clone(), fc.bias().value.clone());
-                    linear = Some(Linear::from_parts(weight, bias));
-                }
-                _ => {}
-            }
+        // Rebuilt from parts, so the int8 network shares the weights but
+        // none of the activation caches training left in `self`.
+        let mut parts = self.to_parts();
+        let act_scales = std::iter::once(&input_scale).chain(tap_scales);
+        for (conv, &act_scale) in parts.convs.iter_mut().zip(act_scales) {
+            let ConvWeight::F32(w) = &conv.weight else {
+                panic!("network is already int8");
+            };
+            let (rows, cols) = (w.dims()[0], w.len() / w.dims()[0]);
+            let qweight = QuantizedMatrix::quantize_symmetric_per_row(w.data(), rows, cols);
+            conv.weight = ConvWeight::Int8 {
+                qweight: Arc::new(qweight),
+                act_scale,
+            };
         }
-        let linear = linear.expect("a Vgg always has a classifier");
-        Self::layout(self.config.clone(), convs, bns, linear)
+        Self::from_parts(self.config.clone(), parts).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Filter surgery (see [`ShrunkNetwork`]): the shrunk network
@@ -281,6 +222,10 @@ impl Network for Vgg {
 
     fn visit_params_mut(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
         self.net.visit_params_mut(visitor);
+    }
+
+    fn visit_buffers_mut(&mut self, visitor: &mut dyn FnMut(&mut Tensor)) {
+        self.net.visit_buffers_mut(visitor);
     }
 
     fn taps(&self) -> Vec<TapInfo> {
@@ -626,11 +571,8 @@ mod tests {
             VggConfig::vgg_tiny(8, 3),
             VggConfig::vgg_tiny(8, 3).with_batchnorm(),
         ] {
-            let (vgg, mut q) = int8_pair(config);
-            assert!(vgg.to_quantized_parts().is_none(), "fp32 has no int8 parts");
-            let parts = q.to_quantized_parts().expect("int8 network");
-            let mut rebuilt =
-                Vgg::from_quantized_parts(q.config().clone(), parts).expect("valid parts");
+            let (_, mut q) = int8_pair(config);
+            let mut rebuilt = Vgg::from_parts(q.config().clone(), q.to_parts()).expect("valid parts");
             let x = Tensor::from_fn([2, 3, 8, 8], |i| ((i as f32 * 0.017).sin()) * 0.4);
             let mut ca = MacCounter::new();
             let ya = q.forward_measured(&x, &mut NoopHook, &mut ca);
@@ -647,10 +589,12 @@ mod tests {
         }
     }
 
-    fn params_of(net: &mut Vgg) -> Vec<Tensor> {
-        let mut params = Vec::new();
+    /// The network's state in visit order: parameters, then buffers.
+    fn state_of(net: &mut Vgg) -> (Vec<Tensor>, Vec<Tensor>) {
+        let (mut params, mut buffers) = (Vec::new(), Vec::new());
         net.visit_params_mut(&mut |p| params.push(p.value.clone()));
-        params
+        net.visit_buffers_mut(&mut |b| buffers.push(b.clone()));
+        (params, buffers)
     }
 
     #[test]
@@ -660,23 +604,23 @@ mod tests {
             VggConfig::vgg_tiny(8, 3).with_batchnorm(),
         ] {
             let mut net = Vgg::new(&mut SmallRng::seed_from_u64(5), config.clone());
-            let params = params_of(&mut net);
-            let mut rebuilt = Vgg::from_params(config, &params).expect("own params fit");
-            for (built, given) in params_of(&mut rebuilt).iter().zip(&params) {
+            let x = Tensor::from_fn([2, 3, 8, 8], |i| (i as f32 * 0.019).sin());
+            // Moves the running statistics off their defaults, so a
+            // rebuild that dropped them would serve different logits.
+            let _ = net.forward(&x, Mode::Train);
+            let (params, buffers) = state_of(&mut net);
+            let mut rebuilt = Vgg::from_params(config, &params, &buffers).expect("own state fits");
+            let (built_params, built_buffers) = state_of(&mut rebuilt);
+            assert_eq!(built_buffers.len(), buffers.len());
+            for (built, given) in built_params.iter().chain(&built_buffers).zip(params.iter().chain(&buffers)) {
                 assert!(built.shares_storage(given));
             }
-            let x = Tensor::from_fn([2, 3, 8, 8], |i| (i as f32 * 0.019).sin());
             assert_eq!(
                 bits(&net.forward(&x, Mode::Eval)),
                 bits(&rebuilt.forward(&x, Mode::Eval))
             );
-            // Parameters, plus two running statistics per batch-norm
-            // channel (vgg_tiny has 4 + 8 of them).
-            let running = if rebuilt.config().batchnorm {
-                2 * (4 + 8)
-            } else {
-                0
-            };
+            let running: usize = buffers.iter().map(Tensor::len).sum();
+            assert_eq!(running, if rebuilt.config().batchnorm { 2 * (4 + 8) } else { 0 });
             assert_eq!(
                 rebuilt.weight_bytes(),
                 4 * (rebuilt.param_count() + running)
@@ -686,36 +630,47 @@ mod tests {
 
     #[test]
     fn from_params_rejects_inconsistent_input_without_panicking() {
-        type Corrupt = fn(&mut VggConfig, &mut Vec<Tensor>);
-        let cases: [(&str, Corrupt); 7] = [
-            ("too few tensors", |_, p| p.truncate(3)),
-            ("too many tensors", |_, p| p.push(Tensor::zeros([3]))),
-            ("no tensors", |_, p| p.clear()),
-            ("conv weight shape", |_, p| {
+        type Corrupt = fn(&mut VggConfig, &mut Vec<Tensor>, &mut Vec<Tensor>);
+        let cases: [(&str, Corrupt); 9] = [
+            ("too few tensors", |_, p, _| p.truncate(3)),
+            ("too many tensors", |_, p, _| p.push(Tensor::zeros([3]))),
+            ("no tensors", |_, p, _| p.clear()),
+            ("extra buffer", |_, _, b| b.push(Tensor::zeros([4]))),
+            ("conv weight shape", |_, p, _| {
                 p[0] = Tensor::zeros([4, 3, 3, 5])
             }),
-            ("conv weight rank", |_, p| p[2] = Tensor::zeros([8 * 4 * 9])),
-            ("classifier bias shape", |c, p| {
+            ("conv weight rank", |_, p, _| p[2] = Tensor::zeros([8 * 4 * 9])),
+            ("non-finite conv weight", |_, p, _| p[0].data_mut()[0] = f32::NAN),
+            ("classifier bias shape", |c, p, _| {
                 *p.last_mut().unwrap() = Tensor::zeros([c.classes + 1])
             }),
-            ("invalid config", |c, _| c.input_size = 7),
+            ("invalid config", |c, _, _| c.input_size = 7),
         ];
         for batchnorm in [false, true] {
             let mut base = VggConfig::vgg_tiny(8, 3);
             base.batchnorm = batchnorm;
-            let good = params_of(&mut Vgg::new(&mut SmallRng::seed_from_u64(6), base.clone()));
+            let (good, buffers) =
+                state_of(&mut Vgg::new(&mut SmallRng::seed_from_u64(6), base.clone()));
             for (name, corrupt) in cases {
-                let (mut config, mut params) = (base.clone(), good.clone());
-                corrupt(&mut config, &mut params);
+                let (mut config, mut params, mut bufs) = (base.clone(), good.clone(), buffers.clone());
+                corrupt(&mut config, &mut params, &mut bufs);
                 assert!(
-                    Vgg::from_params(config, &params).is_err(),
+                    Vgg::from_params(config, &params, &bufs).is_err(),
                     "{name} must be rejected (batchnorm={batchnorm})"
                 );
             }
-            // The parameter list of the other batch-norm setting never fits.
+            // The state of the other batch-norm setting never fits.
             let mut other = base.clone();
             other.batchnorm = !batchnorm;
-            assert!(Vgg::from_params(other, &good).is_err());
+            assert!(Vgg::from_params(other, &good, &buffers).is_err());
+            if batchnorm {
+                // Parameters without their running statistics (an older
+                // checkpoint) are refused, not filled with defaults.
+                assert!(Vgg::from_params(base.clone(), &good, &[]).is_err());
+                let mut bad = buffers.clone();
+                bad[1].data_mut()[0] = f32::INFINITY;
+                assert!(Vgg::from_params(base, &good, &bad).is_err());
+            }
         }
     }
 
@@ -748,17 +703,25 @@ mod tests {
     }
 
     #[test]
-    fn from_quantized_parts_rejects_inconsistent_input_without_panicking() {
-        type Corrupt = fn(&mut VggConfig, &mut crate::VggQuantizedParts);
-        let cases: [(&str, Corrupt); 8] = [
+    fn from_parts_rejects_inconsistent_int8_input_without_panicking() {
+        fn int8(c: &mut crate::ConvParts) -> (&mut Arc<QuantizedMatrix>, &mut f32) {
+            match &mut c.weight {
+                ConvWeight::Int8 { qweight, act_scale } => (qweight, act_scale),
+                ConvWeight::F32(_) => unreachable!("int8 network"),
+            }
+        }
+        type Corrupt = fn(&mut VggConfig, &mut crate::VggParts);
+        let cases: [(&str, Corrupt); 10] = [
             ("conv count", |_, p| p.convs.truncate(1)),
-            ("weight shape", |_, p| {
-                Arc::make_mut(&mut p.convs[0].qweight).rows += 1
-            }),
+            ("weight shape", |_, p| Arc::make_mut(int8(&mut p.convs[0]).0).rows += 1),
             ("truncated scales", |_, p| {
-                Arc::make_mut(&mut p.convs[1].qweight).scales.truncate(1)
+                Arc::make_mut(int8(&mut p.convs[1]).0).scales.truncate(1)
             }),
-            ("activation scale", |_, p| p.convs[0].act_scale = f32::NAN),
+            ("activation scale", |_, p| *int8(&mut p.convs[0]).1 = f32::NAN),
+            ("mixed dtypes", |_, p| {
+                p.convs[0].weight = ConvWeight::F32(Tensor::zeros([4, 3, 3, 3]))
+            }),
+            ("non-finite conv bias", |_, p| p.convs[1].bias.data_mut()[0] = f32::NAN),
             ("non-finite classifier", |_, p| {
                 p.linear_weight.data_mut()[0] = f32::INFINITY
             }),
@@ -771,10 +734,10 @@ mod tests {
         let (_, q) = tiny_int8_pair();
         for (name, corrupt) in cases {
             let mut config = q.config().clone();
-            let mut parts = q.to_quantized_parts().expect("int8 network");
+            let mut parts = q.to_parts();
             corrupt(&mut config, &mut parts);
             assert!(
-                Vgg::from_quantized_parts(config, parts).is_err(),
+                Vgg::from_parts(config, parts).is_err(),
                 "{name} must be rejected"
             );
         }

@@ -105,6 +105,13 @@ impl BatchNorm2d {
     pub fn running_var(&self) -> &Tensor {
         &self.running_var
     }
+
+    /// Visits the running mean, then the running variance: the layer's
+    /// persistent state that is not a trainable parameter.
+    pub fn visit_buffers_mut(&mut self, visitor: &mut dyn FnMut(&mut Tensor)) {
+        visitor(&mut self.running_mean);
+        visitor(&mut self.running_var);
+    }
 }
 
 impl Layer for BatchNorm2d {

@@ -74,7 +74,7 @@ impl QuantizedConv2d {
     ///
     /// Panics on inconsistent dimensions or a non-positive/non-finite
     /// `act_scale`. File loaders must validate before calling (see
-    /// `antidote_models::Vgg::from_quantized_parts`, which returns typed
+    /// `antidote_models::Vgg::from_parts`, which returns typed
     /// errors); these asserts are a backstop, not an error surface.
     pub fn from_parts(
         qweight: Arc<QuantizedMatrix>,

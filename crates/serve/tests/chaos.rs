@@ -231,6 +231,9 @@ impl Network for SharingSpy {
     fn visit_params_mut(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
         self.replica.visit_params_mut(visitor)
     }
+    fn visit_buffers_mut(&mut self, visitor: &mut dyn FnMut(&mut Tensor)) {
+        self.replica.visit_buffers_mut(visitor)
+    }
     fn taps(&self) -> Vec<TapInfo> {
         self.replica.taps()
     }

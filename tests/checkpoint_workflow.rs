@@ -3,9 +3,13 @@
 
 use antidote_repro::core::checkpoint::Checkpoint;
 use antidote_repro::core::trainer::{self, TrainConfig};
-use antidote_repro::core::{train_ttd, DynamicPruner, PruneSchedule, TtdConfig};
+use antidote_repro::core::{
+    train_ttd, train_with_options, DynamicPruner, PruneSchedule, RunOptions, TtdConfig,
+};
 use antidote_repro::data::SynthConfig;
-use antidote_repro::models::{Network, Vgg, VggConfig};
+use antidote_repro::models::{Network, NoopHook, Vgg, VggConfig};
+use antidote_repro::nn::Mode;
+use antidote_repro::tensor::Tensor;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -51,4 +55,65 @@ fn checkpoint_architecture_string_matches_network() {
     let ckpt = Checkpoint::capture(&mut net as &mut dyn Network);
     assert_eq!(ckpt.architecture, net.describe());
     assert!(ckpt.architecture.starts_with("vgg("));
+}
+
+/// A run killed after one epoch and resumed from its checkpoint ends on
+/// the uninterrupted run's network: the eval logits agree bit for bit,
+/// which needs the batch-norm running statistics to travel with the
+/// checkpoint, not only the parameters.
+fn resumed_run_matches_an_uninterrupted_one(batchnorm: bool) {
+    let data = SynthConfig::tiny(2, 8).with_samples(16, 8).generate();
+    let cfg = TrainConfig {
+        epochs: 3,
+        batch_size: 8,
+        ..TrainConfig::fast_test()
+    };
+    let net = |seed| {
+        let config = VggConfig::vgg_tiny(8, 2);
+        let config = if batchnorm { config.with_batchnorm() } else { config };
+        Vgg::new(&mut SmallRng::seed_from_u64(seed), config)
+    };
+    let path = std::env::temp_dir().join(format!(
+        "antidote_resume_bits_{}_{}.json",
+        u8::from(batchnorm),
+        std::process::id()
+    ));
+
+    let mut whole = net(0xC3);
+    train_with_options(&mut whole, &data, &mut NoopHook, &cfg, &RunOptions::default())
+        .expect("uninterrupted run succeeds");
+
+    let killed = RunOptions {
+        checkpoint_to: Some(path.clone()),
+        stop_after_epochs: Some(1),
+        ..RunOptions::default()
+    };
+    train_with_options(&mut net(0xC3), &data, &mut NoopHook, &cfg, &killed)
+        .expect("first leg succeeds");
+    // A differently seeded network: everything must come from the file.
+    let mut resumed = net(0xBAD);
+    train_with_options(&mut resumed, &data, &mut NoopHook, &cfg, &RunOptions::resuming(&path))
+        .expect("resumed run succeeds");
+
+    let x = Tensor::from_fn([4, 3, 8, 8], |i| (i as f32 * 0.037).sin());
+    let bits = |net: &mut Vgg| -> Vec<u32> {
+        let logits = net.forward(&x, Mode::Eval);
+        logits.data().iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(
+        bits(&mut resumed),
+        bits(&mut whole),
+        "resumed network differs from the uninterrupted one (batchnorm={batchnorm})"
+    );
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn resumed_run_matches_an_uninterrupted_one_in_eval_logits_plain() {
+    resumed_run_matches_an_uninterrupted_one(false);
+}
+
+#[test]
+fn resumed_run_matches_an_uninterrupted_one_in_eval_logits_batchnorm() {
+    resumed_run_matches_an_uninterrupted_one(true);
 }

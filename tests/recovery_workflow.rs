@@ -11,7 +11,9 @@ use antidote_repro::core::{
     TrainError, TtdConfig,
 };
 use antidote_repro::data::{SynthConfig, SynthDataset};
-use antidote_repro::models::{NoopHook, Vgg, VggConfig};
+use antidote_repro::models::{Network, NoopHook, Vgg, VggConfig};
+use antidote_repro::nn::Mode;
+use antidote_repro::tensor::Tensor;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -92,6 +94,59 @@ fn injected_nan_rolls_back_and_completes_finite() {
         history.epochs[1].lr,
         clean.epochs[1].lr
     );
+}
+
+/// Eval logits of `net` on a fixed probe batch, as bit patterns.
+fn eval_bits(net: &mut Vgg) -> Vec<u32> {
+    let x = Tensor::from_fn([4, 3, 8, 8], |i| (i as f32 * 0.037).sin());
+    let logits = net.forward(&x, Mode::Eval);
+    logits.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// A rolled-back epoch leaves nothing behind: without learning-rate
+/// backoff the retry replays the discarded epoch exactly, so the
+/// finished network (batch-norm running statistics included) serves the
+/// clean run's eval logits bit for bit.
+fn rollback_replay_matches_a_clean_run(batchnorm: bool) {
+    let data = tiny_data();
+    let cfg = tiny_cfg(3);
+    let net = || {
+        let config = VggConfig::vgg_tiny(8, 2);
+        let config = if batchnorm { config.with_batchnorm() } else { config };
+        Vgg::new(&mut SmallRng::seed_from_u64(0xFC), config)
+    };
+
+    let mut clean = net();
+    train_with_options(&mut clean, &data, &mut NoopHook, &cfg, &RunOptions::default())
+        .expect("clean run succeeds");
+
+    let mut replayed = net();
+    let opts = RunOptions {
+        recovery: RecoverySettings {
+            lr_backoff: 1.0,
+            ..RecoverySettings::default()
+        },
+        inject_nan_at_epoch: Some(1),
+        ..RunOptions::default()
+    };
+    let history = train_with_options(&mut replayed, &data, &mut NoopHook, &cfg, &opts)
+        .expect("run recovers from the injected fault");
+    assert_eq!(history.recoveries.len(), 1, "exactly one rollback");
+    assert_eq!(
+        eval_bits(&mut replayed),
+        eval_bits(&mut clean),
+        "replayed run differs from the clean one (batchnorm={batchnorm})"
+    );
+}
+
+#[test]
+fn rollback_replay_matches_a_clean_run_in_eval_logits_plain() {
+    rollback_replay_matches_a_clean_run(false);
+}
+
+#[test]
+fn rollback_replay_matches_a_clean_run_in_eval_logits_batchnorm() {
+    rollback_replay_matches_a_clean_run(true);
 }
 
 /// With a zero retry budget the same fault is a typed `Diverged` error
