@@ -5,7 +5,7 @@
 use antidote_bench::{run_table1_workload, ReproWorkload, Scale, WorkloadError, WorkloadRunOptions};
 use antidote_repro::core::recovery::params_finite;
 use antidote_repro::core::settings::{proposed_settings, Workload};
-use antidote_repro::core::trainer::TrainConfig;
+use antidote_repro::core::trainer::{TrainConfig, TrainHistory};
 use antidote_repro::core::{
     train_ttd_with_options, train_with_options, PruneSchedule, RecoverySettings, RunOptions,
     TrainError, TtdConfig,
@@ -354,4 +354,187 @@ fn table1_harness_isolates_a_failing_workload() {
         Err(other) => panic!("expected a baseline divergence, got {other}"),
         Ok(_) => panic!("injected fault with zero retries must fail the workload"),
     }
+}
+
+/// The TTD run the fault tests share: two blocks ascending toward
+/// `[0.25, 0.5]` over six epochs.
+fn ttd_cfg() -> TtdConfig {
+    let mut cfg = TtdConfig::new(PruneSchedule::new(vec![0.25, 0.5], vec![]), 6);
+    cfg.train = tiny_cfg(6);
+    cfg
+}
+
+fn faulted_at(epoch: usize) -> RunOptions {
+    RunOptions {
+        inject_nan_at_epoch: Some(epoch),
+        ..RunOptions::default()
+    }
+}
+
+/// A fault in a TTD run rolls back to the last healthy snapshot, whose
+/// ceiling then retreats one ascent step (held at warm-up) before the
+/// retry; the run re-ascends from there.
+#[test]
+fn faulted_ttd_run_retreats_one_ascent_step() {
+    let data = tiny_data();
+    let cfg = ttd_cfg();
+    let outcome = train_ttd_with_options(&mut tiny_net(0xC4), &data, &cfg, &faulted_at(2))
+        .expect("run recovers from the injected fault");
+    assert_eq!(outcome.history.recoveries.len(), 1, "exactly one rollback");
+    assert_eq!(outcome.history.recoveries[0].epoch, 2);
+    assert_eq!(outcome.history.epochs.len(), 6);
+    let caps: Vec<f64> = outcome.ratio_trace.iter().map(|&(_, c)| c).collect();
+    let step = cfg.ascent.expect("paced ascent").step;
+    let expected = [0.1, 0.1 + step, 0.1, 0.1 + step, 0.1 + 2.0 * step, 0.1 + 3.0 * step];
+    for (got, want) in caps.iter().zip(expected) {
+        assert!((got - want).abs() < 1e-9, "trace {caps:?}");
+    }
+    assert_eq!(caps.len(), expected.len());
+
+    let clean =
+        train_ttd_with_options(&mut tiny_net(0xC4), &data, &cfg, &RunOptions::default())
+            .expect("clean run succeeds");
+    assert!((clean.ratio_trace.last().unwrap().1 - 0.5).abs() < 1e-9);
+}
+
+/// Epoch losses and ratio-ceiling trace as bit patterns.
+fn run_bits(history: &TrainHistory, trace: &[(usize, f64)]) -> (Vec<u32>, Vec<u64>) {
+    (
+        history.epochs.iter().map(|e| e.train_loss.to_bits()).collect(),
+        trace.iter().map(|&(_, c)| c.to_bits()).collect(),
+    )
+}
+
+/// Golden bit patterns of three supervised runs — a clean TTD run, the
+/// same run with a fault at epoch 2, and a plain run with a fault at
+/// epoch 1 — so a change to the training loop that moves any loss or
+/// ceiling by one ulp fails here. The same constants must come out at
+/// every thread budget and kernel backend.
+#[test]
+fn supervised_runs_match_their_recorded_bits() {
+    let data = tiny_data();
+    let cfg = ttd_cfg();
+    let run_ttd = |opts: &RunOptions| {
+        let o = train_ttd_with_options(&mut tiny_net(0xC4), &data, &cfg, opts)
+            .expect("TTD run recovers");
+        run_bits(&o.history, &o.ratio_trace)
+    };
+    let clean = run_ttd(&RunOptions::default());
+    let faulted = run_ttd(&faulted_at(2));
+    let mut plain_net = tiny_net(0xC5);
+    let plain = train_with_options(
+        &mut plain_net,
+        &data,
+        &mut NoopHook,
+        &tiny_cfg(4),
+        &faulted_at(1),
+    )
+    .expect("plain run recovers");
+    let plain = run_bits(&plain, &[]);
+
+    const CAP_0_1: u64 = 4591870180066957722; // warm-up 0.1
+    const CAP_1: u64 = 4596774099661205596; // 0.1 + 1 step
+    const CAP_2: u64 = 4599476259437627894;
+    const CAP_3: u64 = 4601477859272014782;
+    const CAP_0_5: u64 = 4602678819172646912; // the target 0.5
+    assert_eq!(
+        clean,
+        (
+            vec![1061799645, 1055481456, 1051880168, 1048554415, 1044917196, 1043956322],
+            vec![CAP_0_1, CAP_1, CAP_2, CAP_3, CAP_0_5, CAP_0_5],
+        ),
+        "clean TTD run"
+    );
+    assert_eq!(
+        faulted,
+        (
+            vec![1061799645, 1055481456, 1050521530, 1049595634, 1049342884, 1048782007],
+            vec![CAP_0_1, CAP_1, CAP_0_1, CAP_1, CAP_2, CAP_3],
+        ),
+        "faulted TTD run"
+    );
+    assert_eq!(
+        plain,
+        (vec![1064217615, 1057755140, 1054191198, 1053245412], vec![]),
+        "faulted plain run"
+    );
+}
+
+/// A run that rolls back in its first leg, is killed, and resumes ends
+/// exactly where the uninterrupted faulted run ends: history (recoveries
+/// and backed-off learning rates included), ceiling trace and network.
+/// Resuming the same checkpoint into a second fault with a one-retry
+/// budget fails, because the spent retry travels with the checkpoint.
+fn killed_faulted_run_resumes_exactly<R>(name: &str, run: R)
+where
+    R: Fn(&mut Vgg, &RunOptions) -> Result<(TrainHistory, Vec<(usize, f64)>), TrainError>,
+{
+    let path = temp_ckpt(name);
+    let one_retry = RecoverySettings {
+        max_retries: 1,
+        ..RecoverySettings::default()
+    };
+    let mut whole_net = tiny_net(0xC6);
+    let whole = run(
+        &mut whole_net,
+        &RunOptions {
+            recovery: one_retry,
+            ..faulted_at(1)
+        },
+    )
+    .expect("uninterrupted faulted run recovers");
+    assert_eq!(whole.0.recoveries.len(), 1);
+
+    let first_leg = RunOptions {
+        recovery: one_retry,
+        checkpoint_to: Some(path.clone()),
+        checkpoint_every: 1,
+        stop_after_epochs: Some(2),
+        ..faulted_at(1)
+    };
+    let partial = run(&mut tiny_net(0xC6), &first_leg).expect("first leg recovers");
+    assert_eq!(partial.0.recoveries.len(), 1, "the rollback happens in the first leg");
+    assert_eq!(partial.0.epochs.len(), 2);
+
+    let second_fault = RunOptions {
+        recovery: one_retry,
+        resume_from: Some(path.clone()),
+        ..faulted_at(3)
+    };
+    match run(&mut tiny_net(0xBAD), &second_fault) {
+        Err(TrainError::Diverged { epoch, retries, .. }) => {
+            assert_eq!((epoch, retries), (3, 1), "the spent retry must survive resume");
+        }
+        other => panic!("expected Diverged, got {:?}", other.map(|r| r.0)),
+    }
+
+    let mut resumed_net = tiny_net(0xBAD);
+    let resumed = run(
+        &mut resumed_net,
+        &RunOptions {
+            recovery: one_retry,
+            ..RunOptions::resuming(&path)
+        },
+    )
+    .expect("resumed run succeeds");
+    assert_eq!(resumed, whole, "resumed faulted run differs from the uninterrupted one");
+    assert_eq!(eval_bits(&mut resumed_net), eval_bits(&mut whole_net));
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn killed_faulted_plain_run_resumes_exactly() {
+    let data = tiny_data();
+    killed_faulted_run_resumes_exactly("faulted_plain", |net, opts| {
+        train_with_options(net, &data, &mut NoopHook, &tiny_cfg(4), opts).map(|h| (h, vec![]))
+    });
+}
+
+#[test]
+fn killed_faulted_ttd_run_resumes_exactly() {
+    let data = tiny_data();
+    let cfg = ttd_cfg();
+    killed_faulted_run_resumes_exactly("faulted_ttd", |net, opts| {
+        train_ttd_with_options(net, &data, &cfg, opts).map(|o| (o.history, o.ratio_trace))
+    });
 }
