@@ -6,7 +6,7 @@
 //! Usage: `cargo run -p antidote-bench --bin fig2 --release`
 
 use antidote_bench::{ReproWorkload, Scale};
-use antidote_core::analysis::{criteria_comparison, criteria_comparison_spatial, SweepCurve};
+use antidote_core::analysis::{criteria_comparison, Axis, SweepCurve};
 use antidote_core::report::{ExperimentReport, ExperimentRow};
 use antidote_core::settings::Workload;
 use antidote_core::trainer::{train, TrainConfig};
@@ -49,6 +49,7 @@ fn main() {
         let curves = criteria_comparison(
             net.as_mut(),
             &data.test,
+            Axis::Channel,
             rw.block_count(),
             last_block,
             &ratios,
@@ -95,9 +96,10 @@ fn main() {
         );
 
         // Spatial variant (Sec. III-C closing remark).
-        let sp_curves = criteria_comparison_spatial(
+        let sp_curves = criteria_comparison(
             net.as_mut(),
             &data.test,
+            Axis::Spatial,
             rw.block_count(),
             0, // early block: larger spatial maps, like the paper's spatial experiments
             &ratios,

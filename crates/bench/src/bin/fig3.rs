@@ -6,7 +6,7 @@
 //! Usage: `cargo run -p antidote-bench --bin fig3 --release`
 
 use antidote_bench::{ReproWorkload, Scale};
-use antidote_core::analysis::{block_sensitivity, block_sensitivity_spatial};
+use antidote_core::analysis::{block_sensitivity, Axis};
 use antidote_core::report::{ExperimentReport, ExperimentRow};
 use antidote_core::settings::Workload;
 use antidote_core::trainer::{train, TrainConfig};
@@ -32,6 +32,7 @@ fn main() {
         let curves = block_sensitivity(
             net.as_mut(),
             &data.test,
+            Axis::Channel,
             rw.block_count(),
             &ratios,
             rw.batch_size,
@@ -79,9 +80,10 @@ fn main() {
 
         // ResNet: the paper sets *spatial* ratios per group too.
         if workload == Workload::ResNet56Cifar10 {
-            let sp = block_sensitivity_spatial(
+            let sp = block_sensitivity(
                 net.as_mut(),
                 &data.test,
+                Axis::Spatial,
                 rw.block_count(),
                 &ratios,
                 rw.batch_size,

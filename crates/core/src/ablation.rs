@@ -2,11 +2,10 @@
 //! attention statistic (mean vs max) and the mask binarization policy
 //! (top-k vs mean-relative threshold).
 
-use crate::analysis::SweepCurve;
+use crate::analysis::{sweep, Axis, SweepCurve};
 use crate::attention::Statistic;
 use crate::mask::MaskPolicy;
-use crate::pruner::{DynamicPruner, PruneSchedule};
-use crate::trainer::evaluate;
+use crate::pruner::DynamicPruner;
 use antidote_data::Split;
 use antidote_models::Network;
 
@@ -21,23 +20,12 @@ pub fn statistic_ablation(
     batch_size: usize,
 ) -> Vec<SweepCurve> {
     [("mean", Statistic::Mean), ("max", Statistic::Max)]
-        .iter()
+        .into_iter()
         .map(|(label, statistic)| {
-            let accuracy = ratios
-                .iter()
-                .map(|&r| {
-                    let mut channel = vec![0.0; n_blocks];
-                    channel[target_block] = r;
-                    let mut pruner = DynamicPruner::new(PruneSchedule::channel_only(channel))
-                        .with_statistic(*statistic);
-                    evaluate(net, split, &mut pruner, batch_size)
-                })
-                .collect();
-            SweepCurve {
-                label: (*label).to_owned(),
-                ratios: ratios.to_vec(),
-                accuracy,
-            }
+            sweep(net, split, label.to_owned(), ratios, batch_size, |r| {
+                DynamicPruner::new(Axis::Channel.one_block(n_blocks, target_block, r))
+                    .with_statistic(statistic)
+            })
         })
         .collect()
 }
@@ -54,37 +42,18 @@ pub fn policy_ablation(
     alphas: &[f32],
     batch_size: usize,
 ) -> (SweepCurve, SweepCurve) {
-    let topk_accuracy: Vec<f32> = topk_ratios
-        .iter()
-        .map(|&r| {
-            let mut channel = vec![0.0; n_blocks];
-            channel[target_block] = r;
-            let mut pruner = DynamicPruner::new(PruneSchedule::channel_only(channel));
-            evaluate(net, split, &mut pruner, batch_size)
-        })
-        .collect();
-    let threshold_accuracy: Vec<f32> = alphas
-        .iter()
-        .map(|&alpha| {
-            let mut channel = vec![0.0; n_blocks];
-            channel[target_block] = 0.5; // activates masking; the policy decides how much
-            let mut pruner = DynamicPruner::new(PruneSchedule::channel_only(channel))
-                .with_policy(MaskPolicy::Threshold { alpha });
-            evaluate(net, split, &mut pruner, batch_size)
-        })
-        .collect();
-    (
-        SweepCurve {
-            label: "topk".into(),
-            ratios: topk_ratios.to_vec(),
-            accuracy: topk_accuracy,
-        },
-        SweepCurve {
-            label: "threshold".into(),
-            ratios: alphas.iter().map(|&a| a as f64).collect(),
-            accuracy: threshold_accuracy,
-        },
-    )
+    let topk = sweep(net, split, "topk".into(), topk_ratios, batch_size, |r| {
+        DynamicPruner::new(Axis::Channel.one_block(n_blocks, target_block, r))
+    });
+    let alphas: Vec<f64> = alphas.iter().map(|&a| a as f64).collect();
+    let threshold = sweep(net, split, "threshold".into(), &alphas, batch_size, |alpha| {
+        // Ratio 0.5 activates masking; the policy decides how much.
+        DynamicPruner::new(Axis::Channel.one_block(n_blocks, target_block, 0.5))
+            .with_policy(MaskPolicy::Threshold {
+                alpha: alpha as f32,
+            })
+    });
+    (topk, threshold)
 }
 
 #[cfg(test)]

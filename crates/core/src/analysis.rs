@@ -27,143 +27,103 @@ impl SweepCurve {
     }
 }
 
-/// Fig. 2: prune one target block's channels under each criterion
+/// Which dimension of a block a sweep prunes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    /// Whole channels (Eq. 1/3).
+    Channel,
+    /// Spatial columns (Eq. 2/4).
+    Spatial,
+}
+
+impl Axis {
+    /// A schedule over `n_blocks` blocks that prunes `block` alone, at
+    /// `ratio`, along this axis.
+    pub fn one_block(self, n_blocks: usize, block: usize, ratio: f64) -> PruneSchedule {
+        let mut ratios = vec![0.0; n_blocks];
+        ratios[block] = ratio;
+        match self {
+            Axis::Channel => PruneSchedule::channel_only(ratios),
+            Axis::Spatial => PruneSchedule::spatial_only(ratios),
+        }
+    }
+}
+
+/// The one sweep body: for each of `ratios`, the test accuracy of `net`
+/// on `split` under the pruner `pruner_at` builds for that ratio.
+pub(crate) fn sweep(
+    net: &mut dyn Network,
+    split: &Split,
+    label: String,
+    ratios: &[f64],
+    batch_size: usize,
+    mut pruner_at: impl FnMut(f64) -> DynamicPruner,
+) -> SweepCurve {
+    let accuracy = ratios
+        .iter()
+        .map(|&r| evaluate(net, split, &mut pruner_at(r), batch_size))
+        .collect();
+    SweepCurve {
+        label,
+        ratios: ratios.to_vec(),
+        accuracy,
+    }
+}
+
+/// Fig. 2: prune one target block along `axis` under each criterion
 /// (attention / random / inverse-attention) across `ratios`, measuring
 /// test accuracy.
 ///
 /// `n_blocks` is the model's block count; only `target_block` is pruned
-/// (the paper uses "the last block of VGG16 and ResNet56").
+/// (the paper uses "the last block of VGG16 and ResNet56" for channels;
+/// "similar conclusions could be drawn for dynamic spatial column
+/// pruning", Sec. III-C).
 pub fn criteria_comparison(
     net: &mut dyn Network,
     split: &Split,
+    axis: Axis,
     n_blocks: usize,
     target_block: usize,
     ratios: &[f64],
     batch_size: usize,
 ) -> Vec<SweepCurve> {
-    let criteria = [
+    let seed_base = match axis {
+        Axis::Channel => 0xF16,
+        Axis::Spatial => 0x5FA,
+    };
+    [
         ("attention", Criterion::Attention),
         ("random", Criterion::Random),
         ("inverse", Criterion::InverseAttention),
-    ];
-    criteria
-        .iter()
-        .map(|(label, criterion)| {
-            let accuracy = ratios
-                .iter()
-                .map(|&r| {
-                    let mut channel = vec![0.0; n_blocks];
-                    channel[target_block] = r;
-                    let mut pruner = DynamicPruner::new(PruneSchedule::channel_only(channel))
-                        .with_criterion(*criterion)
-                        .with_seed(0xF16 + (r * 1000.0) as u64);
-                    evaluate(net, split, &mut pruner, batch_size)
-                })
-                .collect();
-            SweepCurve {
-                label: (*label).to_owned(),
-                ratios: ratios.to_vec(),
-                accuracy,
-            }
+    ]
+    .into_iter()
+    .map(|(label, criterion)| {
+        sweep(net, split, label.to_owned(), ratios, batch_size, |r| {
+            DynamicPruner::new(axis.one_block(n_blocks, target_block, r))
+                .with_criterion(criterion)
+                .with_seed(seed_base + (r * 1000.0) as u64)
         })
-        .collect()
+    })
+    .collect()
 }
 
-/// Spatial-column variant of the Fig. 2 comparison ("similar conclusions
-/// could be drawn for dynamic spatial column pruning", Sec. III-C).
-pub fn criteria_comparison_spatial(
-    net: &mut dyn Network,
-    split: &Split,
-    n_blocks: usize,
-    target_block: usize,
-    ratios: &[f64],
-    batch_size: usize,
-) -> Vec<SweepCurve> {
-    let criteria = [
-        ("attention", Criterion::Attention),
-        ("random", Criterion::Random),
-        ("inverse", Criterion::InverseAttention),
-    ];
-    criteria
-        .iter()
-        .map(|(label, criterion)| {
-            let accuracy = ratios
-                .iter()
-                .map(|&r| {
-                    let mut spatial = vec![0.0; n_blocks];
-                    spatial[target_block] = r;
-                    let mut pruner = DynamicPruner::new(PruneSchedule::spatial_only(spatial))
-                        .with_criterion(*criterion)
-                        .with_seed(0x5FA + (r * 1000.0) as u64);
-                    evaluate(net, split, &mut pruner, batch_size)
-                })
-                .collect();
-            SweepCurve {
-                label: (*label).to_owned(),
-                ratios: ratios.to_vec(),
-                accuracy,
-            }
-        })
-        .collect()
-}
-
-/// Fig. 3: block sensitivity analysis — prune each block alone (channels)
-/// across `ratios` and record accuracy, giving one curve per block. The
-/// per-block TTD targets are read off these curves.
+/// Fig. 3: block sensitivity analysis — prune each block alone along
+/// `axis` across `ratios` and record accuracy, giving one curve per
+/// block. The per-block TTD targets are read off these curves (spatial
+/// for the ResNet/ImageNet settings where the paper prunes spatially).
 pub fn block_sensitivity(
     net: &mut dyn Network,
     split: &Split,
+    axis: Axis,
     n_blocks: usize,
     ratios: &[f64],
     batch_size: usize,
 ) -> Vec<SweepCurve> {
     (0..n_blocks)
         .map(|block| {
-            let accuracy = ratios
-                .iter()
-                .map(|&r| {
-                    let mut channel = vec![0.0; n_blocks];
-                    channel[block] = r;
-                    let mut pruner =
-                        DynamicPruner::new(PruneSchedule::channel_only(channel));
-                    evaluate(net, split, &mut pruner, batch_size)
-                })
-                .collect();
-            SweepCurve {
-                label: format!("block{block}"),
-                ratios: ratios.to_vec(),
-                accuracy,
-            }
-        })
-        .collect()
-}
-
-/// Spatial-column block sensitivity (used for the ResNet/ImageNet
-/// settings where the paper prunes spatially).
-pub fn block_sensitivity_spatial(
-    net: &mut dyn Network,
-    split: &Split,
-    n_blocks: usize,
-    ratios: &[f64],
-    batch_size: usize,
-) -> Vec<SweepCurve> {
-    (0..n_blocks)
-        .map(|block| {
-            let accuracy = ratios
-                .iter()
-                .map(|&r| {
-                    let mut spatial = vec![0.0; n_blocks];
-                    spatial[block] = r;
-                    let mut pruner =
-                        DynamicPruner::new(PruneSchedule::spatial_only(spatial));
-                    evaluate(net, split, &mut pruner, batch_size)
-                })
-                .collect();
-            SweepCurve {
-                label: format!("block{block}"),
-                ratios: ratios.to_vec(),
-                accuracy,
-            }
+            sweep(net, split, format!("block{block}"), ratios, batch_size, |r| {
+                DynamicPruner::new(axis.one_block(n_blocks, block, r))
+            })
         })
         .collect()
 }
@@ -193,7 +153,7 @@ mod tests {
     fn criteria_comparison_produces_three_monotone_labels() {
         let (mut net, data) = trained_net_and_data();
         let ratios = [0.0, 0.5, 1.0];
-        let curves = criteria_comparison(&mut net, &data.test, 2, 1, &ratios, 16);
+        let curves = criteria_comparison(&mut net, &data.test, Axis::Channel, 2, 1, &ratios, 16);
         assert_eq!(curves.len(), 3);
         let labels: Vec<&str> = curves.iter().map(|c| c.label.as_str()).collect();
         assert_eq!(labels, vec!["attention", "random", "inverse"]);
@@ -215,7 +175,7 @@ mod tests {
         // important ones).
         let (mut net, data) = trained_net_and_data();
         let ratios = [0.5];
-        let curves = criteria_comparison(&mut net, &data.test, 2, 1, &ratios, 16);
+        let curves = criteria_comparison(&mut net, &data.test, Axis::Channel, 2, 1, &ratios, 16);
         let att = curves[0].accuracy[0];
         let inv = curves[2].accuracy[0];
         assert!(
@@ -228,7 +188,7 @@ mod tests {
     fn sensitivity_yields_one_curve_per_block() {
         let (mut net, data) = trained_net_and_data();
         let ratios = [0.0, 0.6];
-        let curves = block_sensitivity(&mut net, &data.test, 2, &ratios, 16);
+        let curves = block_sensitivity(&mut net, &data.test, Axis::Channel, 2, &ratios, 16);
         assert_eq!(curves.len(), 2);
         for c in &curves {
             assert_eq!(c.accuracy.len(), 2);

@@ -5,21 +5,29 @@
 //! aggressive schedules, bad seeds, or injected faults in tests) and at
 //! `full` scale they take long enough that losing a run to a crash or a
 //! kill is expensive. This module adds a supervision layer around the
-//! epoch loops in [`crate::trainer`] and [`crate::ttd`]:
+//! one supervised epoch loop in [`crate::trainer`], which plain and TTD
+//! runs share:
 //!
+//! - **Healthy point** — after every healthy epoch the run takes one
+//!   snapshot: a [`Checkpoint`] of the network state (parameters and
+//!   batch-norm running statistics) carrying the run's [`TrainState`].
+//!   The same object is what a rollback restores, what a due checkpoint
+//!   writes, and what a resume loads back from disk.
 //! - **Divergence sentinel** — after every epoch the loss and all
-//!   parameters are checked for finiteness. On a trip, the run rolls
-//!   back to the last healthy snapshot (the network state — parameters
-//!   and batch-norm running statistics, as a [`Checkpoint`] — *and* SGD
-//!   momentum),
-//!   scales the learning rate down by a backoff factor, and retries the
-//!   same epoch. Retries are bounded; exhausting them returns a typed
-//!   [`TrainError::Diverged`] carrying the healthy partial history.
-//! - **Resumable state** — [`TrainState`] captures everything needed to
+//!   parameters are checked for finiteness. On a trip, the run restores
+//!   the network, SGD momentum and (for TTD) ratio-ascent state of the
+//!   last healthy point, keeps its live history and recovery
+//!   bookkeeping, scales the learning rate down by a backoff factor, and
+//!   retries the same epoch. Retries are bounded; exhausting them
+//!   returns a typed [`TrainError::Diverged`] carrying the healthy
+//!   partial history.
+//! - **Resumable state** — [`TrainState`] holds everything needed to
 //!   continue a killed run mid-ascent: the next epoch index, the full
 //!   optimizer state, the recovery bookkeeping, the epoch history, and
-//!   (for TTD) the ratio-ascent ceiling. It rides inside a
-//!   [`crate::checkpoint::Checkpoint`].
+//!   (for TTD) the ratio-ascent state with the target and policy it
+//!   ascends by. A resume whose configuration, flavour, target or ascent
+//!   differs from the checkpoint's is a typed
+//!   [`TrainError::ResumeMismatch`].
 //! - **Fault injection** — a one-shot test knob that corrupts one
 //!   parameter after a chosen epoch, for exercising the recovery path
 //!   end to end.
@@ -30,7 +38,9 @@
 //! history of an uninterrupted one exactly.
 
 use crate::checkpoint::Checkpoint;
+use crate::pruner::PruneSchedule;
 use crate::trainer::{TrainConfig, TrainHistory};
+use crate::ttd::RatioAscent;
 use antidote_models::Network;
 use antidote_nn::optim::{Sgd, SgdState};
 use serde::{Deserialize, Serialize};
@@ -90,6 +100,13 @@ pub struct RecoveryEvent {
 /// Ratio-ascent state persisted for resumable TTD runs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TtdState {
+    /// Target schedule the run ascends toward. `None` only in files
+    /// written before it was stored; resuming one is refused.
+    #[serde(default)]
+    pub target: Option<PruneSchedule>,
+    /// Ascent policy of the run (`None` for the fixed-ratio ablation).
+    #[serde(default)]
+    pub ascent: Option<RatioAscent>,
     /// Current ascent ceiling.
     pub cap: f64,
     /// Healthy epochs spent at the current ceiling.
@@ -208,65 +225,58 @@ pub fn params_finite(net: &mut dyn Network) -> bool {
     ok
 }
 
-/// Captures `net` plus `state` into a resumable checkpoint at `path`
-/// (atomic write, see [`crate::checkpoint`]).
-pub(crate) fn save_run_checkpoint(
-    net: &mut dyn Network,
-    state: TrainState,
-    path: &std::path::Path,
-) -> Result<(), TrainError> {
-    Checkpoint::capture(net)
-        .with_train_state(state)
-        .save(path)
-        .map_err(|e| TrainError::Checkpoint(e.to_string()))
+/// Why `stored` cannot continue a run of `config` whose ascent state is
+/// `ttd` (`None` for a plain run), or `None` when it belongs to it: the
+/// configuration, the plain/TTD flavour, and a TTD run's target and
+/// ascent policy must all match.
+fn run_mismatch(
+    stored: &TrainState,
+    config: &TrainConfig,
+    ttd: Option<&TtdState>,
+) -> Option<&'static str> {
+    if stored.config != *config {
+        return Some("checkpoint was written with a different TrainConfig");
+    }
+    match (&stored.ttd, ttd) {
+        (None, None) => None,
+        (Some(_), None) => Some("checkpoint is from a TTD run"),
+        (None, Some(_)) => Some("checkpoint is from a plain (non-TTD) run"),
+        (Some(s), Some(t)) => ((&s.target, s.ascent) != (&t.target, t.ascent)).then_some(
+            "checkpoint is from a TTD run with a different target or ascent \
+             (or one written before they were recorded)",
+        ),
+    }
 }
 
-/// Loads a resumable checkpoint, validates it belongs to this run
-/// (matching config, right plain/TTD flavor), restores the weights into
-/// `net` and returns the training state.
+/// Loads a resumable checkpoint, checks that it belongs to this run (see
+/// [`run_mismatch`]), and restores its network state into `net`. The
+/// returned checkpoint carries the run's [`TrainState`].
 pub(crate) fn load_resume_state(
     path: &std::path::Path,
-    cfg: &TrainConfig,
+    config: &TrainConfig,
+    ttd: Option<&TtdState>,
     net: &mut dyn Network,
-    expect_ttd: bool,
-) -> Result<TrainState, TrainError> {
-    let ckpt = Checkpoint::load(path)
-        .map_err(|e| TrainError::Checkpoint(e.to_string()))?;
-    let state = match &ckpt.train_state {
-        Some(s) => s.clone(),
-        None => {
-            return Err(TrainError::ResumeMismatch(
-                "checkpoint carries no training state (weights-only checkpoint)".into(),
-            ))
-        }
+) -> Result<Checkpoint, TrainError> {
+    let ckpt = Checkpoint::load(path).map_err(|e| TrainError::Checkpoint(e.to_string()))?;
+    let Some(state) = &ckpt.train_state else {
+        return Err(TrainError::ResumeMismatch(
+            "checkpoint carries no training state (weights-only checkpoint)".into(),
+        ));
     };
-    if state.config != *cfg {
-        return Err(TrainError::ResumeMismatch(
-            "checkpoint was written with a different TrainConfig".into(),
-        ));
-    }
-    if state.ttd.is_some() != expect_ttd {
-        return Err(TrainError::ResumeMismatch(
-            if expect_ttd {
-                "checkpoint is from a plain (non-TTD) run"
-            } else {
-                "checkpoint is from a TTD run"
-            }
-            .into(),
-        ));
+    if let Some(why) = run_mismatch(state, config, ttd) {
+        return Err(TrainError::ResumeMismatch(why.into()));
     }
     ckpt.restore(net)
         .map_err(|e| TrainError::ResumeMismatch(e.to_string()))?;
-    Ok(state)
+    Ok(ckpt)
 }
 
-/// The sentinel + snapshot machinery shared by the supervised `train`
-/// and `train_ttd` loops.
+/// The sentinel and the healthy point of the supervised loop.
 pub(crate) struct Supervisor {
     settings: RecoverySettings,
-    /// The last healthy point — network state, optimizer state, ascent
-    /// state — or `None` before the first snapshot.
-    healthy: Option<(Checkpoint, SgdState, Option<TtdState>)>,
+    /// The last healthy point — the network state carrying the run's
+    /// [`TrainState`] — or `None` before the first snapshot.
+    healthy: Option<Checkpoint>,
     pub(crate) lr_scale: f32,
     pub(crate) retries_used: usize,
     injected: bool,
@@ -287,9 +297,37 @@ impl Supervisor {
         }
     }
 
-    /// Records the current state as the last known-healthy point.
-    pub(crate) fn snapshot(&mut self, net: &mut dyn Network, sgd: &Sgd, ttd: Option<&TtdState>) {
-        self.healthy = Some((Checkpoint::capture(net), sgd.export_state(), ttd.cloned()));
+    /// Records the current state as the last healthy point: `net`, plus
+    /// the run state of `config` about to start `next_epoch`.
+    pub(crate) fn snapshot(
+        &mut self,
+        net: &mut dyn Network,
+        config: &TrainConfig,
+        next_epoch: usize,
+        sgd: &Sgd,
+        history: &TrainHistory,
+        ttd: Option<TtdState>,
+    ) {
+        let state = TrainState {
+            next_epoch,
+            config: *config,
+            sgd: sgd.export_state(),
+            lr_scale: self.lr_scale,
+            retries_used: self.retries_used,
+            history: history.clone(),
+            ttd,
+        };
+        self.healthy = Some(Checkpoint::capture(net).with_train_state(state));
+    }
+
+    /// Writes the last healthy point to `path` as a resumable checkpoint
+    /// (atomic write, see [`crate::checkpoint`]).
+    pub(crate) fn save(&self, path: &std::path::Path) -> Result<(), TrainError> {
+        self.healthy
+            .as_ref()
+            .expect("a snapshot precedes every save")
+            .save(path)
+            .map_err(|e| TrainError::Checkpoint(e.to_string()))
     }
 
     /// One-shot fault injection: after epoch `epoch`, if requested and
@@ -331,22 +369,17 @@ impl Supervisor {
         self.retries_used < self.settings.max_retries
     }
 
-    /// Rolls back to the last healthy snapshot, applies the learning-rate
-    /// backoff, and returns the event plus the snapshot's TTD state.
+    /// Restores the network and SGD state of the last healthy point,
+    /// applies the learning-rate backoff, and returns the event plus the
+    /// healthy point's TTD state. The live history and recovery
+    /// bookkeeping are kept.
     pub(crate) fn rollback(
         &mut self,
         epoch: usize,
         kind: DivergenceKind,
         net: &mut dyn Network,
         sgd: &mut Sgd,
-    ) -> (RecoveryEvent, Option<TtdState>) {
-        let (state, sgd_state, ttd) = self
-            .healthy
-            .as_ref()
-            .expect("a snapshot precedes every rollback");
-        state.restore(net).expect("snapshot drifted from network");
-        sgd.load_state(sgd_state);
-        let ttd = ttd.clone();
+    ) -> (RecoveryEvent, Option<&TtdState>) {
         self.retries_used += 1;
         self.lr_scale *= self.settings.lr_backoff;
         let event = RecoveryEvent {
@@ -366,7 +399,14 @@ impl Supervisor {
                 ],
             );
         }
-        (event, ttd)
+        let healthy = self
+            .healthy
+            .as_ref()
+            .expect("a snapshot precedes every rollback");
+        healthy.restore(net).expect("snapshot drifted from network");
+        let state = healthy.train_state.as_ref().expect("snapshots carry train state");
+        sgd.load_state(&state.sgd);
+        (event, state.ttd.as_ref())
     }
 }
 
@@ -401,7 +441,7 @@ mod tests {
         let mut n = net();
         let mut sgd = Sgd::new(0.1).with_momentum(0.9);
         let mut sup = Supervisor::new(RecoverySettings::default());
-        sup.snapshot(&mut n, &sgd, None);
+        sup.snapshot(&mut n, &TrainConfig::fast_test(), 0, &sgd, &TrainHistory::default(), None);
         let mut before = Vec::new();
         n.visit_params_mut(&mut |p| before.push(p.value.clone()));
 
@@ -450,7 +490,7 @@ mod tests {
             max_retries: 2,
             lr_backoff: 0.5,
         });
-        sup.snapshot(&mut n, &sgd, None);
+        sup.snapshot(&mut n, &TrainConfig::fast_test(), 0, &sgd, &TrainHistory::default(), None);
         for _ in 0..2 {
             assert!(sup.can_retry());
             sup.rollback(0, DivergenceKind::NonFiniteLoss, &mut n, &mut sgd);

@@ -9,7 +9,7 @@
 //! the per-block TTD targets (e.g. `[0.2, 0.2, 0.6, 0.9, 0.9]` for
 //! VGG16/CIFAR10).
 
-use crate::analysis::{block_sensitivity, block_sensitivity_spatial, SweepCurve};
+use crate::analysis::{block_sensitivity, Axis, SweepCurve};
 use crate::pruner::PruneSchedule;
 use antidote_data::Split;
 use antidote_models::Network;
@@ -63,7 +63,7 @@ pub fn derive_schedule(
     batch_size: usize,
     options: SearchOptions,
 ) -> PruneSchedule {
-    let curves = block_sensitivity(net, split, n_blocks, ratios, batch_size);
+    let curves = block_sensitivity(net, split, Axis::Channel, n_blocks, ratios, batch_size);
     PruneSchedule::channel_only(ratios_from_curves(&curves, options))
 }
 
@@ -77,8 +77,8 @@ pub fn derive_schedule_combined(
     batch_size: usize,
     options: SearchOptions,
 ) -> PruneSchedule {
-    let ch = block_sensitivity(net, split, n_blocks, ratios, batch_size);
-    let sp = block_sensitivity_spatial(net, split, n_blocks, ratios, batch_size);
+    let ch = block_sensitivity(net, split, Axis::Channel, n_blocks, ratios, batch_size);
+    let sp = block_sensitivity(net, split, Axis::Spatial, n_blocks, ratios, batch_size);
     PruneSchedule::new(
         ratios_from_curves(&ch, options),
         ratios_from_curves(&sp, options),

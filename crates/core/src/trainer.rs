@@ -1,7 +1,10 @@
 //! Shared training/evaluation loops (used by TTD, the baselines and the
-//! experiment harness).
+//! experiment harness). [`train_with_options`] and
+//! [`crate::ttd::train_ttd_with_options`] run the one supervised epoch
+//! loop; a TTD run is a plain run plus a ratio-ascent policy.
 
-use crate::recovery::{self, RecoveryEvent, RunOptions, TrainError, TrainState};
+use crate::recovery::{self, RecoveryEvent, RunOptions, TrainError, TtdState};
+use crate::ttd::Ascent;
 use antidote_data::{Augmentation, BatchIter, Split, SynthDataset};
 use antidote_models::{FeatureHook, Network, NoopHook};
 use antidote_nn::loss::{accuracy, softmax_cross_entropy};
@@ -95,11 +98,6 @@ impl TrainHistory {
     pub fn final_train_acc(&self) -> f32 {
         self.epochs.last().map_or(0.0, |e| e.train_acc)
     }
-
-    /// Final training loss (+inf when no epochs ran).
-    pub fn final_train_loss(&self) -> f32 {
-        self.epochs.last().map_or(f32::INFINITY, |e| e.train_loss)
-    }
 }
 
 /// Trains `net` on `data.train` with the hook active at every tap (pass
@@ -131,7 +129,7 @@ pub fn train(
 /// each epoch (rather than threading one stateful RNG through the run)
 /// is what makes rolled-back retries and killed-and-resumed runs replay
 /// the identical data stream.
-pub(crate) fn aug_seed(cfg: &TrainConfig, epoch: usize) -> u64 {
+fn aug_seed(cfg: &TrainConfig, epoch: usize) -> u64 {
     (cfg.seed ^ 0xA076_1D64_78BD_642F).wrapping_add(epoch as u64)
 }
 
@@ -150,6 +148,47 @@ pub fn train_with_options(
     cfg: &TrainConfig,
     opts: &RunOptions,
 ) -> Result<TrainHistory, TrainError> {
+    train_supervised(net, data, cfg, opts, RunHook::Plain(hook))
+}
+
+/// What a supervised run trains each epoch through.
+pub(crate) enum RunHook<'a> {
+    /// A fixed hook ([`NoopHook`] for plain training).
+    Plain(&'a mut dyn FeatureHook),
+    /// TTD: the targeted-dropout pruner under ratio ascent, which also
+    /// moves its ceiling around every epoch and rollback.
+    Ttd(&'a mut Ascent),
+}
+
+impl RunHook<'_> {
+    fn ascent(&mut self) -> Option<&mut Ascent> {
+        match self {
+            RunHook::Plain(_) => None,
+            RunHook::Ttd(ascent) => Some(ascent),
+        }
+    }
+
+    fn ttd_state(&self) -> Option<TtdState> {
+        match self {
+            RunHook::Plain(_) => None,
+            RunHook::Ttd(ascent) => Some(ascent.state()),
+        }
+    }
+}
+
+/// The one supervised epoch loop behind plain and TTD training: SGD with
+/// the cosine schedule, resume, a healthy-point snapshot after every
+/// healthy epoch, divergence rollback, fault injection, and periodic and
+/// final checkpoints (which write the healthy point; see
+/// [`crate::recovery`]). A TTD run adds its ratio ascent through
+/// [`RunHook::Ttd`].
+pub(crate) fn train_supervised(
+    net: &mut dyn Network,
+    data: &SynthDataset,
+    cfg: &TrainConfig,
+    opts: &RunOptions,
+    mut hook: RunHook<'_>,
+) -> Result<TrainHistory, TrainError> {
     let mut sgd = Sgd::new(cfg.lr_max)
         .with_momentum(cfg.momentum)
         .with_weight_decay(cfg.weight_decay);
@@ -162,14 +201,18 @@ pub fn train_with_options(
     let mut history = TrainHistory::default();
     let mut epoch = 0usize;
     if let Some(path) = &opts.resume_from {
-        let state = recovery::load_resume_state(path, cfg, net, false)?;
+        let ckpt = recovery::load_resume_state(path, cfg, hook.ttd_state().as_ref(), net)?;
+        let state = ckpt.train_state.expect("validated by load_resume_state");
         sgd.load_state(&state.sgd);
         history = state.history;
         epoch = state.next_epoch;
         sup.lr_scale = state.lr_scale;
         sup.retries_used = state.retries_used;
+        if let (Some(ascent), Some(ttd)) = (hook.ascent(), state.ttd) {
+            ascent.resume(ttd);
+        }
     }
-    sup.snapshot(net, &sgd, None);
+    sup.snapshot(net, cfg, epoch, &sgd, &history, hook.ttd_state());
     let mut ran_this_invocation = 0usize;
     while epoch < cfg.epochs {
         if opts
@@ -178,15 +221,22 @@ pub fn train_with_options(
         {
             break;
         }
+        if let Some(ascent) = hook.ascent() {
+            ascent.before_epoch(epoch, &history);
+        }
         let lr = schedule.lr_at(epoch) * sup.lr_scale;
         sgd.set_lr(lr);
         let mut aug = cfg
             .augment
             .then(|| Augmentation::paper_default(data.config.image_size, aug_seed(cfg, epoch)));
+        let epoch_hook: &mut dyn FeatureHook = match &mut hook {
+            RunHook::Plain(h) => &mut **h,
+            RunHook::Ttd(ascent) => ascent.pruner_mut(),
+        };
         let (loss, acc) = train_epoch(
             net,
             &data.train,
-            hook,
+            epoch_hook,
             &mut sgd,
             aug.as_mut(),
             cfg.batch_size,
@@ -203,8 +253,11 @@ pub fn train_with_options(
                     history,
                 });
             }
-            let (event, _) = sup.rollback(epoch, kind, net, &mut sgd);
+            let (event, healthy_ttd) = sup.rollback(epoch, kind, net, &mut sgd);
             history.recoveries.push(event);
+            if let (Some(ascent), Some(ttd)) = (hook.ascent(), healthy_ttd) {
+                ascent.retreat(epoch, ttd);
+            }
             continue; // retry the same epoch at the reduced rate
         }
         history.epochs.push(EpochStats {
@@ -214,22 +267,23 @@ pub fn train_with_options(
             lr,
         });
         emit_epoch_event(epoch, loss, acc, lr);
-        sup.snapshot(net, &sgd, None);
+        if let Some(ascent) = hook.ascent() {
+            ascent.settled();
+        }
         epoch += 1;
         ran_this_invocation += 1;
+        sup.snapshot(net, cfg, epoch, &sgd, &history, hook.ttd_state());
         if let Some(path) = &opts.checkpoint_to {
             if opts.checkpoint_every > 0
                 && epoch.is_multiple_of(opts.checkpoint_every)
                 && epoch < cfg.epochs
             {
-                let state = train_state(cfg, epoch, &sgd, &sup, &history);
-                recovery::save_run_checkpoint(net, state, path)?;
+                sup.save(path)?;
             }
         }
     }
     if let Some(path) = &opts.checkpoint_to {
-        let state = train_state(cfg, epoch, &sgd, &sup, &history);
-        recovery::save_run_checkpoint(net, state, path)?;
+        sup.save(path)?;
     }
     Ok(history)
 }
@@ -239,7 +293,7 @@ pub fn train_with_options(
 /// stderr, with `ANTIDOTE_TRACE=path` the JSONL file, and it always
 /// lands in the in-process ring — so `--quiet` runs stay quiet by
 /// default while remaining inspectable.
-pub(crate) fn emit_epoch_event(epoch: usize, loss: f32, acc: f32, lr: f32) {
+fn emit_epoch_event(epoch: usize, loss: f32, acc: f32, lr: f32) {
     if !antidote_obs::enabled() {
         return;
     }
@@ -254,30 +308,12 @@ pub(crate) fn emit_epoch_event(epoch: usize, loss: f32, acc: f32, lr: f32) {
     );
 }
 
-fn train_state(
-    cfg: &TrainConfig,
-    next_epoch: usize,
-    sgd: &Sgd,
-    sup: &recovery::Supervisor,
-    history: &TrainHistory,
-) -> TrainState {
-    TrainState {
-        next_epoch,
-        config: *cfg,
-        sgd: sgd.export_state(),
-        lr_scale: sup.lr_scale,
-        retries_used: sup.retries_used,
-        history: history.clone(),
-        ttd: None,
-    }
-}
-
 /// Runs one epoch; returns `(mean loss, accuracy)`.
 ///
 /// An empty split runs no batches and returns `(0.0, 0.0)` rather than
 /// dividing by zero.
 #[allow(clippy::too_many_arguments)]
-pub fn train_epoch(
+pub(crate) fn train_epoch(
     net: &mut dyn Network,
     split: &Split,
     hook: &mut dyn FeatureHook,
@@ -324,7 +360,7 @@ pub fn train_epoch(
 /// at most `max_norm`. No-op when the norm is already within bounds or
 /// not finite (a non-finite norm is left for the divergence sentinel to
 /// catch rather than smuggled back into range).
-pub fn clip_grad_norm(net: &mut dyn Network, max_norm: f32) -> f32 {
+pub(crate) fn clip_grad_norm(net: &mut dyn Network, max_norm: f32) -> f32 {
     let mut sq = 0.0f64;
     net.visit_params_mut(&mut |p| {
         for &g in p.grad.data() {
@@ -418,7 +454,7 @@ mod tests {
         let history = train(&mut net, &data, &mut NoopHook, &cfg);
         assert!(history.epochs.len() == 8);
         assert!(
-            history.final_train_loss() < history.epochs[0].train_loss,
+            history.epochs[7].train_loss < history.epochs[0].train_loss,
             "loss should decrease: {:?}",
             history.epochs
         );

@@ -9,11 +9,10 @@
 //! current ratio (Sec. IV-B).
 
 use crate::pruner::{DynamicPruner, PruneSchedule};
-use crate::recovery::{self, RunOptions, TrainError, TrainState, TtdState};
-use crate::trainer::{aug_seed, train_epoch, EpochStats, TrainConfig, TrainHistory};
-use antidote_data::{Augmentation, SynthDataset};
+use crate::recovery::{RunOptions, TrainError, TtdState};
+use crate::trainer::{train_supervised, RunHook, TrainConfig, TrainHistory};
+use antidote_data::SynthDataset;
 use antidote_models::Network;
-use antidote_nn::optim::{CosineAnnealing, LrSchedule, Sgd};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -149,11 +148,7 @@ impl TtdConfig {
     /// and few epochs the target would never be reached and test-time
     /// pruning would exceed anything seen in training).
     pub fn new(target: PruneSchedule, epochs: usize) -> Self {
-        let max_target = target
-            .channel_prune()
-            .iter()
-            .chain(target.spatial_prune())
-            .fold(0.0f64, |a, &b| a.max(b));
+        let max_target = max_target_ratio(&target);
         let warmup = 0.1f64.min(max_target);
         let ascent_epochs = (epochs as f64 * 0.6).max(1.0);
         let step = ((max_target - warmup) / ascent_epochs).max(0.05);
@@ -234,8 +229,124 @@ fn ascent_loss_ok(history: &TrainHistory) -> bool {
     history.epochs[n - 1].train_loss <= history.epochs[n - 2].train_loss * 1.10
 }
 
+/// What a TTD run adds to the supervised loop of [`crate::trainer`]: the
+/// targeted-dropout pruner every epoch trains through, and the ratio
+/// ceiling it ascends toward the target. The loop calls it before each
+/// epoch, after each rollback and after each healthy epoch.
+pub(crate) struct Ascent {
+    target: PruneSchedule,
+    policy: Option<RatioAscent>,
+    max_target: f64,
+    pruner: DynamicPruner,
+    cap: f64,
+    epochs_at_cap: usize,
+    ratio_trace: Vec<(usize, f64)>,
+}
+
+impl Ascent {
+    /// The ascent of `cfg` at warm-up (at the full target without an
+    /// ascent policy).
+    fn new(cfg: &TtdConfig) -> Result<Self, AscentError> {
+        let max_target = max_target_ratio(&cfg.target);
+        if let Some(policy) = &cfg.ascent {
+            policy.validate(max_target)?;
+        }
+        Ok(Self {
+            target: cfg.target.clone(),
+            policy: cfg.ascent,
+            max_target,
+            pruner: DynamicPruner::new(match &cfg.ascent {
+                Some(a) => cfg.target.capped(a.warmup),
+                None => cfg.target.clone(),
+            }),
+            cap: cfg.ascent.map_or(max_target, |a| a.warmup),
+            epochs_at_cap: 0,
+            ratio_trace: Vec::new(),
+        })
+    }
+
+    /// The hook the next epoch trains through.
+    pub(crate) fn pruner_mut(&mut self) -> &mut DynamicPruner {
+        &mut self.pruner
+    }
+
+    /// The state a snapshot or checkpoint stores.
+    pub(crate) fn state(&self) -> TtdState {
+        TtdState {
+            target: Some(self.target.clone()),
+            ascent: self.policy,
+            cap: self.cap,
+            epochs_at_cap: self.epochs_at_cap,
+            ratio_trace: self.ratio_trace.clone(),
+        }
+    }
+
+    /// Continues from a resumed checkpoint's state.
+    pub(crate) fn resume(&mut self, state: TtdState) {
+        self.cap = state.cap;
+        self.epochs_at_cap = state.epochs_at_cap;
+        self.ratio_trace = state.ratio_trace;
+    }
+
+    /// Before `epoch`: ascends once the run has dwelt long enough at this
+    /// ceiling and the loss is not regressing (the convergence proxy),
+    /// caps the pruner at the ceiling, and records it.
+    pub(crate) fn before_epoch(&mut self, epoch: usize, history: &TrainHistory) {
+        if let Some(policy) = &self.policy {
+            if self.cap < self.max_target
+                && self.epochs_at_cap >= policy.epochs_per_step
+                && ascent_loss_ok(history)
+            {
+                self.cap = (self.cap + policy.step).min(self.max_target);
+                self.epochs_at_cap = 0;
+                if antidote_obs::enabled() {
+                    antidote_obs::info(
+                        "ttd.ascent",
+                        &[
+                            ("epoch", antidote_obs::Value::U64(epoch as u64)),
+                            ("cap", antidote_obs::Value::F64(self.cap)),
+                            ("target", antidote_obs::Value::F64(self.max_target)),
+                        ],
+                    );
+                }
+            }
+            self.pruner.set_schedule(self.target.capped(self.cap));
+        }
+        self.ratio_trace.push((epoch, self.cap));
+    }
+
+    /// After a rollback of `epoch`: restores the healthy point's ascent
+    /// state, then retreats the ceiling one step (held at warm-up) and
+    /// restarts the dwell, so the run re-approaches the target gently.
+    pub(crate) fn retreat(&mut self, epoch: usize, healthy: &TtdState) {
+        self.cap = healthy.cap;
+        self.ratio_trace.clone_from(&healthy.ratio_trace);
+        self.epochs_at_cap = 0;
+        if let Some(policy) = &self.policy {
+            self.cap = (self.cap - policy.step).max(policy.warmup);
+            self.pruner.set_schedule(self.target.capped(self.cap));
+            if antidote_obs::enabled() {
+                antidote_obs::info(
+                    "ttd.retreat",
+                    &[
+                        ("epoch", antidote_obs::Value::U64(epoch as u64)),
+                        ("cap", antidote_obs::Value::F64(self.cap)),
+                    ],
+                );
+            }
+        }
+    }
+
+    /// After a healthy epoch: one more epoch dwelt at this ceiling.
+    pub(crate) fn settled(&mut self) {
+        self.epochs_at_cap += 1;
+    }
+}
+
 /// Supervised TTD loop: [`train_ttd`] plus divergence rollback,
-/// resumable checkpoints and fault injection, controlled by `opts`.
+/// resumable checkpoints and fault injection, controlled by `opts` — the
+/// supervised loop of [`crate::trainer::train_with_options`] with the
+/// targeted-dropout ratio ascent added.
 ///
 /// On divergence the rollback additionally *retreats* the ascent ceiling
 /// one step (never below warm-up) and restarts the dwell counter, so the
@@ -245,204 +356,31 @@ fn ascent_loss_ok(history: &TrainHistory) -> bool {
 ///
 /// [`TrainError::InvalidAscent`] for a bad ascent policy,
 /// [`TrainError::Diverged`] when retries are exhausted, and typed
-/// checkpoint/resume errors when `opts` uses the filesystem.
+/// checkpoint/resume errors when `opts` uses the filesystem (resuming a
+/// checkpoint of a run with a different target or ascent is a
+/// [`TrainError::ResumeMismatch`]).
 pub fn train_ttd_with_options(
     net: &mut dyn Network,
     data: &SynthDataset,
     cfg: &TtdConfig,
     opts: &RunOptions,
 ) -> Result<TtdOutcome, TrainError> {
-    let max_target = max_target_ratio(&cfg.target);
-    if let Some(ascent) = &cfg.ascent {
-        ascent.validate(max_target).map_err(TrainError::InvalidAscent)?;
-    }
-    let mut sgd = Sgd::new(cfg.train.lr_max)
-        .with_momentum(cfg.train.momentum)
-        .with_weight_decay(cfg.train.weight_decay);
-    let schedule = CosineAnnealing {
-        lr_max: cfg.train.lr_max,
-        lr_min: 0.0,
-        total_epochs: cfg.train.epochs,
-    };
-    let mut pruner = DynamicPruner::new(match &cfg.ascent {
-        Some(a) => cfg.target.capped(a.warmup),
-        None => cfg.target.clone(),
-    });
-    let mut sup = recovery::Supervisor::new(opts.recovery);
-    let mut history = TrainHistory::default();
-    let mut ratio_trace: Vec<(usize, f64)> = Vec::new();
-    let mut cap = cfg.ascent.map_or(max_target, |a| a.warmup);
-    let mut epochs_at_cap = 0usize;
-    let mut epoch = 0usize;
-    if let Some(path) = &opts.resume_from {
-        let state = recovery::load_resume_state(path, &cfg.train, net, true)?;
-        let ttd_state = state.ttd.expect("validated by load_resume_state");
-        sgd.load_state(&state.sgd);
-        history = state.history;
-        epoch = state.next_epoch;
-        sup.lr_scale = state.lr_scale;
-        sup.retries_used = state.retries_used;
-        cap = ttd_state.cap;
-        epochs_at_cap = ttd_state.epochs_at_cap;
-        ratio_trace = ttd_state.ratio_trace;
-    }
-    sup.snapshot(
-        net,
-        &sgd,
-        Some(&TtdState {
-            cap,
-            epochs_at_cap,
-            ratio_trace: ratio_trace.clone(),
-        }),
-    );
-    let mut ran_this_invocation = 0usize;
-    while epoch < cfg.train.epochs {
-        if opts
-            .stop_after_epochs
-            .is_some_and(|n| ran_this_invocation >= n)
-        {
-            break;
-        }
-        if let Some(ascent) = &cfg.ascent {
-            // Ascend once we've dwelt long enough at this ceiling and the
-            // loss is not regressing (the convergence proxy).
-            if cap < max_target
-                && epochs_at_cap >= ascent.epochs_per_step
-                && ascent_loss_ok(&history)
-            {
-                cap = (cap + ascent.step).min(max_target);
-                epochs_at_cap = 0;
-                if antidote_obs::enabled() {
-                    antidote_obs::info(
-                        "ttd.ascent",
-                        &[
-                            ("epoch", antidote_obs::Value::U64(epoch as u64)),
-                            ("cap", antidote_obs::Value::F64(cap)),
-                            ("target", antidote_obs::Value::F64(max_target)),
-                        ],
-                    );
-                }
-            }
-            pruner.set_schedule(cfg.target.capped(cap));
-        }
-        ratio_trace.push((epoch, cap));
-        let lr = schedule.lr_at(epoch) * sup.lr_scale;
-        sgd.set_lr(lr);
-        let mut aug = cfg
-            .train
-            .augment
-            .then(|| Augmentation::paper_default(data.config.image_size, aug_seed(&cfg.train, epoch)));
-        let (loss, acc) = train_epoch(
-            net,
-            &data.train,
-            &mut pruner,
-            &mut sgd,
-            aug.as_mut(),
-            cfg.train.batch_size,
-            cfg.train.seed.wrapping_add(epoch as u64),
-            cfg.train.grad_clip,
-        );
-        sup.maybe_inject(epoch, opts.inject_nan_at_epoch, net);
-        if let Some(kind) = sup.verdict(loss, net) {
-            if !sup.can_retry() {
-                return Err(TrainError::Diverged {
-                    epoch,
-                    kind,
-                    retries: sup.retries_used,
-                    history,
-                });
-            }
-            let (event, snap_ttd) = sup.rollback(epoch, kind, net, &mut sgd);
-            history.recoveries.push(event);
-            let snap = snap_ttd.expect("TTD supervisor snapshots carry ascent state");
-            // Restore the ascent state from the healthy snapshot, then
-            // retreat the ceiling one step (held at warm-up) and restart
-            // the dwell so the run re-approaches the target gently.
-            cap = snap.cap;
-            ratio_trace = snap.ratio_trace;
-            epochs_at_cap = 0;
-            if let Some(ascent) = &cfg.ascent {
-                cap = (cap - ascent.step).max(ascent.warmup);
-                pruner.set_schedule(cfg.target.capped(cap));
-                if antidote_obs::enabled() {
-                    antidote_obs::info(
-                        "ttd.retreat",
-                        &[
-                            ("epoch", antidote_obs::Value::U64(epoch as u64)),
-                            ("cap", antidote_obs::Value::F64(cap)),
-                        ],
-                    );
-                }
-            }
-            continue; // retry the same epoch
-        }
-        history.epochs.push(EpochStats {
-            epoch,
-            train_loss: loss,
-            train_acc: acc,
-            lr,
-        });
-        crate::trainer::emit_epoch_event(epoch, loss, acc, lr);
-        epochs_at_cap += 1;
-        sup.snapshot(
-            net,
-            &sgd,
-            Some(&TtdState {
-                cap,
-                epochs_at_cap,
-                ratio_trace: ratio_trace.clone(),
-            }),
-        );
-        epoch += 1;
-        ran_this_invocation += 1;
-        if let Some(path) = &opts.checkpoint_to {
-            if opts.checkpoint_every > 0
-                && epoch.is_multiple_of(opts.checkpoint_every)
-                && epoch < cfg.train.epochs
-            {
-                let state = ttd_train_state(cfg, epoch, &sgd, &sup, &history, cap, epochs_at_cap, &ratio_trace);
-                recovery::save_run_checkpoint(net, state, path)?;
-            }
-        }
-    }
-    if let Some(path) = &opts.checkpoint_to {
-        let state = ttd_train_state(cfg, epoch, &sgd, &sup, &history, cap, epochs_at_cap, &ratio_trace);
-        recovery::save_run_checkpoint(net, state, path)?;
-    }
+    let mut ascent = Ascent::new(cfg).map_err(TrainError::InvalidAscent)?;
+    let history = train_supervised(net, data, &cfg.train, opts, RunHook::Ttd(&mut ascent))?;
     // Leave the pruner at the exact target for test-time pruning.
-    pruner.set_schedule(cfg.target.clone());
+    let Ascent {
+        target,
+        mut pruner,
+        ratio_trace,
+        ..
+    } = ascent;
+    pruner.set_schedule(target);
     pruner.reset_stats();
     Ok(TtdOutcome {
         history,
         ratio_trace,
         pruner,
     })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn ttd_train_state(
-    cfg: &TtdConfig,
-    next_epoch: usize,
-    sgd: &Sgd,
-    sup: &recovery::Supervisor,
-    history: &TrainHistory,
-    cap: f64,
-    epochs_at_cap: usize,
-    ratio_trace: &[(usize, f64)],
-) -> TrainState {
-    TrainState {
-        next_epoch,
-        config: cfg.train,
-        sgd: sgd.export_state(),
-        lr_scale: sup.lr_scale,
-        retries_used: sup.retries_used,
-        history: history.clone(),
-        ttd: Some(TtdState {
-            cap,
-            epochs_at_cap,
-            ratio_trace: ratio_trace.to_vec(),
-        }),
-    }
 }
 
 #[cfg(test)]

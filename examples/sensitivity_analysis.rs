@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example sensitivity_analysis --release`
 
-use antidote_repro::core::analysis::block_sensitivity;
+use antidote_repro::core::analysis::{block_sensitivity, Axis};
 use antidote_repro::core::trainer::{train, TrainConfig};
 use antidote_repro::data::SynthConfig;
 use antidote_repro::models::{NoopHook, Vgg, VggConfig};
@@ -25,7 +25,7 @@ fn main() {
     train(&mut net, &data, &mut NoopHook, &cfg);
 
     let ratios: Vec<f64> = vec![0.0, 0.2, 0.4, 0.6, 0.8, 0.9];
-    let curves = block_sensitivity(&mut net, &data.test, 5, &ratios, 32);
+    let curves = block_sensitivity(&mut net, &data.test, Axis::Channel, 5, &ratios, 32);
 
     println!("\naccuracy (%) when pruning ONLY the given block's channels:\n");
     print!("{:>8}", "ratio");

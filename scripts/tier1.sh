@@ -2,7 +2,7 @@
 # Tier-1 gate: build, test, lint. Run from the repository root.
 # Correctness gates are ordinary `#[test]`s inside `cargo test`;
 # performance is judged by the benchmark package (BENCHMARK.json), which
-# this script only compiles.
+# this script compiles and unit-tests but does not run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,6 +11,9 @@ cargo build --release
 # an API refactor: compile it, so a break fails here and not in the
 # benchmark pipeline.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# ...and run its own unit tests, among them the check that BENCHMARK.json
+# at the root is the package's metric table.
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 # The suite must pass at the exact sequential fallback AND at a fixed
 # multi-thread budget (results are bit-identical by design; the parity
 # property tests enforce it, these two runs make sure nothing is

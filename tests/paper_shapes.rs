@@ -1,7 +1,7 @@
 //! Qualitative "shape" checks: the orderings and crossovers the paper's
 //! figures report must hold at reproduction scale.
 
-use antidote_repro::core::analysis::criteria_comparison;
+use antidote_repro::core::analysis::{criteria_comparison, Axis};
 use antidote_repro::core::flops::decompose;
 use antidote_repro::core::settings::{proposed_settings, Workload};
 use antidote_repro::core::trainer::{self, TrainConfig};
@@ -35,7 +35,7 @@ fn fig2_shape_attention_dominates_inverse_on_average() {
     // strictly, random within the envelope).
     let (mut net, data) = trained_vgg(71, 8);
     let ratios = [0.3, 0.5, 0.7];
-    let curves = criteria_comparison(&mut net, &data.test, 2, 1, &ratios, 16);
+    let curves = criteria_comparison(&mut net, &data.test, Axis::Channel, 2, 1, &ratios, 16);
     let avg = |label: &str| -> f32 {
         let c = curves.iter().find(|c| c.label == label).unwrap();
         c.accuracy.iter().sum::<f32>() / c.accuracy.len() as f32

@@ -3,6 +3,7 @@
 //! isolation of a failing workload.
 
 use antidote_bench::{run_table1_workload, ReproWorkload, Scale, WorkloadError, WorkloadRunOptions};
+use antidote_repro::core::checkpoint::Checkpoint;
 use antidote_repro::core::recovery::params_finite;
 use antidote_repro::core::settings::{proposed_settings, Workload};
 use antidote_repro::core::trainer::{TrainConfig, TrainHistory};
@@ -311,6 +312,63 @@ fn resume_mismatches_are_typed_errors() {
         Err(TrainError::ResumeMismatch(_)) => {}
         other => panic!("expected ResumeMismatch, got {other:?}"),
     }
+
+    // A TTD checkpoint resumes only the TTD run it was written by: a
+    // different target, a different ascent policy, a plain run, or a
+    // file written before the target and ascent were recorded are each
+    // refused.
+    let ttd_path = temp_ckpt("mismatch_ttd");
+    let ttd_write = RunOptions {
+        checkpoint_to: Some(ttd_path.clone()),
+        stop_after_epochs: Some(2),
+        ..RunOptions::default()
+    };
+    train_ttd_with_options(&mut tiny_net(0xC2), &data, &ttd_cfg, &ttd_write)
+        .expect("first TTD leg succeeds");
+    let mut lower_target = TtdConfig::new(PruneSchedule::new(vec![0.0, 0.1], vec![]), 3);
+    lower_target.train = cfg.clone();
+    let fixed_ratio = ttd_cfg.clone().without_ascent();
+    for other in [&lower_target, &fixed_ratio] {
+        let resumed = train_ttd_with_options(
+            &mut tiny_net(0xC2),
+            &data,
+            other,
+            &RunOptions::resuming(&ttd_path),
+        );
+        match resumed {
+            Err(TrainError::ResumeMismatch(msg)) => assert!(msg.contains("target or ascent")),
+            other => panic!("expected ResumeMismatch, got {:?}", other.map(|o| o.ratio_trace)),
+        }
+    }
+    match train_with_options(
+        &mut tiny_net(0xC2),
+        &data,
+        &mut NoopHook,
+        &cfg,
+        &RunOptions::resuming(&ttd_path),
+    ) {
+        Err(TrainError::ResumeMismatch(_)) => {}
+        other => panic!("expected ResumeMismatch, got {other:?}"),
+    }
+    let mut legacy = Checkpoint::load(&ttd_path).expect("TTD checkpoint loads");
+    let ttd_state = legacy.train_state.as_mut().and_then(|s| s.ttd.as_mut()).unwrap();
+    (ttd_state.target, ttd_state.ascent) = (None, None);
+    legacy.save(&ttd_path).unwrap();
+    let json = std::fs::read_to_string(&ttd_path).unwrap();
+    let stripped = json.replace("\"target\":null,\"ascent\":null,", "");
+    assert_ne!(json, stripped, "test must actually strip the fields");
+    std::fs::write(&ttd_path, stripped).unwrap();
+    let resumed = train_ttd_with_options(
+        &mut tiny_net(0xC2),
+        &data,
+        &ttd_cfg,
+        &RunOptions::resuming(&ttd_path),
+    );
+    match resumed {
+        Err(TrainError::ResumeMismatch(_)) => {}
+        other => panic!("expected ResumeMismatch, got {:?}", other.map(|o| o.ratio_trace)),
+    }
+    let _ = std::fs::remove_file(ttd_path);
 
     // A missing checkpoint file is a typed checkpoint error.
     let missing = temp_ckpt("never_written");
