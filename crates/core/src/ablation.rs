@@ -22,7 +22,7 @@ pub fn statistic_ablation(
     [("mean", Statistic::Mean), ("max", Statistic::Max)]
         .into_iter()
         .map(|(label, statistic)| {
-            sweep(net, split, label.to_owned(), ratios, batch_size, |r| {
+            sweep(net, split, label, ratios, batch_size, |r| {
                 DynamicPruner::new(Axis::Channel.one_block(n_blocks, target_block, r))
                     .with_statistic(statistic)
             })
@@ -42,16 +42,17 @@ pub fn policy_ablation(
     alphas: &[f32],
     batch_size: usize,
 ) -> (SweepCurve, SweepCurve) {
-    let topk = sweep(net, split, "topk".into(), topk_ratios, batch_size, |r| {
+    let topk = sweep(net, split, "topk", topk_ratios, batch_size, |r| {
         DynamicPruner::new(Axis::Channel.one_block(n_blocks, target_block, r))
     });
     let alphas: Vec<f64> = alphas.iter().map(|&a| a as f64).collect();
-    let threshold = sweep(net, split, "threshold".into(), &alphas, batch_size, |alpha| {
-        // Ratio 0.5 activates masking; the policy decides how much.
-        DynamicPruner::new(Axis::Channel.one_block(n_blocks, target_block, 0.5))
-            .with_policy(MaskPolicy::Threshold {
-                alpha: alpha as f32,
-            })
+    // Ratio 0.5 activates masking; the policy decides how much.
+    let masking = Axis::Channel.one_block(n_blocks, target_block, 0.5);
+    let threshold = sweep(net, split, "threshold", &alphas, batch_size, |alpha| {
+        let policy = MaskPolicy::Threshold {
+            alpha: alpha as f32,
+        };
+        DynamicPruner::new(masking.clone()).with_policy(policy)
     });
     (topk, threshold)
 }

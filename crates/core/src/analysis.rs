@@ -39,7 +39,7 @@ pub enum Axis {
 impl Axis {
     /// A schedule over `n_blocks` blocks that prunes `block` alone, at
     /// `ratio`, along this axis.
-    pub fn one_block(self, n_blocks: usize, block: usize, ratio: f64) -> PruneSchedule {
+    pub(crate) fn one_block(self, n_blocks: usize, block: usize, ratio: f64) -> PruneSchedule {
         let mut ratios = vec![0.0; n_blocks];
         ratios[block] = ratio;
         match self {
@@ -54,7 +54,7 @@ impl Axis {
 pub(crate) fn sweep(
     net: &mut dyn Network,
     split: &Split,
-    label: String,
+    label: &str,
     ratios: &[f64],
     batch_size: usize,
     mut pruner_at: impl FnMut(f64) -> DynamicPruner,
@@ -64,7 +64,7 @@ pub(crate) fn sweep(
         .map(|&r| evaluate(net, split, &mut pruner_at(r), batch_size))
         .collect();
     SweepCurve {
-        label,
+        label: label.to_owned(),
         ratios: ratios.to_vec(),
         accuracy,
     }
@@ -98,7 +98,7 @@ pub fn criteria_comparison(
     ]
     .into_iter()
     .map(|(label, criterion)| {
-        sweep(net, split, label.to_owned(), ratios, batch_size, |r| {
+        sweep(net, split, label, ratios, batch_size, |r| {
             DynamicPruner::new(axis.one_block(n_blocks, target_block, r))
                 .with_criterion(criterion)
                 .with_seed(seed_base + (r * 1000.0) as u64)
@@ -121,7 +121,8 @@ pub fn block_sensitivity(
 ) -> Vec<SweepCurve> {
     (0..n_blocks)
         .map(|block| {
-            sweep(net, split, format!("block{block}"), ratios, batch_size, |r| {
+            let label = format!("block{block}");
+            sweep(net, split, &label, ratios, batch_size, |r| {
                 DynamicPruner::new(axis.one_block(n_blocks, block, r))
             })
         })

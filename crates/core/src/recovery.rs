@@ -404,7 +404,10 @@ impl Supervisor {
             .as_ref()
             .expect("a snapshot precedes every rollback");
         healthy.restore(net).expect("snapshot drifted from network");
-        let state = healthy.train_state.as_ref().expect("snapshots carry train state");
+        let state = healthy
+            .train_state
+            .as_ref()
+            .expect("snapshots carry train state");
         sgd.load_state(&state.sgd);
         (event, state.ttd.as_ref())
     }
@@ -441,7 +444,8 @@ mod tests {
         let mut n = net();
         let mut sgd = Sgd::new(0.1).with_momentum(0.9);
         let mut sup = Supervisor::new(RecoverySettings::default());
-        sup.snapshot(&mut n, &TrainConfig::fast_test(), 0, &sgd, &TrainHistory::default(), None);
+        let history = TrainHistory::default();
+        sup.snapshot(&mut n, &TrainConfig::fast_test(), 0, &sgd, &history, None);
         let mut before = Vec::new();
         n.visit_params_mut(&mut |p| before.push(p.value.clone()));
 
@@ -490,7 +494,8 @@ mod tests {
             max_retries: 2,
             lr_backoff: 0.5,
         });
-        sup.snapshot(&mut n, &TrainConfig::fast_test(), 0, &sgd, &TrainHistory::default(), None);
+        let history = TrainHistory::default();
+        sup.snapshot(&mut n, &TrainConfig::fast_test(), 0, &sgd, &history, None);
         for _ in 0..2 {
             assert!(sup.can_retry());
             sup.rollback(0, DivergenceKind::NonFiniteLoss, &mut n, &mut sgd);
