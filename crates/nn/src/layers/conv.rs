@@ -9,7 +9,7 @@
 
 use crate::{Layer, Mode, Parameter};
 use antidote_tensor::conv::{col2im, im2col, ConvGeometry};
-use antidote_tensor::linalg::{matmul_a_bt, matmul_at_b, matmul_into};
+use antidote_tensor::linalg::{matmul_into, transpose_into};
 use antidote_tensor::{init, Tensor};
 use rand::Rng;
 
@@ -141,11 +141,6 @@ impl Conv2d {
     /// Immutable access to the bias parameter.
     pub fn bias(&self) -> &Parameter {
         &self.bias
-    }
-
-    /// Mutable access to the bias parameter.
-    pub fn bias_mut(&mut self) -> &mut Parameter {
-        &mut self.bias
     }
 
     /// Multiply–accumulate count for one forward pass over an input of
@@ -296,6 +291,10 @@ impl Layer for Conv2d {
         let w_data = self.weight.value.data();
         let go_data = grad_out.data();
         let cols_cache = &cache.cols;
+        // Wᵀ (CKK×Cout), formed once and shared by every part's dcols GEMM.
+        let mut w_t = vec![0.0f32; co * ckk];
+        transpose_into(w_data, co, ckk, &mut w_t);
+        let w_t = &w_t;
 
         // Batch items are partitioned by `fixed_ranges(n, GRAD_PARTIAL_PARTS)`
         // — a function of `n` alone — and each part accumulates weight/bias
@@ -320,23 +319,33 @@ impl Layer for Conv2d {
                 .zip(w_parts.chunks_mut(co * ckk).zip(b_parts.chunks_mut(co)))
                 .map(|((range, gi_chunk), (w_part, b_part))| {
                     let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                        // One dcols scratch per part, reused across items
-                        // (the former code allocated `ckk·l` per item).
+                        // Per-part scratch, reused across the part's items.
                         let mut grad_cols = vec![0.0f32; ckk * l];
+                        let mut go_t = vec![0.0f32; l * co];
+                        let mut dw_t = vec![0.0f32; ckk * co];
                         for (slot, ni) in range.enumerate() {
                             let go = &go_data[ni * item_go..(ni + 1) * item_go];
                             let cols = &cols_cache[ni];
-                            // dW_part += dY · colsᵀ   (Cout×L)·(L×CKK)
-                            matmul_a_bt(go, cols, w_part, co, l, ckk);
+                            if slot > 0 {
+                                grad_cols.fill(0.0);
+                                dw_t.fill(0.0);
+                            }
+                            // dWᵀ = cols · dYᵀ   (CKK×L)·(L×Cout), summed
+                            // from +0 and then added into the part, so a
+                            // part adds each item's sum as one term.
+                            transpose_into(go, co, l, &mut go_t);
+                            matmul_into(cols, &go_t, &mut dw_t, ckk, l, co);
+                            for (i, w_row) in w_part.chunks_exact_mut(ckk).enumerate() {
+                                for (q, g) in w_row.iter_mut().enumerate() {
+                                    *g += dw_t[q * co + i];
+                                }
+                            }
                             // db_part += rowsum(dY)
                             for (ci, gb) in b_part.iter_mut().enumerate() {
                                 *gb += go[ci * l..(ci + 1) * l].iter().sum::<f32>();
                             }
                             // dcols = Wᵀ · dY    (CKK×Cout)·(Cout×L)
-                            if slot > 0 {
-                                grad_cols.fill(0.0);
-                            }
-                            matmul_at_b(w_data, go, &mut grad_cols, co, ckk, l);
+                            matmul_into(w_t, go, &mut grad_cols, ckk, co, l);
                             let gi = &mut gi_chunk[slot * item_in..(slot + 1) * item_in];
                             col2im(&grad_cols, c, h, w, geom, gi);
                         }

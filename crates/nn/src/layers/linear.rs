@@ -1,7 +1,7 @@
 //! Fully connected layer.
 
 use crate::{Layer, Mode, Parameter};
-use antidote_tensor::linalg::{matmul_a_bt, matmul_at_b, matmul_into};
+use antidote_tensor::linalg::{matmul_into, transpose_into};
 use antidote_tensor::reduce::sum_rows;
 use antidote_tensor::{init, Tensor};
 use rand::Rng;
@@ -102,16 +102,12 @@ impl Layer for Linear {
             "Linear configured for {} features, got {d}",
             self.in_features
         );
-        // y (N,Out) = x (N,In) · Wᵀ (In,Out)
+        // y (N,Out) = x (N,In) · Wᵀ (In,Out), into a zeroed output; the
+        // bias is added after the sum.
+        let mut w_t = vec![0.0f32; d * self.out_features];
+        transpose_into(self.weight.value.data(), self.out_features, d, &mut w_t);
         let mut out = Tensor::zeros([n, self.out_features]);
-        matmul_a_bt(
-            input.data(),
-            self.weight.value.data(),
-            out.data_mut(),
-            n,
-            d,
-            self.out_features,
-        );
+        matmul_into(input.data(), &w_t, out.data_mut(), n, d, self.out_features);
         let b = self.bias.value.data();
         for row in 0..n {
             let o = &mut out.data_mut()[row * self.out_features..(row + 1) * self.out_features];
@@ -131,12 +127,14 @@ impl Layer for Linear {
             .expect("Linear::backward called without forward(Train)");
         let (n, _) = grad_out.shape().as_matrix().expect("grad_out rank 2");
         // dW (Out,In) += dYᵀ (Out,N) · x (N,In)
-        matmul_at_b(
-            grad_out.data(),
+        let mut go_t = vec![0.0f32; n * self.out_features];
+        transpose_into(grad_out.data(), n, self.out_features, &mut go_t);
+        matmul_into(
+            &go_t,
             x.data(),
             self.weight.grad.data_mut(),
-            n,
             self.out_features,
+            n,
             self.in_features,
         );
         // db += rowsum(dY)

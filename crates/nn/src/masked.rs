@@ -381,7 +381,7 @@ mod tests {
             spatial: Some(spatial),
         };
         let mut c1 = MacCounter::new();
-        let masked = masked_conv2d(&x, &w, None, geom, &[mask.clone()], &mut c1);
+        let masked = masked_conv2d(&x, &w, None, geom, std::slice::from_ref(&mask), &mut c1);
 
         let mut xz = x.clone();
         mask.apply_to_item(2, 4, 4, xz.data_mut());
@@ -402,7 +402,7 @@ mod tests {
             spatial: Some((0..16).map(|p| p < 8).collect()),
         };
         let mut c = MacCounter::new();
-        let masked = masked_conv2d(&x, &w, None, geom, &[mask.clone()], &mut c);
+        let masked = masked_conv2d(&x, &w, None, geom, std::slice::from_ref(&mask), &mut c);
         let mut xz = x.clone();
         mask.apply_to_item(4, 4, 4, xz.data_mut());
         let mut c2 = MacCounter::new();

@@ -108,10 +108,10 @@ proptest! {
         let masks: Vec<FeatureMask> = (0..n)
             .map(|ni| FeatureMask {
                 channel: Some(
-                    (0..cin).map(|c| (seed as usize + ni + c) % 2 == 0).collect(),
+                    (0..cin).map(|c| (seed as usize + ni + c).is_multiple_of(2)).collect(),
                 ),
                 spatial: Some(
-                    (0..hw * hw).map(|p| (seed as usize + ni + p) % 4 != 0).collect(),
+                    (0..hw * hw).map(|p| !(seed as usize + ni + p).is_multiple_of(4)).collect(),
                 ),
             })
             .collect();

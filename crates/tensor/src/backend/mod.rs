@@ -43,10 +43,9 @@
 //!   channel-mean accumulation is element-independent and trivially
 //!   exact.
 //!
-//! The one f32 kernel left on the shared scalar path on every backend is
-//! [`crate::linalg::matmul_a_bt`] (input gradients): its inner loop is a
-//! serial dot product whose accumulation order cannot be vectorized
-//! without changing f32 results, and it only runs during training.
+//! Every f32 GEMM in the workspace — forward, input gradients and weight
+//! gradients — runs on [`crate::linalg::matmul_into`], so every one of
+//! them is backend-dispatched.
 
 use std::fmt;
 use std::str::FromStr;
@@ -244,7 +243,7 @@ pub fn active() -> Backend {
 impl Backend {
     /// Four-row f32 broadcast-axpy: `c_q[j] += x[q] · b[j]` for
     /// `q ∈ 0..4` over equal-length slices — the inner op of
-    /// [`crate::linalg::matmul_into`] / `matmul_at_b` row groups.
+    /// [`crate::linalg::matmul_into`] row groups.
     #[inline]
     pub(crate) fn axpy4_f32(
         self,

@@ -1,4 +1,4 @@
-//! Random tensor initialization (Kaiming / Xavier / uniform / normal).
+//! Random tensor initialization (Kaiming / uniform / normal).
 //!
 //! All initializers take an explicit RNG so experiments are reproducible
 //! from a single seed.
@@ -31,27 +31,9 @@ pub fn kaiming_normal<R: Rng + ?Sized>(rng: &mut R, shape: &[usize]) -> Tensor {
     normal(rng, shape, 0.0, (2.0 / fan_in as f32).sqrt())
 }
 
-/// Xavier/Glorot uniform initialization:
-/// `U(-sqrt(6/(fan_in+fan_out)), +sqrt(6/(fan_in+fan_out)))`.
-///
-/// # Panics
-///
-/// Panics if `shape` has rank < 2.
-pub fn xavier_uniform<R: Rng + ?Sized>(rng: &mut R, shape: &[usize]) -> Tensor {
-    let fan_in = fan_in_of(shape);
-    let fan_out = fan_out_of(shape);
-    let bound = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    uniform(rng, shape, -bound, bound)
-}
-
 fn fan_in_of(shape: &[usize]) -> usize {
     assert!(shape.len() >= 2, "fan-in undefined for rank < 2");
     shape[1..].iter().product()
-}
-
-fn fan_out_of(shape: &[usize]) -> usize {
-    assert!(shape.len() >= 2, "fan-out undefined for rank < 2");
-    shape[0] * shape[2..].iter().product::<usize>()
 }
 
 /// A unit-variance Gaussian sampled by the polar Box–Muller method.
@@ -108,14 +90,6 @@ mod tests {
             (var / expected - 1.0).abs() < 0.2,
             "var={var} expected={expected}"
         );
-    }
-
-    #[test]
-    fn xavier_bound() {
-        let mut rng = SmallRng::seed_from_u64(4);
-        let t = xavier_uniform(&mut rng, &[10, 20]);
-        let bound = (6.0f32 / 30.0).sqrt();
-        assert!(t.data().iter().all(|&x| x.abs() <= bound));
     }
 
     #[test]

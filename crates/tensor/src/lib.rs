@@ -7,18 +7,18 @@
 //!
 //! - [`Tensor`]: an owned, row-major, dense `f32` array with elementwise
 //!   arithmetic and reductions;
-//! - [`Shape`]: dimension bookkeeping with row-major stride/offset math;
+//! - [`Shape`]: dimension bookkeeping with row-major offset math;
 //! - [`backend`]: pluggable CPU kernel backends (scalar / SSE2 / AVX2)
 //!   selected once at startup by runtime ISA detection, overridable via
 //!   `ANTIDOTE_KERNEL_BACKEND`;
-//! - [`linalg`]: cache-blocked GEMM kernels (plain, `AᵀB`, `ABᵀ`) that the
-//!   convolution layers lower onto;
+//! - [`linalg`]: the one cache-blocked f32 GEMM that the convolution and
+//!   linear layers lower onto, forward and backward, plus the transpose;
 //! - [`conv`]: `im2col`/`col2im` plus an obviously-correct reference
 //!   convolution used to validate the fast path;
 //! - [`reduce`]: the feature-map reductions behind the paper's channel
 //!   (Eq. 1) and spatial (Eq. 2) attention coefficients, plus softmax and
 //!   deterministic `topk`;
-//! - [`init`]: seeded Kaiming/Xavier initializers;
+//! - [`init`]: seeded Kaiming/uniform/normal initializers;
 //! - [`quant`]: post-training int8 quantization (symmetric per-row weight
 //!   quantization, per-tensor activation scales, and an `i8×i8→i32`
 //!   register-blocked GEMM).

@@ -1,15 +1,18 @@
-//! Dense linear algebra: matrix multiply and transposes.
+//! Dense linear algebra: one f32 matrix multiply and the transpose.
 //!
-//! Convolution in [`crate::conv`] is lowered to these GEMM kernels via
-//! im2col, so this module is the single hot spot of the whole workspace.
+//! Convolution in [`crate::conv`] is lowered to this GEMM via im2col,
+//! so this module is the single hot spot of the whole workspace.
+//! [`matmul_into`] is the only f32 GEMM: conv and linear forward, their
+//! input gradients and their weight gradients all run on it. A product
+//! with a transposed operand forms that operand with [`transpose_into`]
+//! first.
 //!
 //! # Microkernel and parallelism
 //!
-//! All three GEMM variants share one structure: the output matrix is cut
-//! into **row blocks**, each block is computed by a register-blocked
-//! microkernel that processes `MR` output rows at a time (reusing every
-//! loaded element of the shared operand `MR`-fold), and large problems
-//! fan the blocks out over the [`antidote_par`] worker pool.
+//! The output matrix is cut into **row blocks**, each block is computed
+//! by a register-blocked microkernel that processes `MR` output rows at
+//! a time (reusing every loaded element of `B` `MR`-fold), and large
+//! problems fan the blocks out over the [`antidote_par`] worker pool.
 //!
 //! **Determinism / bit-exactness.** Every output row is owned by exactly
 //! one task, and the arithmetic performed for a row depends only on the
@@ -20,17 +23,21 @@
 //! to any other thread budget — the property tests in
 //! `tests/par_parity_props.rs` pin this with `==`, not `allclose`.
 //!
+//! **Accumulation order.** Each output element `c[i][j]` is updated as
+//! `c += a[i][p] · b[p][j]` (one rounded multiply, one rounded add, no
+//! FMA) in ascending `p`. A caller that wants `target += Σ_p …` with the
+//! sum formed first passes a zeroed `c` and adds it into the target
+//! afterwards. The zero-skip drops only products whose `A` entry is
+//! `±0`; those are `±0` for finite `B`, and a sum that starts at `+0.0`
+//! never becomes `-0.0`, so skipping them does not change a bit.
+//!
 //! **Kernel backends.** The inner per-row-block arithmetic is supplied
 //! by a [`crate::backend::Backend`] (scalar / SSE2 / AVX2): the loop
 //! nests, blocking, and zero-skip decisions above stay shared and
 //! backend-independent, while the innermost broadcast-axpy dispatches
-//! to the active backend's SIMD implementation. The `*_on` entry points
-//! ([`matmul_into_on`], [`matmul_at_b_on`]) take an explicit backend
-//! (used by the property tests and benches); the plain entry points run
-//! on [`crate::backend::active`]. [`matmul_a_bt`] is the exception that
-//! stays on the scalar path under every backend: its inner loop is a
-//! serial dot product whose accumulation order cannot be vectorized
-//! without changing f32 results.
+//! to the active backend's SIMD implementation. [`matmul_into_on`]
+//! takes an explicit backend (used by the property tests); the plain
+//! entry points run on [`crate::backend::active`].
 
 use crate::backend::{self, Backend};
 use crate::Tensor;
@@ -129,8 +136,9 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-/// Raw-slice GEMM used by [`matmul`] and the conv layers (avoids shape
-/// re-validation in inner loops). `c` is accumulated into (`c += a·b`).
+/// Raw-slice GEMM used by [`matmul`] and the conv and linear layers
+/// (avoids shape re-validation in inner loops). `c` is accumulated into
+/// (`c += a·b`).
 ///
 /// Cache-blocked and register-blocked (`MR` output rows per pass, so
 /// each streamed `B` row is reused `MR` times from registers), and
@@ -228,151 +236,24 @@ fn matmul_rows(
     }
 }
 
-/// GEMM with the left operand transposed: `C = Aᵀ (m×k)ᵀ→(k×m) · ...`.
+/// Writes the transpose of the row-major `m×n` matrix `a` into `out`
+/// (`n×m`): `out[j·m + i] = a[i·n + j]`.
 ///
-/// Computes `C (k×n) = Aᵀ · B` where `A` is `m×k` and `B` is `m×n`.
-/// Used by conv/linear backward passes for weight gradients.
-///
-/// The loop nest is arranged so each of the `k` output rows is owned by
-/// one pass (summing over `i` in ascending order — the same per-element
-/// accumulation order as the naive `i`-outer nest), which is what lets
-/// row blocks run in parallel with bit-exact results.
-pub fn matmul_at_b(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    matmul_at_b_on(backend::active(), a, b, c, m, k, n);
-}
-
-/// [`matmul_at_b`] on an explicit kernel [`Backend`] (bit-identical
-/// across backends; see [`matmul_into_on`]).
+/// This is how a product with a transposed operand runs: form the
+/// operand once, then call [`matmul_into`]. Each output element of that
+/// GEMM is the same ascending sum a dedicated transposed kernel would
+/// take, so there is no second GEMM.
 ///
 /// # Panics
 ///
-/// Panics if `be` is not supported on this host.
-pub fn matmul_at_b_on(
-    be: Backend,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    be.assert_supported();
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), m * n);
-    debug_assert_eq!(c.len(), k * n);
-    par_row_blocks(c, k, n, m * n, &|first_row, block| {
-        matmul_at_b_rows(be, a, b, block, first_row, m, k, n);
-    });
-}
-
-/// [`matmul_at_b`] microkernel for output rows (columns of `A`)
-/// `first_row .. first_row + block.len() / n`.
-#[allow(clippy::too_many_arguments)]
-fn matmul_at_b_rows(
-    be: Backend,
-    a: &[f32],
-    b: &[f32],
-    block: &mut [f32],
-    first_row: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let rows = block.len() / n;
-    let mut r = 0;
-    while r + MR <= rows {
-        let p = first_row + r;
-        let [c0, c1, c2, c3] = four_rows_mut(&mut block[r * n..(r + MR) * n], n);
-        for i in 0..m {
-            let (x0, x1, x2, x3) = (
-                a[i * k + p],
-                a[i * k + p + 1],
-                a[i * k + p + 2],
-                a[i * k + p + 3],
-            );
-            if x0 == 0.0 && x1 == 0.0 && x2 == 0.0 && x3 == 0.0 {
-                continue;
-            }
-            let b_row = &b[i * n..(i + 1) * n];
-            be.axpy4_f32([x0, x1, x2, x3], b_row, c0, c1, c2, c3);
-        }
-        r += MR;
-    }
-    while r < rows {
-        let p = first_row + r;
-        let c_row = &mut block[r * n..(r + 1) * n];
-        for i in 0..m {
-            let a_ip = a[i * k + p];
-            if a_ip == 0.0 {
-                continue;
-            }
-            be.axpy_f32(a_ip, &b[i * n..(i + 1) * n], c_row);
-        }
-        r += 1;
-    }
-}
-
-/// GEMM with the right operand transposed: `C (m×k) = A (m×n) · Bᵀ` where
-/// `B` is `k×n`. Used by backward passes for input gradients.
-///
-/// Deliberately **not** backend-dispatched: each output element is a
-/// serial dot product, and vectorizing it would change the f32
-/// accumulation order (and therefore result bits). It only runs in
-/// training backward passes, never on the serving path.
-pub fn matmul_a_bt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
+/// Panics (debug assertions) if either slice length is not `m*n`.
+pub fn transpose_into(a: &[f32], m: usize, n: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * n);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * k);
-    par_row_blocks(c, m, k, n * k, &|first_row, block| {
-        matmul_a_bt_rows(a, b, block, first_row, n, k);
-    });
-}
-
-/// [`matmul_a_bt`] microkernel for output rows
-/// `first_row .. first_row + block.len() / k`: `MR` independent dot
-/// products per streamed `B` row, each accumulated in ascending `j`
-/// order (so grouping cannot change any element's result bits).
-fn matmul_a_bt_rows(a: &[f32], b: &[f32], block: &mut [f32], first_row: usize, n: usize, k: usize) {
-    let rows = block.len() / k;
-    let mut r = 0;
-    while r + MR <= rows {
-        let i = first_row + r;
-        let a_rows: [&[f32]; MR] = std::array::from_fn(|q| &a[(i + q) * n..(i + q + 1) * n]);
-        let [c0, c1, c2, c3] = four_rows_mut(&mut block[r * k..(r + MR) * k], k);
-        for p in 0..k {
-            let b_row = &b[p * n..(p + 1) * n];
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            let iter = a_rows[0]
-                .iter()
-                .zip(a_rows[1])
-                .zip(a_rows[2])
-                .zip(a_rows[3])
-                .zip(b_row);
-            for ((((&a0, &a1), &a2), &a3), &bv) in iter {
-                s0 += a0 * bv;
-                s1 += a1 * bv;
-                s2 += a2 * bv;
-                s3 += a3 * bv;
-            }
-            c0[p] += s0;
-            c1[p] += s1;
-            c2[p] += s2;
-            c3[p] += s3;
+    debug_assert_eq!(out.len(), m * n);
+    for i in 0..m {
+        for j in 0..n {
+            out[j * m + i] = a[i * n + j];
         }
-        r += MR;
-    }
-    while r < rows {
-        let a_row = &a[(first_row + r) * n..(first_row + r + 1) * n];
-        let c_row = &mut block[r * k..(r + 1) * k];
-        for (p, c_ip) in c_row.iter_mut().enumerate() {
-            let b_row = &b[p * n..(p + 1) * n];
-            let mut acc = 0.0f32;
-            for (&a_ij, &b_pj) in a_row.iter().zip(b_row) {
-                acc += a_ij * b_pj;
-            }
-            *c_ip += acc;
-        }
-        r += 1;
     }
 }
 
@@ -383,33 +264,8 @@ fn matmul_a_bt_rows(a: &[f32], b: &[f32], block: &mut [f32], first_row: usize, n
 /// Panics if the tensor is not rank 2.
 pub fn transpose(t: &Tensor) -> Tensor {
     let (m, n) = t.shape().as_matrix().expect("transpose requires rank 2");
-    let src = t.data();
     let mut out = Tensor::zeros([n, m]);
-    let dst = out.data_mut();
-    for i in 0..m {
-        for j in 0..n {
-            dst[j * m + i] = src[i * n + j];
-        }
-    }
-    out
-}
-
-/// Outer product of two rank-1 tensors: `out[i][j] = a[i] * b[j]`.
-///
-/// # Panics
-///
-/// Panics if either input is not rank 1.
-pub fn outer(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.shape().rank(), 1, "outer lhs must be rank 1");
-    assert_eq!(b.shape().rank(), 1, "outer rhs must be rank 1");
-    let (m, n) = (a.len(), b.len());
-    let mut out = Tensor::zeros([m, n]);
-    let dst = out.data_mut();
-    for (i, &ai) in a.data().iter().enumerate() {
-        for (j, &bj) in b.data().iter().enumerate() {
-            dst[i * n + j] = ai * bj;
-        }
-    }
+    transpose_into(t.data(), m, n, out.data_mut());
     out
 }
 
@@ -456,26 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn at_b_matches_transpose_then_matmul() {
-        let a = Tensor::from_fn([4, 3], |i| (i as f32 * 1.1).sin());
-        let b = Tensor::from_fn([4, 5], |i| (i as f32 * 0.9).cos());
-        let mut c = Tensor::zeros([3, 5]);
-        matmul_at_b(a.data(), b.data(), c.data_mut(), 4, 3, 5);
-        let expect = matmul(&transpose(&a), &b);
-        assert!(c.allclose(&expect, 1e-5));
-    }
-
-    #[test]
-    fn a_bt_matches_matmul_with_transpose() {
-        let a = Tensor::from_fn([4, 5], |i| (i as f32 * 1.3).sin());
-        let b = Tensor::from_fn([3, 5], |i| (i as f32 * 0.7).cos());
-        let mut c = Tensor::zeros([4, 3]);
-        matmul_a_bt(a.data(), b.data(), c.data_mut(), 4, 5, 3);
-        let expect = matmul(&a, &transpose(&b));
-        assert!(c.allclose(&expect, 1e-5));
-    }
-
-    #[test]
     fn microkernel_group_and_tail_rows_match_naive() {
         // Sizes straddling the MR=4 group boundary (pure tail, exact
         // groups, groups + tail) and exercising zero entries in A so the
@@ -493,33 +329,12 @@ mod tests {
                 matmul(&a, &b).allclose(&naive_matmul(&a, &b), 1e-4),
                 "matmul mismatch at ({m},{k},{n})"
             );
-
-            // Aᵀ·B against transpose-then-matmul (B is m×n here).
-            let bm = Tensor::from_fn([m, n], |i| ((i * 7) as f32 * 0.13).cos());
-            let mut c = Tensor::zeros([k, n]);
-            matmul_at_b(a.data(), bm.data(), c.data_mut(), m, k, n);
-            let expect = matmul(&transpose(&a), &bm);
-            panic_unless_close(&c, &expect, "at_b", (m, k, n));
-
-            // A·Bᵀ against matmul-with-transpose.
-            let bt = Tensor::from_fn([n, k], |i| ((i * 3) as f32 * 0.11).sin());
-            let mut c2 = Tensor::zeros([m, n]);
-            matmul_a_bt(a.data(), bt.data(), c2.data_mut(), m, k, n);
-            let expect2 = matmul(&a, &transpose(&bt));
-            panic_unless_close(&c2, &expect2, "a_bt", (m, k, n));
         }
-    }
-
-    fn panic_unless_close(got: &Tensor, expect: &Tensor, kernel: &str, dims: (usize, usize, usize)) {
-        assert!(
-            got.allclose(expect, 1e-4),
-            "{kernel} mismatch at {dims:?}"
-        );
     }
 
     #[test]
     fn gemm_accumulates_into_existing_output() {
-        // All three kernels are documented as `c +=`; seed c with ones.
+        // The GEMM is documented as `c +=`; seed c with ones.
         let a = Tensor::from_fn([5, 6], |i| (i as f32 * 0.4).sin());
         let b = Tensor::from_fn([6, 7], |i| (i as f32 * 0.2).cos());
         let mut c = Tensor::ones([5, 7]);
@@ -535,14 +350,5 @@ mod tests {
     fn transpose_round_trip() {
         let a = Tensor::from_fn([3, 5], |i| i as f32);
         assert!(transpose(&transpose(&a)).allclose(&a, 0.0));
-    }
-
-    #[test]
-    fn outer_product() {
-        let a = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
-        let b = Tensor::from_vec(vec![3.0, 4.0, 5.0], &[3]).unwrap();
-        let o = outer(&a, &b);
-        assert_eq!(o.dims(), &[2, 3]);
-        assert_eq!(o.data(), &[3.0, 4.0, 5.0, 6.0, 8.0, 10.0]);
     }
 }

@@ -7,7 +7,7 @@ use std::fmt;
 /// The dimensions of a [`crate::Tensor`], outermost first.
 ///
 /// A `Shape` is an inexpensive wrapper over a `Vec<usize>` providing the
-/// index arithmetic (row-major strides, flat offsets) used throughout the
+/// index arithmetic (row-major flat offsets) used throughout the
 /// crate. Feature maps follow the `(N, C, H, W)` convention of the paper.
 ///
 /// # Examples
@@ -18,7 +18,6 @@ use std::fmt;
 /// let s = Shape::new(vec![2, 3, 4, 4]);
 /// assert_eq!(s.len(), 96);
 /// assert_eq!(s.rank(), 4);
-/// assert_eq!(s.strides(), vec![48, 16, 4, 1]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Shape {
@@ -76,15 +75,6 @@ impl Shape {
     /// Panics if `axis >= self.rank()`.
     pub fn dim(&self, axis: usize) -> usize {
         self.dims[axis]
-    }
-
-    /// Row-major strides (in elements) for each axis.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.dims.len()];
-        for i in (0..self.dims.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.dims[i + 1];
-        }
-        strides
     }
 
     /// Flat row-major offset of a multi-dimensional index.
@@ -183,12 +173,6 @@ impl AsRef<[usize]> for Shape {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn strides_row_major() {
-        let s = Shape::new(vec![2, 3, 4]);
-        assert_eq!(s.strides(), vec![12, 4, 1]);
-    }
 
     #[test]
     fn offset_round_trip() {

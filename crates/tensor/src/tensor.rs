@@ -181,23 +181,6 @@ impl Tensor {
         })
     }
 
-    /// In-place reshape (no data copy).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Tensor::reshape`].
-    pub fn reshape_in_place(&mut self, shape: &[usize]) -> Result<(), TensorError> {
-        let new_shape = Shape::try_new(shape.to_vec())?;
-        if new_shape.len() != self.len() {
-            return Err(TensorError::ReshapeMismatch {
-                from: self.len(),
-                to: new_shape.len(),
-            });
-        }
-        self.shape = new_shape;
-        Ok(())
-    }
-
     /// Applies `f` to every element, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         Self {

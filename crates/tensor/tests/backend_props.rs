@@ -12,7 +12,7 @@
 
 use antidote_tensor::backend::Backend;
 use antidote_tensor::conv::{im2col_on, ConvGeometry};
-use antidote_tensor::linalg::{matmul_at_b_on, matmul_into_on};
+use antidote_tensor::linalg::matmul_into_on;
 use antidote_tensor::quant::gemm_i8_on;
 use antidote_tensor::reduce::{channel_mean_per_position_on, spatial_mean_per_channel_on};
 use antidote_tensor::Tensor;
@@ -93,7 +93,7 @@ fn assert_backend_parity_f32(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    // `C += A·B` — the conv-forward hot spot. `k` starts at 0 and `m`/`n`
+    // `C += A·B` — every f32 product in the workspace. `k` starts at 0 and `m`/`n`
     // are free to be any remainder class of MR / the SIMD lane widths.
     #[test]
     fn f32_gemm_backends_bit_exact(
@@ -108,23 +108,6 @@ proptest! {
             m * n,
             |be, c| matmul_into_on(be, &a, &b, c, m, k, n),
             "matmul_into",
-        )?;
-    }
-
-    // `C += Aᵀ·B` — the weight-gradient kernel.
-    #[test]
-    fn f32_at_b_backends_bit_exact(
-        m in 1usize..20,
-        k in 1usize..24,
-        n in 1usize..40,
-        seed in 0u64..1_000_000,
-    ) {
-        let a = fill(seed, m * k);
-        let b = fill(seed ^ 0x1234, m * n);
-        assert_backend_parity_f32(
-            k * n,
-            |be, c| matmul_at_b_on(be, &a, &b, c, m, k, n),
-            "matmul_at_b",
         )?;
     }
 

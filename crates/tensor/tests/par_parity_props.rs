@@ -1,5 +1,5 @@
-//! Property tests: the three GEMM kernels are **bit-exact** across
-//! intra-op thread budgets.
+//! Property tests: the f32 GEMM is **bit-exact** across intra-op thread
+//! budgets.
 //!
 //! Each output row is owned by one task and row blocks are aligned to the
 //! microkernel group size, so the floating-point operations performed for
@@ -9,7 +9,7 @@
 //! `ANTIDOTE_THREADS=1` and a 4-thread budget, across shapes straddling
 //! both the microkernel tail and the parallel-dispatch threshold.
 
-use antidote_tensor::linalg::{matmul_a_bt, matmul_at_b, matmul_into};
+use antidote_tensor::linalg::matmul_into;
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -69,7 +69,7 @@ fn assert_budget_parity(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // `C += A·B` — conv forward's kernel.
+    // `C += A·B` — every f32 product: forward, input and weight gradients.
     #[test]
     fn matmul_into_thread_parity(
         m in 1usize..48,
@@ -80,32 +80,6 @@ proptest! {
         let a = fill(seed, m * k);
         let b = fill(seed ^ 0xABCD, k * n);
         assert_budget_parity(m * n, |c| matmul_into(&a, &b, c, m, k, n), "matmul_into")?;
-    }
-
-    // `C += Aᵀ·B` — weight-gradient kernel.
-    #[test]
-    fn matmul_at_b_thread_parity(
-        m in 1usize..48,
-        k in 1usize..48,
-        n in 64usize..192,
-        seed in 0u64..1_000_000,
-    ) {
-        let a = fill(seed, m * k);
-        let b = fill(seed ^ 0x1234, m * n);
-        assert_budget_parity(k * n, |c| matmul_at_b(&a, &b, c, m, k, n), "matmul_at_b")?;
-    }
-
-    // `C += A·Bᵀ` — input-gradient kernel.
-    #[test]
-    fn matmul_a_bt_thread_parity(
-        m in 1usize..48,
-        n in 64usize..192,
-        k in 1usize..48,
-        seed in 0u64..1_000_000,
-    ) {
-        let a = fill(seed, m * n);
-        let b = fill(seed ^ 0x5E5E, k * n);
-        assert_budget_parity(m * k, |c| matmul_a_bt(&a, &b, c, m, n, k), "matmul_a_bt")?;
     }
 }
 

@@ -24,7 +24,7 @@ ANTIDOTE_THREADS=4 cargo test -q
 # the SIMD backends are bit-exact against it by property test, so this
 # run proves no code path *depends* on a SIMD backend being selected.
 ANTIDOTE_KERNEL_BACKEND=scalar cargo test -q
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 # Documentation gate: rustdoc must build warning-clean (broken intra-doc
 # links are errors; antidote-tensor/par/obs deny missing docs).
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -55,7 +55,7 @@ fn resnet_pipeline_with_spatial_pruning() {
     let mut pruner = outcome.pruner;
     let (acc, pruned_macs) = trainer::evaluate_measured(&mut net, &data.test, &mut pruner, 8);
     let (_, dense_macs) = trainer::evaluate_measured(&mut net, &data.test, &mut NoopHook, 8);
-    assert!(acc >= 0.0 && acc <= 1.0);
+    assert!((0.0..=1.0).contains(&acc));
     assert!(pruned_macs < dense_macs);
     // Stats must show both dimensions pruned at every tap.
     for tap in pruner.stats().taps() {

@@ -289,7 +289,7 @@ fn resume_mismatches_are_typed_errors() {
 
     // A plain-training checkpoint cannot resume a TTD run.
     let mut ttd_cfg = TtdConfig::new(PruneSchedule::new(vec![0.25, 0.5], vec![]), 3);
-    ttd_cfg.train = cfg.clone();
+    ttd_cfg.train = cfg;
     let mut ttd_net = tiny_net(0xC2);
     match train_ttd_with_options(&mut ttd_net, &data, &ttd_cfg, &RunOptions::resuming(&path)) {
         Err(TrainError::ResumeMismatch(msg)) => {
@@ -299,7 +299,7 @@ fn resume_mismatches_are_typed_errors() {
     }
 
     // A different training configuration is rejected.
-    let mut other_cfg = cfg.clone();
+    let mut other_cfg = cfg;
     other_cfg.lr_max *= 2.0;
     let mut net2 = tiny_net(0xC2);
     match train_with_options(
@@ -326,7 +326,7 @@ fn resume_mismatches_are_typed_errors() {
     train_ttd_with_options(&mut tiny_net(0xC2), &data, &ttd_cfg, &ttd_write)
         .expect("first TTD leg succeeds");
     let mut lower_target = TtdConfig::new(PruneSchedule::new(vec![0.0, 0.1], vec![]), 3);
-    lower_target.train = cfg.clone();
+    lower_target.train = cfg;
     let fixed_ratio = ttd_cfg.clone().without_ascent();
     for other in [&lower_target, &fixed_ratio] {
         let resumed = train_ttd_with_options(
