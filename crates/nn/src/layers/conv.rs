@@ -13,14 +13,15 @@ use antidote_tensor::linalg::{matmul_into, transpose_into};
 use antidote_tensor::{init, Tensor};
 use rand::Rng;
 
-/// Upper bound on backward's gradient-partial buffers (one
-/// `(Cout·Cin·K·K)` scratch each). The batch partition this induces is a
-/// function of the batch size alone — never of `ANTIDOTE_THREADS` — so
-/// the partial reduction `grad += part₀; grad += part₁; …` performs the
-/// identical floating-point additions at every thread budget, keeping
-/// `backward` bit-exact from sequential to fully parallel. It also caps
-/// backward's extra memory at 8 weight-tensor clones regardless of batch
-/// size.
+/// Upper bound on backward's gradient parts (each holds a
+/// `(Cout·Cin·K·K)` weight-gradient partial). The batch partition this
+/// induces is a function of the batch size alone — never of
+/// `ANTIDOTE_THREADS` — so the partial reduction `grad += part₀; grad +=
+/// part₁; …` performs the identical floating-point additions at every
+/// thread budget, keeping `backward` bit-exact from sequential to fully
+/// parallel. It also caps backward's extra memory at 8 parts' buffers
+/// (the partial plus the per-item `dWᵀ`, `dYᵀ` and `dcols` scratch)
+/// regardless of batch size.
 const GRAD_PARTIAL_PARTS: usize = 8;
 
 /// A 2-D convolution with square kernels, symmetric zero padding and bias.

@@ -60,7 +60,7 @@ pub(crate) const MIN_PAR_MACS: usize = 1 << 18;
 /// the worker pool; runs inline when the problem is small, the thread
 /// budget is 1, or this is already inside a pool task.
 ///
-/// Generic over the output element so the `f32` kernels here and the
+/// Generic over the output element so the `f32` GEMM here and the
 /// `i32`-accumulating int8 kernel in [`crate::quant`] share one
 /// parallelization (and therefore one determinism argument).
 pub(crate) fn par_row_blocks<T: Send>(
