@@ -2,11 +2,11 @@
 //! static pruning, and the contrast class for AntiDote's dynamic masks.
 
 use crate::ranking::FilterScores;
+use antidote_core::mask::{binarize, MaskPolicy};
 use antidote_core::PruneSchedule;
 use antidote_models::{FeatureHook, TapInfo};
 use antidote_nn::masked::FeatureMask;
 use antidote_nn::Mode;
-use antidote_tensor::reduce::topk_indices;
 use antidote_tensor::Tensor;
 use std::collections::BTreeMap;
 
@@ -41,12 +41,7 @@ impl StaticMaskHook {
             let s = scores
                 .get(&tap.id.0)
                 .unwrap_or_else(|| panic!("no scores for tap {}", tap.id.0));
-            let k = ((keep * s.len() as f64).round() as usize).min(s.len());
-            let mut mask = vec![false; s.len()];
-            for i in topk_indices(s, k) {
-                mask[i] = true;
-            }
-            masks.insert(tap.id.0, mask);
+            masks.insert(tap.id.0, binarize(s, keep, MaskPolicy::TopK));
         }
         Self { masks }
     }

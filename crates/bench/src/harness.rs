@@ -86,7 +86,7 @@ pub struct MeasuredEval {
     /// Measured MACs per image.
     pub macs_per_image: f64,
     /// Per-batch forward latency distribution (p50/p95/p99 via the
-    /// [`antidote_serve::percentile`] helper the serving metrics use).
+    /// [`antidote_obs::percentile`] helper the serving metrics use).
     pub latency: LatencySummary,
 }
 

@@ -4,10 +4,11 @@
 //! credits dynamic pruning with the computation the *next* layer skips:
 //! a feature map pruned to channel-keep fraction `ck` and spatial-keep
 //! fraction `sk` reduces the following conv's MACs to `ck · sk` of its
-//! dense cost. This module evaluates that model over a network's
-//! [`ConvShape`] list — at the paper's full scale it reproduces the
-//! Table I baseline/final FLOPs columns arithmetically, independent of
-//! training.
+//! dense cost. [`layer_macs`] is that charge, the one copy of it: over
+//! a schedule's fractions ([`analytic_flops`]) it reproduces the Table I
+//! baseline/final FLOPs columns arithmetically, independent of training,
+//! and the serving budget mapper runs it over the fractions the top-k
+//! masks realize.
 //!
 //! The companion *measured* path
 //! ([`crate::trainer::evaluate_measured`]) counts MACs the masked
@@ -60,12 +61,38 @@ pub struct RedundancyComposition {
     pub combined_pct: f64,
 }
 
-/// Evaluates the analytic FLOPs model for `shapes` under `schedule`.
+/// The MAC charge of every conv layer in `shapes`, in forward order.
 ///
-/// Layer `l`'s input-side keep fractions come from layer `l-1`'s output
-/// feature map: if that output is prunable (has a tap), the fractions are
-/// `schedule.channel_keep/spatial_keep` of its block; otherwise 1.0. The
-/// first layer reads the raw image (never pruned).
+/// Layer `l` costs its dense MACs times the keep fractions of the
+/// feature map it reads, `dense · ck · sk`. Those come from layer
+/// `l-1`'s output when that output is prunable: `keep(tap, shape)` is
+/// asked for them, where `tap` counts the prunable outputs before it (its
+/// tap index) and `shape` is layer `l-1`. Every other layer, the first
+/// included (it reads the raw image), is charged dense. This is the one
+/// charge rule: [`analytic_flops`] feeds it a schedule's fractions, the
+/// serving budget mapper the quantized and the realized ones.
+pub fn layer_macs<'a, F>(shapes: &'a [ConvShape], mut keep: F) -> impl Iterator<Item = f64> + 'a
+where
+    F: FnMut(usize, &ConvShape) -> (f64, f64) + 'a,
+{
+    let mut taps = 0;
+    let mut prev: Option<&ConvShape> = None;
+    shapes.iter().map(move |shape| {
+        let (ck, sk) = match prev {
+            Some(p) if p.prunable_output => {
+                taps += 1;
+                keep(taps - 1, p)
+            }
+            _ => (1.0, 1.0),
+        };
+        prev = Some(shape);
+        shape.macs() as f64 * ck * sk
+    })
+}
+
+/// Evaluates the analytic FLOPs model for `shapes` under `schedule`:
+/// [`layer_macs`] with `schedule.channel_keep/spatial_keep` of the
+/// tapped layer's block.
 ///
 /// # Examples
 ///
@@ -85,16 +112,14 @@ pub fn analytic_flops(shapes: &[ConvShape], schedule: &PruneSchedule) -> FlopsBr
     let mut per_layer = Vec::with_capacity(shapes.len());
     let mut baseline = 0u64;
     let mut pruned = 0.0f64;
-    for (l, shape) in shapes.iter().enumerate() {
+    let charges = layer_macs(shapes, |_, prev| {
+        (
+            schedule.channel_keep(prev.block),
+            schedule.spatial_keep(prev.block),
+        )
+    });
+    for (l, (shape, reduced)) in shapes.iter().zip(charges).enumerate() {
         let dense = shape.macs();
-        let (ck_in, sk_in) = match l.checked_sub(1).map(|p| &shapes[p]) {
-            Some(prev) if prev.prunable_output => (
-                schedule.channel_keep(prev.block),
-                schedule.spatial_keep(prev.block),
-            ),
-            _ => (1.0, 1.0),
-        };
-        let reduced = dense as f64 * ck_in * sk_in;
         baseline += dense;
         pruned += reduced;
         per_layer.push(LayerFlops {

@@ -9,11 +9,13 @@
 //! - [`mask`]: top-k binarization into keep-masks (Eq. 3/4), plus the
 //!   random and inverse-attention control criteria of Fig. 2;
 //! - [`DynamicPruner`]: the testing-phase per-input pruning runtime
-//!   (a [`antidote_models::FeatureHook`]);
+//!   (a [`antidote_models::FeatureHook`]) — the one pruner training,
+//!   TTD, evaluation and serving (one schedule per batch item) all run;
 //! - [`ttd`]: Training with Targeted Dropout and dropout-ratio ascent
 //!   (Sec. IV);
-//! - [`flops`]: analytic FLOPs accounting that reproduces the Table I
-//!   FLOPs columns arithmetically, with a measured-MAC cross-check path;
+//! - [`flops`]: the one MAC charge, analytic FLOPs accounting that
+//!   reproduces the Table I FLOPs columns arithmetically (and prices
+//!   serving budgets), with a measured-MAC cross-check path;
 //! - [`analysis`]: the Fig. 2 criterion comparison and Fig. 3 block
 //!   sensitivity sweeps;
 //! - [`settings`]: the exact pruning schedules quoted in Sec. V;
@@ -57,7 +59,7 @@ pub mod trainer;
 pub mod ttd;
 
 pub use mask::{Criterion, MaskPolicy};
-pub use pruner::{DynamicPruner, PruneSchedule, PruneStats, ScheduleError, TapStats};
+pub use pruner::{DynamicPruner, PruneSchedule, ScheduleError};
 pub use recovery::{
     DivergenceKind, RecoveryEvent, RecoverySettings, RunOptions, TrainError, TrainState, TtdState,
 };

@@ -39,6 +39,26 @@ pub enum Criterion {
     InverseAttention,
 }
 
+/// The top-k count of Eqs. 3–4 over `n` components: `k = round(p·n)`,
+/// at most `n`, and the keep fraction `k/n` a top-k mask realizes
+/// (1.0 when `n` is 0).
+///
+/// # Examples
+///
+/// ```
+/// use antidote_core::mask::topk_count;
+///
+/// assert_eq!(topk_count(0.8, 64), (51, 51.0 / 64.0));
+/// assert_eq!(topk_count(1.0, 7), (7, 1.0));
+/// ```
+pub fn topk_count(keep_fraction: f64, n: usize) -> (usize, f64) {
+    if n == 0 {
+        return (0, 1.0);
+    }
+    let k = ((keep_fraction * n as f64).round() as usize).min(n);
+    (k, k as f64 / n as f64)
+}
+
 /// Builds a keep-mask over `coefficients` reserving `keep_fraction` of
 /// entries, according to `policy`.
 ///
@@ -65,7 +85,7 @@ pub fn binarize(coefficients: &[f32], keep_fraction: f64, policy: MaskPolicy) ->
     let n = coefficients.len();
     match policy {
         MaskPolicy::TopK => {
-            let k = ((keep_fraction * n as f64).round() as usize).min(n);
+            let (k, _) = topk_count(keep_fraction, n);
             let mut mask = vec![false; n];
             for i in topk_indices(coefficients, k) {
                 mask[i] = true;
@@ -90,7 +110,7 @@ pub fn binarize_with_criterion<R: rand::Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<bool> {
     let n = coefficients.len();
-    let k = ((keep_fraction * n as f64).round() as usize).min(n);
+    let (k, _) = topk_count(keep_fraction, n);
     match criterion {
         Criterion::Attention => binarize(coefficients, keep_fraction, MaskPolicy::TopK),
         Criterion::InverseAttention => {

@@ -1,4 +1,6 @@
-//! The dynamic pruning runtime: per-input mask generation at every tap.
+//! The dynamic pruning runtime: per-input mask generation at every tap,
+//! under one schedule for the whole batch or one per item, with a record
+//! of the keep fractions the masks realized.
 
 use crate::attention::{channel_attention, spatial_attention, Statistic};
 use crate::mask::{binarize_with_criterion, Criterion, MaskPolicy};
@@ -9,7 +11,6 @@ use antidote_tensor::Tensor;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Per-block pruning ratios (fractions *pruned*, as quoted in the paper,
 /// e.g. VGG16/CIFAR10 channel ratios `[0.2, 0.2, 0.6, 0.9, 0.9]`).
@@ -156,45 +157,6 @@ impl PruneSchedule {
     }
 }
 
-/// Running per-tap statistics of what the pruner actually kept.
-#[derive(Debug, Clone, Default)]
-pub struct PruneStats {
-    per_tap: BTreeMap<usize, TapStats>,
-}
-
-/// Accumulated keep-fraction statistics for one tap.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TapStats {
-    /// Sum of per-item channel keep fractions.
-    pub channel_keep_sum: f64,
-    /// Sum of per-item spatial keep fractions.
-    pub spatial_keep_sum: f64,
-    /// Number of (item, tap) observations.
-    pub count: u64,
-}
-
-impl PruneStats {
-    /// Mean channel/spatial keep fraction for `tap`, if observed.
-    pub fn mean_keep(&self, tap: usize) -> Option<(f64, f64)> {
-        self.per_tap.get(&tap).map(|s| {
-            (
-                s.channel_keep_sum / s.count as f64,
-                s.spatial_keep_sum / s.count as f64,
-            )
-        })
-    }
-
-    /// All observed taps in order.
-    pub fn taps(&self) -> Vec<usize> {
-        self.per_tap.keys().copied().collect()
-    }
-
-    /// Clears all statistics.
-    pub fn reset(&mut self) {
-        self.per_tap.clear();
-    }
-}
-
 /// The testing-phase dynamic pruner (Sec. III): computes attention
 /// coefficients at every tap and returns per-input binary keep-masks.
 ///
@@ -202,6 +164,13 @@ impl PruneStats {
 /// [`antidote_models::Network::forward_hooked`] (mask-multiply semantics)
 /// and [`antidote_models::Network::forward_measured`] (computation
 /// actually skipped, MACs counted).
+///
+/// [`DynamicPruner::new`] applies one schedule to every item of a batch
+/// (training, TTD, evaluation); [`DynamicPruner::per_item`] gives each
+/// item its own (a serving batch whose requests carry different compute
+/// budgets). Either way the attention statistics are computed once per
+/// tap and binarized per item, and the keep fractions the masks realize
+/// are recorded per item and tap ([`DynamicPruner::keep_fractions`]).
 ///
 /// # Examples
 ///
@@ -217,28 +186,52 @@ impl PruneStats {
 /// let mut pruner = DynamicPruner::new(PruneSchedule::new(vec![0.5, 0.5], vec![]));
 /// let logits = net.forward_hooked(&Tensor::zeros([1, 3, 8, 8]), Mode::Eval, &mut pruner);
 /// assert_eq!(logits.dims(), &[1, 4]);
+/// assert_eq!(pruner.keep_fractions()[0][1], (0.5, 1.0));
 /// ```
 #[derive(Debug)]
 pub struct DynamicPruner {
-    schedule: PruneSchedule,
+    /// One schedule for every item, or one per item when `per_item`.
+    schedules: Vec<PruneSchedule>,
+    per_item: bool,
     statistic: Statistic,
     policy: MaskPolicy,
     criterion: Criterion,
     rng: SmallRng,
-    stats: PruneStats,
+    /// `keep_fractions[item][tap]`: the `(channel, spatial)` keep
+    /// fractions realized by the latest call at each tap.
+    keep_fractions: Vec<Vec<(f64, f64)>>,
 }
 
 impl DynamicPruner {
-    /// Creates a pruner with the paper's defaults: mean attention, top-k
-    /// masks, attention criterion.
+    /// Creates a pruner applying `schedule` to every item, with the
+    /// paper's defaults: mean attention, top-k masks, attention
+    /// criterion.
     pub fn new(schedule: PruneSchedule) -> Self {
+        Self::with_schedules(vec![schedule], false)
+    }
+
+    /// Creates a pruner for batches whose item `i` runs under
+    /// `schedules[i]`, with the same defaults as [`DynamicPruner::new`].
+    ///
+    /// Its [`FeatureHook::on_feature`] panics on a batch whose size is
+    /// not `schedules.len()`.
+    pub fn per_item(schedules: Vec<PruneSchedule>) -> Self {
+        let items = schedules.len();
+        let mut pruner = Self::with_schedules(schedules, true);
+        // Every item has a (dense) row even if no tap is ever called.
+        pruner.keep_fractions = vec![Vec::new(); items];
+        pruner
+    }
+
+    fn with_schedules(schedules: Vec<PruneSchedule>, per_item: bool) -> Self {
         Self {
-            schedule,
+            schedules,
+            per_item,
             statistic: Statistic::Mean,
             policy: MaskPolicy::TopK,
             criterion: Criterion::Attention,
             rng: SmallRng::seed_from_u64(0x0D1E),
-            stats: PruneStats::default(),
+            keep_fractions: Vec::new(),
         }
     }
 
@@ -266,24 +259,38 @@ impl DynamicPruner {
         self
     }
 
-    /// Current schedule.
+    /// Current schedule (item 0's, for a [`DynamicPruner::per_item`]
+    /// pruner).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a per-item pruner built from no schedules.
     pub fn schedule(&self) -> &PruneSchedule {
-        &self.schedule
+        &self.schedules[0]
     }
 
-    /// Replaces the schedule (used by the TTD ratio ascent).
+    /// Replaces the schedule with one for every item (used by the TTD
+    /// ratio ascent).
     pub fn set_schedule(&mut self, schedule: PruneSchedule) {
-        self.schedule = schedule;
+        self.schedules.clear();
+        self.schedules.push(schedule);
+        self.per_item = false;
     }
 
-    /// Accumulated keep statistics.
-    pub fn stats(&self) -> &PruneStats {
-        &self.stats
+    /// `[item][tap]` `(channel, spatial)` keep fractions realized by the
+    /// latest call at each tap, for the items of the latest call: 1.0
+    /// where a tap masked nothing, and a row ends at the highest tap id
+    /// called so far.
+    pub fn keep_fractions(&self) -> &[Vec<(f64, f64)>] {
+        &self.keep_fractions
     }
 
-    /// Clears accumulated statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
+    fn record(&mut self, item: usize, tap: usize, fractions: (f64, f64)) {
+        let row = &mut self.keep_fractions[item];
+        if row.len() <= tap {
+            row.resize(tap + 1, (1.0, 1.0));
+        }
+        row[tap] = fractions;
     }
 
     fn mask_one(
@@ -318,14 +325,36 @@ impl FeatureHook for DynamicPruner {
         feature: &Tensor,
         _mode: Mode,
     ) -> Option<Vec<FeatureMask>> {
-        let ck = self.schedule.channel_keep(tap.block);
-        let sk = self.schedule.spatial_keep(tap.block);
-        if ck >= 1.0 && sk >= 1.0 {
+        let (n, c, h, w) = feature.shape().as_nchw().expect("tap feature must be NCHW");
+        let per_item = self.per_item;
+        if per_item {
+            assert_eq!(
+                n,
+                self.schedules.len(),
+                "batch size disagrees with per-item schedule count"
+            );
+        }
+        let keeps: Vec<(f64, f64)> = self
+            .schedules
+            .iter()
+            .map(|s| (s.channel_keep(tap.block), s.spatial_keep(tap.block)))
+            .collect();
+        let keep = |ni: usize| keeps[if per_item { ni } else { 0 }];
+        self.keep_fractions.resize_with(n, Vec::new);
+        if keeps.iter().all(|&(ck, sk)| ck >= 1.0 && sk >= 1.0) {
+            for ni in 0..n {
+                self.record(ni, tap.id.0, (1.0, 1.0));
+            }
             return None;
         }
-        let (n, c, h, w) = feature.shape().as_nchw().expect("tap feature must be NCHW");
-        let ch_att = (ck < 1.0).then(|| channel_attention(feature, self.statistic));
-        let sp_att = (sk < 1.0).then(|| spatial_attention(feature, self.statistic));
+        let ch_att = keeps
+            .iter()
+            .any(|&(ck, _)| ck < 1.0)
+            .then(|| channel_attention(feature, self.statistic));
+        let sp_att = keeps
+            .iter()
+            .any(|&(_, sk)| sk < 1.0)
+            .then(|| spatial_attention(feature, self.statistic));
         let plane = h * w;
         // Build the histogram keys once per tap call — the former code
         // re-`format!`ed both strings for every batch item.
@@ -338,6 +367,7 @@ impl FeatureHook for DynamicPruner {
         });
         let mut masks = Vec::with_capacity(n);
         for ni in 0..n {
+            let (ck, sk) = keep(ni);
             let channel = ch_att
                 .as_ref()
                 .and_then(|a| self.mask_one(&a.data()[ni * c..(ni + 1) * c], ck));
@@ -346,10 +376,7 @@ impl FeatureHook for DynamicPruner {
                 .and_then(|a| self.mask_one(&a.data()[ni * plane..(ni + 1) * plane], sk));
             let mask = FeatureMask { channel, spatial };
             let (ck_frac, sk_frac) = (mask.channel_keep_fraction(), mask.spatial_keep_fraction());
-            let entry = self.stats.per_tap.entry(tap.id.0).or_default();
-            entry.channel_keep_sum += ck_frac;
-            entry.spatial_keep_sum += sk_frac;
-            entry.count += 1;
+            self.record(ni, tap.id.0, (ck_frac, sk_frac));
             if let Some((ck_key, sk_key)) = &hist_keys {
                 antidote_obs::hist_record(ck_key, ck_frac);
                 antidote_obs::hist_record(sk_key, sk_frac);
@@ -399,6 +426,7 @@ mod tests {
         antidote_obs::reset();
         let mut single = DynamicPruner::new(schedule());
         let mut masks_s = Vec::new();
+        let mut fractions_s = Vec::new();
         for ni in 0..4 {
             let item = feature
                 .batch_item(ni)
@@ -409,6 +437,7 @@ mod tests {
                     .on_feature(t, &item, Mode::Eval)
                     .expect("schedule prunes, masks expected"),
             );
+            fractions_s.extend_from_slice(single.keep_fractions());
         }
         let snap_s = antidote_obs::snapshot();
         antidote_obs::set_enabled(false);
@@ -416,9 +445,9 @@ mod tests {
 
         assert_eq!(masks_b, masks_s, "masks must not depend on batching");
         assert_eq!(
-            batched.stats().mean_keep(0),
-            single.stats().mean_keep(0),
-            "keep statistics must not depend on batching"
+            batched.keep_fractions(),
+            fractions_s,
+            "recorded keep fractions must not depend on batching"
         );
         for key in ["pruner.tap99.channel_keep", "pruner.tap99.spatial_keep"] {
             let hb = snap_b.hist(key).expect("batched histogram");
@@ -515,15 +544,91 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate() {
+    fn keep_fractions_record_the_latest_call() {
         let f = Tensor::from_fn([2, 4, 2, 2], |i| i as f32);
         let mut p = DynamicPruner::new(PruneSchedule::new(vec![0.5], vec![]));
         p.on_feature(tap(0, 4, 2), &f, Mode::Eval);
-        let (ck, sk) = p.stats().mean_keep(0).unwrap();
-        assert!((ck - 0.5).abs() < 1e-9);
-        assert!((sk - 1.0).abs() < 1e-9);
-        p.reset_stats();
-        assert!(p.stats().mean_keep(0).is_none());
+        assert_eq!(p.keep_fractions(), &[vec![(0.5, 1.0)], vec![(0.5, 1.0)]]);
+        // An unconfigured block masks nothing and records 1.0.
+        p.on_feature(tap(2, 4, 2), &f, Mode::Eval);
+        assert_eq!(
+            p.keep_fractions()[1],
+            vec![(0.5, 1.0), (1.0, 1.0), (1.0, 1.0)]
+        );
+        // A smaller batch leaves only its own items.
+        let item = Tensor::from_fn([1, 4, 2, 2], |i| i as f32);
+        p.on_feature(tap(0, 4, 2), &item, Mode::Eval);
+        assert_eq!(p.keep_fractions().len(), 1);
+    }
+
+    #[test]
+    fn items_get_their_own_keep_fractions() {
+        // Item 0: keep half the channels. Item 1: dense.
+        let schedules = vec![
+            PruneSchedule::channel_only(vec![0.5]),
+            PruneSchedule::none(),
+        ];
+        let mut p = DynamicPruner::per_item(schedules);
+        let f = Tensor::from_fn([2, 4, 2, 2], |i| i as f32);
+        let masks = p.on_feature(tap(0, 4, 2), &f, Mode::Eval).unwrap();
+        assert_eq!(masks[0].channel, Some(vec![false, false, true, true]));
+        assert_eq!(masks[1].channel, None, "dense item must not be masked");
+        assert_eq!(p.keep_fractions()[0][0].0, 0.5);
+        assert_eq!(p.keep_fractions()[1][0].0, 1.0);
+    }
+
+    #[test]
+    fn all_dense_batch_returns_none() {
+        let schedules = vec![PruneSchedule::none(), PruneSchedule::none()];
+        let mut p = DynamicPruner::per_item(schedules);
+        let f = Tensor::zeros([2, 4, 2, 2]);
+        assert!(p.on_feature(tap(0, 4, 2), &f, Mode::Eval).is_none());
+        assert_eq!(p.keep_fractions(), &[vec![(1.0, 1.0)], vec![(1.0, 1.0)]]);
+    }
+
+    #[test]
+    fn masks_match_single_schedule_pruner_semantics() {
+        // Each item's masks are what a shared-schedule pruner gives that
+        // item alone.
+        let schedules = [
+            PruneSchedule::new(vec![0.75], vec![0.5]),
+            PruneSchedule::none(),
+            PruneSchedule::channel_only(vec![0.5]),
+        ];
+        let f = Tensor::from_fn([3, 4, 3, 3], |i| ((i * 37 % 101) as f32) * 0.1 - 5.0);
+        let mut mixed = DynamicPruner::per_item(schedules.to_vec());
+        let masks = mixed.on_feature(tap(0, 4, 3), &f, Mode::Eval).unwrap();
+        for (ni, schedule) in schedules.iter().enumerate() {
+            let item = f.batch_item(ni).reshape(&[1, 4, 3, 3]).unwrap();
+            let mut alone = DynamicPruner::new(schedule.clone());
+            let expected = alone
+                .on_feature(tap(0, 4, 3), &item, Mode::Eval)
+                .map_or_else(FeatureMask::default, |m| m[0].clone());
+            assert_eq!(masks[ni], expected, "item {ni}");
+            assert_eq!(mixed.keep_fractions()[ni], alone.keep_fractions()[0]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "per-item schedule count")]
+    fn per_item_batch_size_must_match() {
+        let mut p = DynamicPruner::per_item(vec![PruneSchedule::channel_only(vec![0.5])]);
+        p.on_feature(tap(0, 4, 2), &Tensor::zeros([2, 4, 2, 2]), Mode::Eval);
+    }
+
+    #[test]
+    fn spatial_fractions_recorded() {
+        let mut p = DynamicPruner::per_item(vec![PruneSchedule::spatial_only(vec![0.75])]);
+        let f = Tensor::from_vec(vec![0.0, 0.0, 0.0, 9.0], &[1, 1, 2, 2]).unwrap();
+        let t = TapInfo {
+            id: TapId(1),
+            ..tap(0, 1, 2)
+        };
+        let masks = p.on_feature(t, &f, Mode::Eval).unwrap();
+        assert_eq!(masks[0].spatial, Some(vec![false, false, false, true]));
+        assert_eq!(p.keep_fractions()[0][1], (1.0, 0.25));
+        let untouched = p.keep_fractions()[0][0];
+        assert_eq!(untouched, (1.0, 1.0), "untouched tap stays dense");
     }
 
     #[test]

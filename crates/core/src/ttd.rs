@@ -375,7 +375,6 @@ pub fn train_ttd_with_options(
         ..
     } = ascent;
     pruner.set_schedule(target);
-    pruner.reset_stats();
     Ok(TtdOutcome {
         history,
         ratio_trace,

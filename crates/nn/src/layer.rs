@@ -30,9 +30,10 @@ impl Mode {
 /// subsequent `backward` call needs, and `backward` accumulates parameter
 /// gradients and returns the gradient with respect to the layer input.
 ///
-/// The trait is object-safe (networks store `Box<dyn Layer>`); parameter
-/// traversal uses a visitor rather than returning borrows to keep it that
-/// way.
+/// The trait is object-safe, so layers can be driven as `&mut dyn Layer`
+/// (the networks themselves hold a closed enum of concrete layers, the
+/// op list); parameter traversal uses a visitor rather than returning
+/// borrows to keep it that way.
 pub trait Layer: std::fmt::Debug + Send {
     /// Computes the layer output.
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor;

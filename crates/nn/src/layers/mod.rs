@@ -11,5 +11,5 @@ pub use activation::Relu;
 pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
 pub use linear::Linear;
-pub use misc::{Dropout, Flatten};
-pub use pool::{AvgPool2d, GlobalAvgPool, MaxPool2d};
+pub use misc::Flatten;
+pub use pool::{GlobalAvgPool, MaxPool2d};

@@ -1,4 +1,4 @@
-//! Spatial pooling layers: max, average, and global average.
+//! Spatial pooling layers: max and global average.
 
 use crate::{Layer, Mode};
 use antidote_tensor::Tensor;
@@ -105,93 +105,6 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// Non-overlapping 2-D average pooling (`window × window`, stride =
-/// window).
-#[derive(Debug)]
-pub struct AvgPool2d {
-    window: usize,
-    input_dims: Option<Vec<usize>>,
-}
-
-impl AvgPool2d {
-    /// Creates an average-pool layer with the given square window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "window must be positive");
-        Self {
-            window,
-            input_dims: None,
-        }
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let (n, c, h, w) = input.shape().as_nchw().expect("AvgPool2d expects NCHW");
-        let k = self.window;
-        assert!(
-            h % k == 0 && w % k == 0,
-            "pooling window {k} must divide spatial dims {h}x{w}"
-        );
-        let (ho, wo) = (h / k, w / k);
-        let inv = 1.0 / (k * k) as f32;
-        let mut out = Tensor::zeros([n, c, ho, wo]);
-        let src = input.data();
-        let dst = out.data_mut();
-        for nc in 0..n * c {
-            let plane = &src[nc * h * w..(nc + 1) * h * w];
-            for oy in 0..ho {
-                for ox in 0..wo {
-                    let mut acc = 0.0;
-                    for dy in 0..k {
-                        for dx in 0..k {
-                            acc += plane[(oy * k + dy) * w + (ox * k + dx)];
-                        }
-                    }
-                    dst[nc * ho * wo + oy * wo + ox] = acc * inv;
-                }
-            }
-        }
-        if mode.is_train() {
-            self.input_dims = Some(input.dims().to_vec());
-        }
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let dims = self
-            .input_dims
-            .take()
-            .expect("AvgPool2d::backward called without forward(Train)");
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let k = self.window;
-        let (ho, wo) = (h / k, w / k);
-        let inv = 1.0 / (k * k) as f32;
-        let mut grad_in = Tensor::zeros(dims);
-        let gi = grad_in.data_mut();
-        for nc in 0..n * c {
-            for oy in 0..ho {
-                for ox in 0..wo {
-                    let g = grad_out.data()[nc * ho * wo + oy * wo + ox] * inv;
-                    for dy in 0..k {
-                        for dx in 0..k {
-                            gi[nc * h * w + (oy * k + dy) * w + (ox * k + dx)] += g;
-                        }
-                    }
-                }
-            }
-        }
-        grad_in
-    }
-
-    fn describe(&self) -> String {
-        format!("avgpool{k}x{k}", k = self.window)
-    }
-}
-
 /// Global average pooling `(N, C, H, W) → (N, C)` — the classifier head
 /// reduction used by ResNet.
 #[derive(Debug, Clone, Default)]
@@ -259,16 +172,6 @@ mod tests {
         p.forward(&x, Mode::Train);
         let g = p.backward(&Tensor::full([1, 1, 1, 1], 7.0));
         assert_eq!(g.data(), &[0.0, 0.0, 0.0, 7.0]);
-    }
-
-    #[test]
-    fn avgpool_forward_backward() {
-        let x = Tensor::from_vec(vec![1.0, 3.0, 5.0, 7.0], &[1, 1, 2, 2]).unwrap();
-        let mut p = AvgPool2d::new(2);
-        let y = p.forward(&x, Mode::Train);
-        assert_eq!(y.data(), &[4.0]);
-        let g = p.backward(&Tensor::full([1, 1, 1, 1], 4.0));
-        assert_eq!(g.data(), &[1.0, 1.0, 1.0, 1.0]);
     }
 
     #[test]

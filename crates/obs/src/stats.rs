@@ -4,9 +4,8 @@
 ///
 /// `q` is in percent (`50.0` = median). Empty input returns `0.0`; `q`
 /// outside `[0, 100]` is clamped. This is the single percentile
-/// implementation shared across the workspace — `antidote-serve`
-/// re-exports it as `antidote_serve::metrics::percentile` and the
-/// experiment harness (`antidote-bench`) and obs histograms use it too.
+/// implementation shared across the workspace: the serving metrics, the
+/// experiment harness (`antidote-bench`) and obs histograms use it.
 ///
 /// Callers are responsible for sorting; to be robust against NaN use
 /// `sort_by(f64::total_cmp)` and drop non-finite samples first (see

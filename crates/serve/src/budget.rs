@@ -3,22 +3,28 @@
 //! A serving request may carry a FLOPs (MAC) budget. The engine maps it
 //! to the *least aggressive* scaling of a base [`PruneSchedule`] whose
 //! analytic cost fits the budget — maximizing retained accuracy subject
-//! to the compute constraint. Two refinements over
-//! [`antidote_core::flops::analytic_flops`] make the prediction exact
-//! with respect to the masks the pruner will actually emit:
+//! to the compute constraint. The cost is the one MAC charge of
+//! [`antidote_core::flops::layer_macs`] (what
+//! [`antidote_core::flops::analytic_flops`] runs), fed the keep fractions
+//! the pruner's masks will actually realize rather than the schedule's:
 //!
 //! 1. **Quantization.** The top-k binarization keeps `k = round(p·n)`
 //!    components (Eq. 3/4), so the effective keep fraction at a tap with
-//!    `n` components is `round(p·n)/n`, not `p`. The mapper evaluates the
-//!    quantized fractions per tap.
+//!    `n` components is `round(p·n)/n`, not `p`
+//!    ([`antidote_core::mask::topk_count`]).
 //! 2. **Per-tap evaluation.** Fractions are resolved per tap (from
 //!    [`TapInfo::channels`]/[`TapInfo::spatial`]), then charged to the
-//!    next conv layer exactly as the analytic model does.
+//!    next conv layer.
+//!
+//! After the forward pass, the same charge over the fractions the
+//! pruner recorded is each response's achieved cost.
 //!
 //! Budgets below the cost floor of the fully applied base schedule are a
 //! typed [`BudgetError::Infeasible`] — the engine rejects such requests
 //! at admission instead of silently over-spending.
 
+use antidote_core::flops::layer_macs;
+use antidote_core::mask::topk_count;
 use antidote_core::PruneSchedule;
 use antidote_models::{ConvShape, TapInfo};
 
@@ -75,23 +81,9 @@ pub struct BudgetPlan {
 pub struct BudgetMapper {
     shapes: Vec<ConvShape>,
     taps: Vec<TapInfo>,
-    /// `layer_tap[l]` is the tap index observing layer `l`'s output
-    /// feature map, when that output is prunable.
-    layer_tap: Vec<Option<usize>>,
     base: PruneSchedule,
     dense_macs: f64,
     floor_macs: f64,
-}
-
-/// Quantizes a keep fraction to what top-k binarization realizes over
-/// `n` components: `round(p·n)/n` (and exactly 1.0 when nothing is
-/// pruned, since the pruner skips masking at `p ≥ 1`).
-fn quantize_keep(fraction: f64, n: usize) -> f64 {
-    if fraction >= 1.0 || n == 0 {
-        return 1.0;
-    }
-    let k = ((fraction * n as f64).round() as usize).min(n);
-    k as f64 / n as f64
 }
 
 impl BudgetMapper {
@@ -104,28 +96,21 @@ impl BudgetMapper {
     /// `shapes` (count or channel mismatch) — that indicates the caller
     /// paired shapes and taps from different models.
     pub fn new(shapes: Vec<ConvShape>, taps: Vec<TapInfo>, base: PruneSchedule) -> Self {
-        let mut layer_tap = vec![None; shapes.len()];
-        let mut next_tap = 0usize;
-        for (l, shape) in shapes.iter().enumerate() {
-            if shape.prunable_output {
-                assert!(
-                    next_tap < taps.len(),
-                    "model has more prunable conv outputs than taps"
-                );
-                let tap = &taps[next_tap];
-                assert_eq!(
-                    tap.channels, shape.out_channels,
-                    "tap {next_tap} channel count disagrees with conv layer {l}"
-                );
-                layer_tap[l] = Some(next_tap);
-                next_tap += 1;
-            }
+        let prunable = shapes.iter().filter(|s| s.prunable_output);
+        assert_eq!(
+            prunable.clone().count(),
+            taps.len(),
+            "model's prunable conv outputs and taps disagree in number"
+        );
+        for (t, (shape, tap)) in prunable.zip(&taps).enumerate() {
+            assert_eq!(
+                tap.channels, shape.out_channels,
+                "tap {t} channel count disagrees with its conv layer"
+            );
         }
-        assert_eq!(next_tap, taps.len(), "model has more taps than prunable conv outputs");
         let mut mapper = Self {
             shapes,
             taps,
-            layer_tap,
             base,
             dense_macs: 0.0,
             floor_macs: 0.0,
@@ -150,46 +135,33 @@ impl BudgetMapper {
         &self.base
     }
 
-    /// Number of taps (prunable feature maps) on the served model.
-    pub fn tap_count(&self) -> usize {
-        self.taps.len()
+    /// MACs per image when tap `t` keeps `keep(t)`: the [`layer_macs`]
+    /// charge, summed in layer order.
+    fn charge(&self, mut keep: impl FnMut(usize) -> (f64, f64)) -> f64 {
+        layer_macs(&self.shapes, |t, _| keep(t)).fold(0.0, |total, m| total + m)
     }
 
-    /// Quantized per-tap `(channel_keep, spatial_keep)` fractions the
-    /// pruner realizes under `schedule`.
-    pub fn quantized_fractions(&self, schedule: &PruneSchedule) -> Vec<(f64, f64)> {
-        self.taps
-            .iter()
-            .map(|tap| {
-                let plane = tap.spatial * tap.spatial;
-                (
-                    quantize_keep(schedule.channel_keep(tap.block), tap.channels),
-                    quantize_keep(schedule.spatial_keep(tap.block), plane),
-                )
-            })
-            .collect()
-    }
-
-    /// Analytic MACs per image given actual per-tap keep fractions
-    /// (indexed by tap order, as recorded from emitted masks): each conv
-    /// layer is charged `ck·sk` of its dense cost, where the fractions
-    /// come from the tap observing the *previous* layer's output.
+    /// Analytic MACs per image given the keep fractions realized per tap
+    /// (indexed by tap order, as [`DynamicPruner::keep_fractions`]
+    /// records them; a missing tap counts as dense).
+    ///
+    /// [`DynamicPruner::keep_fractions`]: antidote_core::DynamicPruner::keep_fractions
     pub fn macs_from_fractions(&self, per_tap: &[(f64, f64)]) -> f64 {
-        let mut total = 0.0;
-        for (l, shape) in self.shapes.iter().enumerate() {
-            let (ck, sk) = l
-                .checked_sub(1)
-                .and_then(|p| self.layer_tap[p])
-                .and_then(|t| per_tap.get(t).copied())
-                .unwrap_or((1.0, 1.0));
-            total += shape.macs() as f64 * ck * sk;
-        }
-        total
+        self.charge(|t| per_tap.get(t).copied().unwrap_or((1.0, 1.0)))
     }
 
+    /// MACs per image under `base` scaled by `scale`, at the keep
+    /// fractions top-k realizes: `round(p·n)/n` per tap.
     fn macs_at_scale(&self, scale: f64) -> f64 {
         let schedule = self.base.scaled(scale);
-        self.macs_from_fractions(&self.quantized_fractions(&schedule))
+        self.charge(|t| {
+            let tap = &self.taps[t];
+            let plane = tap.spatial * tap.spatial;
+            (
+                topk_count(schedule.channel_keep(tap.block), tap.channels).1,
+                topk_count(schedule.spatial_keep(tap.block), plane).1,
+            )
+        })
     }
 
     /// The operating point at an explicit prune-ratio scale, bypassing
@@ -345,14 +317,18 @@ mod tests {
         let m = mapper(PruneSchedule::channel_only(vec![0.7, 0.7]));
         let budget = m.floor_macs() + 0.5 * (m.dense_macs() - m.floor_macs());
         let plan = m.plan(Some(budget)).unwrap();
-        let fr = m.quantized_fractions(&plan.schedule);
-        let recomputed = m.macs_from_fractions(&fr);
-        assert!((recomputed - plan.predicted_macs).abs() < 1e-6);
-        // Quantized fractions are realizable top-k counts.
-        for (tap, (ck, _)) in m.taps.iter().zip(&fr) {
-            let k = ck * tap.channels as f64;
-            assert!((k - k.round()).abs() < 1e-9, "ck·C must be integral");
-        }
+        // The fractions top-k realizes are whole counts over each tap...
+        let fr: Vec<(f64, f64)> = m
+            .taps
+            .iter()
+            .map(|tap| {
+                let (k, ck) = topk_count(plan.schedule.channel_keep(tap.block), tap.channels);
+                assert_eq!(ck, k as f64 / tap.channels as f64);
+                (ck, 1.0)
+            })
+            .collect();
+        // ...and charged, they give the plan's prediction bit for bit.
+        assert_eq!(m.macs_from_fractions(&fr), plan.predicted_macs);
     }
 
     #[test]

@@ -48,14 +48,13 @@
 //! intra-op parallelism cut per-request latency instead. Results are
 //! bit-identical either way.
 
-use crate::batch::MixedBatchPruner;
 use crate::budget::{BudgetError, BudgetMapper, BudgetPlan};
 use crate::chaos::{ChaosConfig, ChaosMonkey};
 use crate::metrics::{MetricsState, ServeMetrics};
 use crate::queue::{PushError, Scheduled, SloQueue};
 use crate::shed::{Priority, ShedConfig, ShedDecision};
 use antidote_core::report::FailureRecord;
-use antidote_core::PruneSchedule;
+use antidote_core::{DynamicPruner, PruneSchedule};
 use antidote_models::Network;
 use antidote_nn::masked::MacCounter;
 use antidote_obs::{TraceId, TraceRecord, TraceSpanRec};
@@ -982,7 +981,6 @@ fn worker_loop(
                 _ => None,
             })
             .sum();
-        let tap_count = mapper.tap_count();
         // Capture this thread's spans and counters for the batch when
         // any live ticket is traced — the forward pass's per-layer
         // `fwd.layerNN` spans and `.macs` counters are mirrored into
@@ -1002,10 +1000,10 @@ fn worker_loop(
             }
             let batch_input =
                 Tensor::concat0(&inputs).expect("admitted inputs share one shape");
-            let mut hook = MixedBatchPruner::new(schedules, tap_count);
+            let mut pruner = DynamicPruner::per_item(schedules);
             let mut counter = MacCounter::new();
-            let logits = model.forward_measured(&batch_input, &mut hook, &mut counter);
-            (logits, hook.into_fractions(), counter.total())
+            let logits = model.forward_measured(&batch_input, &mut pruner, &mut counter);
+            (logits, pruner, counter.total())
         }));
         // Take the capture whether the batch succeeded or panicked —
         // span guards dropped during unwinding still mirrored in, so a
@@ -1034,7 +1032,8 @@ fn worker_loop(
         };
 
         match outcome {
-            Ok((logits, fractions, measured_macs)) => {
+            Ok((logits, pruner, measured_macs)) => {
+                let fractions = pruner.keep_fractions();
                 let now = Instant::now();
                 let n = live.len();
                 let mut m = MetricsState::lock(&metrics);

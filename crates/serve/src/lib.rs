@@ -25,7 +25,7 @@
 //!    `std::thread` workers, each owning a private model replica, pop
 //!    requests and coalesce them up to `max_batch`/`max_wait`, then run
 //!    one masked forward pass with per-item schedules
-//!    ([`batch::MixedBatchPruner`]). Panics are contained per batch and
+//!    ([`antidote_core::DynamicPruner::per_item`]). Panics are contained per batch and
 //!    replicas rebuilt; [`chaos::ChaosMonkey`] can inject such kills on
 //!    a schedule to keep that path continuously exercised.
 //! 5. **Observability** ([`metrics::ServeMetrics`]): throughput,
@@ -77,7 +77,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod budget;
 pub mod chaos;
 pub mod engine;
@@ -85,13 +84,12 @@ pub mod metrics;
 pub mod queue;
 pub mod shed;
 
-pub use batch::MixedBatchPruner;
 pub use budget::{BudgetError, BudgetMapper, BudgetPlan};
 pub use chaos::{ChaosConfig, ChaosMonkey};
 pub use engine::{
     Fault, InferRequest, InferResponse, ModelFactory, PendingResponse, QuantMode, ServeConfig,
     ServeConfigError, ServeEngine, ServeError, ServeHandle,
 };
-pub use metrics::{percentile, LatencySummary, ServeMetrics, WindowMetrics};
+pub use metrics::{LatencySummary, ServeMetrics, WindowMetrics};
 pub use queue::{Scheduled, SloQueue};
 pub use shed::{Priority, ShedConfig, ShedDecision};

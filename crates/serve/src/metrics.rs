@@ -2,18 +2,13 @@
 //! budget-utilization accounting, rotating 60×1s traffic windows, and a
 //! JSON-serializable snapshot.
 
+use antidote_obs::percentile;
 use antidote_obs::window::{now_tick, RateWindow, SampleWindow, WINDOW_BUCKETS};
 use crate::shed::Priority;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-/// The single nearest-rank percentile implementation shared across the
-/// workspace now lives in `antidote-obs`; re-exported here so existing
-/// `antidote_serve::metrics::percentile` callers (the experiment
-/// harness, doctests) keep working.
-pub use antidote_obs::percentile;
 
 /// Summary statistics of a latency sample (milliseconds).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -456,18 +451,6 @@ impl MetricsState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let s: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&s, 50.0), 50.0);
-        assert_eq!(percentile(&s, 95.0), 95.0);
-        assert_eq!(percentile(&s, 99.0), 99.0);
-        assert_eq!(percentile(&s, 100.0), 100.0);
-        assert_eq!(percentile(&s, 0.0), 1.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-        assert_eq!(percentile(&[3.0], 200.0), 3.0);
-    }
 
     #[test]
     fn summary_from_samples() {

@@ -8,8 +8,9 @@
 //! the global flight recorder, so they live in one `#[test]` body run
 //! sequentially rather than racing each other.
 
+use antidote_core::mask::topk_count;
 use antidote_core::PruneSchedule;
-use antidote_models::{Vgg, VggConfig};
+use antidote_models::{Network, Vgg, VggConfig};
 use antidote_obs::TraceId;
 use antidote_serve::{
     Fault, InferRequest, ModelFactory, ServeConfig, ServeEngine, ServeError,
@@ -33,6 +34,10 @@ fn tiny_factory(seed: u64) -> ModelFactory {
     })
 }
 
+fn base_schedule() -> PruneSchedule {
+    PruneSchedule::channel_only(vec![0.8, 0.8])
+}
+
 fn input() -> Tensor {
     Tensor::from_fn([3, 8, 8], |i| (i % 7) as f32 * 0.1)
 }
@@ -49,7 +54,7 @@ fn traced_requests_reach_the_flight_recorder_with_spans_and_outcomes() {
         max_batch: 2,
         max_wait: Duration::from_millis(1),
         queue_capacity: 8,
-        base_schedule: PruneSchedule::channel_only(vec![0.8, 0.8]),
+        base_schedule: base_schedule(),
         label: "vgg-tiny".to_string(),
         ..ServeConfig::default()
     };
@@ -65,6 +70,23 @@ fn traced_requests_reach_the_flight_recorder_with_spans_and_outcomes() {
         .wait()
         .unwrap();
     assert_eq!(resp.trace, Some(tid), "engine echoes the submitted id");
+
+    // The served batch's keep rates reach obs at every tap the plan
+    // masks, as they do for any other pruned forward pass.
+    let schedule = base_schedule().scaled(resp.schedule_scale);
+    let net = Vgg::new(&mut SmallRng::seed_from_u64(11), VggConfig::vgg_tiny(8, 3));
+    let masked: Vec<_> = net
+        .taps()
+        .into_iter()
+        .filter(|t| topk_count(schedule.channel_keep(t.block), t.channels).0 < t.channels)
+        .collect();
+    assert!(!masked.is_empty(), "a 0.8·dense budget masks some tap");
+    let snap = antidote_obs::snapshot();
+    for t in masked {
+        let key = format!("pruner.tap{:02}.channel_keep", t.id.0);
+        let samples = snap.hist(&key).map_or(0, |h| h.count);
+        assert!(samples >= 1, "{key} has no served sample");
+    }
 
     // With observability on, an untraced request gets a minted id.
     let resp2 = handle.submit(InferRequest::new(input())).unwrap().wait().unwrap();

@@ -58,7 +58,10 @@ fn main() {
         pruned_macs,
         100.0 * (1.0 - pruned_macs / dense_macs)
     );
-    if let Some((ck, _)) = pruner.stats().mean_keep(1) {
-        println!("pruner kept on average {:.0}% of block-2 channels", ck * 100.0);
-    }
+    let last_batch = pruner.keep_fractions();
+    let ck = last_batch.iter().map(|taps| taps[1].0).sum::<f64>() / last_batch.len() as f64;
+    println!(
+        "pruner kept on average {:.0}% of block-2 channels (last batch)",
+        ck * 100.0
+    );
 }

@@ -57,11 +57,15 @@ fn resnet_pipeline_with_spatial_pruning() {
     let (_, dense_macs) = trainer::evaluate_measured(&mut net, &data.test, &mut NoopHook, 8);
     assert!((0.0..=1.0).contains(&acc));
     assert!(pruned_macs < dense_macs);
-    // Stats must show both dimensions pruned at every tap.
-    for tap in pruner.stats().taps() {
-        let (ck, sk) = pruner.stats().mean_keep(tap).unwrap();
-        assert!(ck < 1.0, "channel pruning active at tap {tap}");
-        assert!(sk < 1.0, "spatial pruning active at tap {tap}");
+    // The last batch's masks prune both dimensions at every tap.
+    let last_batch = pruner.keep_fractions();
+    assert!(!last_batch.is_empty());
+    for taps in last_batch {
+        assert_eq!(taps.len(), net.taps().len());
+        for (tap, &(ck, sk)) in taps.iter().enumerate() {
+            assert!(ck < 1.0, "channel pruning active at tap {tap}");
+            assert!(sk < 1.0, "spatial pruning active at tap {tap}");
+        }
     }
 }
 
