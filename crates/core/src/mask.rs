@@ -41,7 +41,7 @@ pub enum Criterion {
 
 /// The top-k count of Eqs. 3–4 over `n` components: `k = round(p·n)`,
 /// at most `n`, and the keep fraction `k/n` a top-k mask realizes
-/// (1.0 when `n` is 0).
+/// (exactly 1.0 when `p ≥ 1` or `n` is 0).
 ///
 /// # Examples
 ///
@@ -52,8 +52,8 @@ pub enum Criterion {
 /// assert_eq!(topk_count(1.0, 7), (7, 1.0));
 /// ```
 pub fn topk_count(keep_fraction: f64, n: usize) -> (usize, f64) {
-    if n == 0 {
-        return (0, 1.0);
+    if n == 0 || keep_fraction >= 1.0 {
+        return (n, 1.0);
     }
     let k = ((keep_fraction * n as f64).round() as usize).min(n);
     (k, k as f64 / n as f64)

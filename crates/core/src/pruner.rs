@@ -334,26 +334,20 @@ impl FeatureHook for DynamicPruner {
                 "batch size disagrees with per-item schedule count"
             );
         }
-        let keeps: Vec<(f64, f64)> = self
-            .schedules
-            .iter()
-            .map(|s| (s.channel_keep(tap.block), s.spatial_keep(tap.block)))
-            .collect();
-        let keep = |ni: usize| keeps[if per_item { ni } else { 0 }];
+        let keep = |s: &PruneSchedule| (s.channel_keep(tap.block), s.spatial_keep(tap.block));
         self.keep_fractions.resize_with(n, Vec::new);
-        if keeps.iter().all(|&(ck, sk)| ck >= 1.0 && sk >= 1.0) {
+        let keeps = || self.schedules.iter().map(keep);
+        if keeps().all(|(ck, sk)| ck >= 1.0 && sk >= 1.0) {
             for ni in 0..n {
                 self.record(ni, tap.id.0, (1.0, 1.0));
             }
             return None;
         }
-        let ch_att = keeps
-            .iter()
-            .any(|&(ck, _)| ck < 1.0)
+        let ch_att = keeps()
+            .any(|(ck, _)| ck < 1.0)
             .then(|| channel_attention(feature, self.statistic));
-        let sp_att = keeps
-            .iter()
-            .any(|&(_, sk)| sk < 1.0)
+        let sp_att = keeps()
+            .any(|(_, sk)| sk < 1.0)
             .then(|| spatial_attention(feature, self.statistic));
         let plane = h * w;
         // Build the histogram keys once per tap call — the former code
@@ -367,7 +361,7 @@ impl FeatureHook for DynamicPruner {
         });
         let mut masks = Vec::with_capacity(n);
         for ni in 0..n {
-            let (ck, sk) = keep(ni);
+            let (ck, sk) = keep(&self.schedules[if per_item { ni } else { 0 }]);
             let channel = ch_att
                 .as_ref()
                 .and_then(|a| self.mask_one(&a.data()[ni * c..(ni + 1) * c], ck));
