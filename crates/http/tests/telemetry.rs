@@ -197,6 +197,35 @@ fn trace_ids_round_trip_and_land_in_the_flight_recorder() {
     antidote_obs::reset();
 }
 
+/// Every `antidote_http_*` / `antidote_serve_*` `# TYPE` family the
+/// exposition carries after inference traffic, sorted.
+const PINNED_FAMILIES: &[&str] = &[
+    "antidote_http_connections_total",
+    "antidote_http_rate_limited_total",
+    "antidote_http_recv_errors_total",
+    "antidote_http_requests_total",
+    "antidote_http_responses_2xx_total",
+    "antidote_http_responses_4xx_total",
+    "antidote_http_responses_5xx_total",
+    "antidote_serve_achieved_macs_total",
+    "antidote_serve_admitted_total",
+    "antidote_serve_batches_total",
+    "antidote_serve_completed_total",
+    "antidote_serve_completion_rate",
+    "antidote_serve_degraded_total",
+    "antidote_serve_evicted_total",
+    "antidote_serve_expired_total",
+    "antidote_serve_infeasible_total",
+    "antidote_serve_lane_shed_total",
+    "antidote_serve_latency_ms_60s",
+    "antidote_serve_mean_batch_size",
+    "antidote_serve_panicked_total",
+    "antidote_serve_queue_depth",
+    "antidote_serve_rejected_full_total",
+    "antidote_serve_shed_total",
+    "antidote_serve_throughput_rps",
+];
+
 /// Splits a sample line into `(metric_name, labels, value)`.
 fn parse_sample(line: &str) -> (&str, &str, f64) {
     let (series, value) = line.rsplit_once(' ').expect("sample has a value");
@@ -307,6 +336,16 @@ fn prometheus_exposition_stays_valid_under_concurrent_load() {
             }
         }
     }
+
+    // The front-end and engine family set is pinned: a family that
+    // appears or disappears here is a change to what operators scrape.
+    let mut served: Vec<&str> = families
+        .keys()
+        .map(String::as_str)
+        .filter(|n| n.starts_with("antidote_http_") || n.starts_with("antidote_serve_"))
+        .collect();
+    served.sort_unstable();
+    assert_eq!(served, PINNED_FAMILIES, "{text}");
 
     // The engine's traffic showed up.
     assert_eq!(families.get("antidote_http_requests_total").map(String::as_str), Some("counter"));
