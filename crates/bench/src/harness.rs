@@ -15,7 +15,6 @@ use antidote_data::{BatchIter, Split};
 use antidote_models::{FeatureHook, Network, NoopHook};
 use antidote_nn::loss::accuracy;
 use antidote_nn::masked::MacCounter;
-use antidote_serve::LatencySummary;
 use std::fmt;
 use std::io::Write;
 use std::time::Instant;
@@ -85,9 +84,27 @@ pub struct MeasuredEval {
     pub accuracy: f32,
     /// Measured MACs per image.
     pub macs_per_image: f64,
-    /// Per-batch forward latency distribution (p50/p95/p99 via the
-    /// [`antidote_obs::percentile`] helper the serving metrics use).
-    pub latency: LatencySummary,
+    /// Per-batch forward latencies, ms, ascending.
+    pub batch_ms: Vec<f64>,
+}
+
+impl MeasuredEval {
+    /// Nearest-rank percentile `q` of the per-batch latency, ms (the
+    /// workspace's one [`antidote_obs::percentile`]).
+    pub fn latency_ms(&self, q: f64) -> f64 {
+        antidote_obs::percentile(&self.batch_ms, q)
+    }
+
+    /// `p50 …ms p95 …ms p99 …ms (N batches)`, for the report notes.
+    fn latency_note(&self) -> String {
+        format!(
+            "p50 {:.3}ms p95 {:.3}ms p99 {:.3}ms ({} batches)",
+            self.latency_ms(50.0),
+            self.latency_ms(95.0),
+            self.latency_ms(99.0),
+            self.batch_ms.len()
+        )
+    }
 }
 
 /// [`antidote_core::trainer::evaluate_measured`]-equivalent that also times every batch's
@@ -103,26 +120,26 @@ pub fn evaluate_measured_timed(
     let mut counter = MacCounter::new();
     let mut correct = 0.0f64;
     let mut total = 0usize;
-    let mut batch_times = Vec::new();
+    let mut batch_ms = Vec::new();
     for (images, labels) in BatchIter::new(split, batch_size, None) {
         let start = Instant::now();
         let logits = net.forward_measured(&images, hook, &mut counter);
-        batch_times.push(start.elapsed());
+        batch_ms.push(start.elapsed().as_secs_f64() * 1e3);
         correct += (accuracy(&logits, &labels) * labels.len() as f32) as f64;
         total += labels.len();
     }
-    let latency = LatencySummary::from_durations(&batch_times);
+    batch_ms.sort_by(f64::total_cmp);
     if total == 0 {
         return MeasuredEval {
             accuracy: 0.0,
             macs_per_image: 0.0,
-            latency,
+            batch_ms,
         };
     }
     MeasuredEval {
         accuracy: (correct / total as f64) as f32,
         macs_per_image: counter.total() as f64 / total as f64,
-        latency,
+        batch_ms,
     }
 }
 
@@ -267,12 +284,9 @@ pub fn run_table1_workload(
         paper_baseline_macs as f64,
     ));
     notes.push(format!(
-        "{}: dense per-batch latency p50 {:.3}ms p95 {:.3}ms p99 {:.3}ms ({} batches)",
+        "{}: dense per-batch latency {}",
         rw.workload.name(),
-        dense_eval.latency.p50_ms,
-        dense_eval.latency.p95_ms,
-        dense_eval.latency.p99_ms,
-        dense_eval.latency.count,
+        dense_eval.latency_note(),
     ));
     // Every static baseline starts from this trained state: parameters
     // and batch-norm running statistics.
@@ -362,13 +376,10 @@ pub fn run_table1_workload(
             pruned_eval.accuracy * 100.0,
         ));
         notes.push(format!(
-            "{} / {}: pruned per-batch latency p50 {:.3}ms p95 {:.3}ms p99 {:.3}ms ({} batches)",
+            "{} / {}: pruned per-batch latency {}",
             rw.workload.name(),
             setting.name,
-            pruned_eval.latency.p50_ms,
-            pruned_eval.latency.p95_ms,
-            pruned_eval.latency.p99_ms,
-            pruned_eval.latency.count,
+            pruned_eval.latency_note(),
         ));
         rows.push(ExperimentRow {
             experiment: "table1".into(),
@@ -504,11 +515,11 @@ mod tests {
         let (acc, macs) = evaluate_measured(&mut net, &data.test, &mut NoopHook, 4);
         assert_eq!(timed.accuracy, acc);
         assert_eq!(timed.macs_per_image, macs);
-        assert_eq!(timed.latency.count, 3, "12 samples / batch 4 = 3 batches");
-        assert!(timed.latency.p50_ms <= timed.latency.p95_ms);
-        assert!(timed.latency.p95_ms <= timed.latency.p99_ms);
-        assert!(timed.latency.p99_ms <= timed.latency.max_ms);
-        assert!(timed.latency.max_ms > 0.0);
+        assert_eq!(timed.batch_ms.len(), 3, "12 samples / batch 4 = 3 batches");
+        assert!(timed.latency_ms(50.0) <= timed.latency_ms(95.0));
+        assert!(timed.latency_ms(95.0) <= timed.latency_ms(99.0));
+        assert!(timed.latency_ms(99.0) <= timed.batch_ms[2]);
+        assert!(timed.batch_ms[0] > 0.0);
     }
 
     #[test]

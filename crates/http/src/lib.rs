@@ -23,7 +23,9 @@
 //!   twins), each on its own engine, routed per request;
 //! - [`ratelimit`] — per-client-IP token buckets → `429`;
 //! - [`prom`] — the Prometheus text exposition `/metrics` serves under
-//!   `Accept: text/plain` or `?format=prom`;
+//!   `Accept: text/plain` or `?format=prom`: every registry (the
+//!   front-end's, each engine's, the global one) through obs's one
+//!   renderer;
 //! - [`server`] — accept loop, dedicated connection workers, routing,
 //!   request tracing (`x-antidote-trace` in/out), and graceful drain
 //!   (finish everything accepted, then drain the engines).
@@ -74,4 +76,4 @@ pub use ratelimit::{RateConfig, RateLimiter};
 pub use registry::{
     ModelEntry, ModelRegistry, ModelSource, ModelSpec, RegistryError, MODEL_DIR_ENV,
 };
-pub use server::{HttpConfig, HttpMetrics, HttpServer};
+pub use server::{HttpConfig, HttpServer};

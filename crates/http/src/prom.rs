@@ -1,189 +1,76 @@
 //! Assembles the Prometheus text exposition served by `GET /metrics`
 //! under content negotiation (`Accept: text/plain` or `?format=prom`).
 //!
-//! Three sample sources go into one [`PromDoc`]
-//! ([`antidote_obs::prom`]):
+//! Every source is an `antidote_obs` registry, and each goes into one
+//! [`PromDoc`] through the one renderer,
+//! [`antidote_obs::prom::render_snapshot`]:
 //!
-//! 1. front-end counters ([`HttpMetrics`]) as `antidote_http_*_total`;
-//! 2. per-model engine snapshots ([`ServeMetrics`]) as
-//!    `antidote_serve_*` with a `model` label — lifetime counters,
-//!    queue-depth/throughput gauges, per-`lane` admission counters, the
-//!    rotating-window completion rates (`window` label: `1s`/`10s`/
-//!    `60s`), and 60s-window latency quantiles as a summary;
-//! 3. the obs registry snapshot via
-//!    [`antidote_obs::prom::render_snapshot`] under `antidote_obs_`.
+//! 1. the front-end's registry under `antidote_http_`;
+//! 2. each engine's registry under `antidote_serve_`, with a `model`
+//!    label;
+//! 3. the global obs registry under `antidote_obs_`.
 //!
 //! The builder guarantees the structural invariants the exposition lint
 //! test checks: unique families, `# TYPE` before samples, escaped label
 //! values, monotone cumulative buckets.
 
-use crate::server::HttpMetrics;
-use antidote_obs::prom::PromDoc;
+use antidote_obs::prom::{render_snapshot, PromDoc};
 use antidote_obs::Snapshot;
 use antidote_serve::ServeMetrics;
-use std::sync::atomic::Ordering;
-
-/// Priority lane labels, indexed by `Priority::lane` order.
-const LANES: [&str; 3] = ["interactive", "standard", "batch"];
 
 /// Renders the full exposition document; see the module docs for the
 /// families emitted.
 pub fn render_exposition(
-    http: &HttpMetrics,
+    http: &Snapshot,
     models: &[(String, ServeMetrics)],
     obs: &Snapshot,
 ) -> String {
     let mut doc = PromDoc::new();
-    render_http(&mut doc, http);
+    render_snapshot(&mut doc, http, "antidote_http_", &[]);
     for (name, m) in models {
-        render_model(&mut doc, name, m);
+        render_snapshot(&mut doc, &m.snapshot, "antidote_serve_", &[("model", name)]);
     }
-    antidote_obs::prom::render_snapshot(&mut doc, obs, "antidote_obs_");
+    render_snapshot(&mut doc, obs, "antidote_obs_", &[]);
     doc.render()
-}
-
-fn render_http(doc: &mut PromDoc, http: &HttpMetrics) {
-    let pairs: [(&str, u64); 7] = [
-        ("connections", http.connections.load(Ordering::Relaxed)),
-        ("requests", http.requests.load(Ordering::Relaxed)),
-        ("responses_2xx", http.status_2xx.load(Ordering::Relaxed)),
-        ("responses_4xx", http.status_4xx.load(Ordering::Relaxed)),
-        ("responses_5xx", http.status_5xx.load(Ordering::Relaxed)),
-        ("rate_limited", http.rate_limited.load(Ordering::Relaxed)),
-        ("recv_errors", http.recv_errors.load(Ordering::Relaxed)),
-    ];
-    for (name, v) in pairs {
-        doc.sample(
-            &format!("antidote_http_{name}_total"),
-            "counter",
-            &[],
-            v as f64,
-        );
-    }
-}
-
-fn render_model(doc: &mut PromDoc, model: &str, m: &ServeMetrics) {
-    let l: [(&str, &str); 1] = [("model", model)];
-    let counters: [(&str, u64); 9] = [
-        ("completed", m.completed),
-        ("rejected_full", m.rejected_full),
-        ("expired", m.expired),
-        ("shed", m.shed),
-        ("evicted", m.evicted),
-        ("degraded", m.degraded),
-        ("infeasible", m.infeasible),
-        ("panicked", m.panicked),
-        ("batches", m.batches),
-    ];
-    for (name, v) in counters {
-        doc.sample(
-            &format!("antidote_serve_{name}_total"),
-            "counter",
-            &l,
-            v as f64,
-        );
-    }
-    doc.sample("antidote_serve_queue_depth", "gauge", &l, m.queue_depth as f64);
-    doc.sample(
-        "antidote_serve_throughput_rps",
-        "gauge",
-        &l,
-        m.throughput_rps,
-    );
-    doc.sample(
-        "antidote_serve_mean_batch_size",
-        "gauge",
-        &l,
-        m.mean_batch_size,
-    );
-    doc.sample(
-        "antidote_serve_achieved_macs_total",
-        "counter",
-        &l,
-        m.budget.achieved_macs_total,
-    );
-
-    // Per-lane admission counters (vectors may be absent in snapshots
-    // from older builds; missing lanes read as zero).
-    for (i, lane) in LANES.iter().enumerate() {
-        let ll: [(&str, &str); 2] = [("model", model), ("lane", lane)];
-        let admitted = m.admitted_by_lane.get(i).copied().unwrap_or(0);
-        let shed = m.shed_by_lane.get(i).copied().unwrap_or(0);
-        doc.sample("antidote_serve_admitted_total", "counter", &ll, admitted as f64);
-        doc.sample("antidote_serve_lane_shed_total", "counter", &ll, shed as f64);
-    }
-
-    // Rotating-window completion rates.
-    let w = &m.window;
-    for (window, rate) in [("1s", w.rate_1s), ("10s", w.rate_10s), ("60s", w.rate_60s)] {
-        doc.sample(
-            "antidote_serve_completion_rate",
-            "gauge",
-            &[("model", model), ("window", window)],
-            rate,
-        );
-    }
-
-    // 60s-window latency quantiles as a summary.
-    let base = "antidote_serve_latency_ms_60s";
-    for (q, v) in [
-        ("0.5", w.latency_p50_ms_60s),
-        ("0.95", w.latency_p95_ms_60s),
-        ("0.99", w.latency_p99_ms_60s),
-    ] {
-        doc.sample(base, "summary", &[("model", model), ("quantile", q)], v);
-    }
-    doc.sample_suffixed(base, "summary", "_count", &l, w.latency_count_60s as f64);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use antidote_serve::WindowMetrics;
+    use antidote_obs::Registry;
+
+    fn model(name: &str, reg: &Registry) -> (String, ServeMetrics) {
+        let snapshot = reg.snapshot();
+        (name.to_string(), ServeMetrics { snapshot, ..ServeMetrics::default() })
+    }
 
     #[test]
     fn exposition_carries_all_three_sources() {
-        let http = HttpMetrics::default();
-        http.requests.fetch_add(3, Ordering::Relaxed);
-        let serve = ServeMetrics {
-            completed: 5,
-            admitted_by_lane: vec![2, 3, 0],
-            shed_by_lane: vec![0, 0, 1],
-            window: WindowMetrics {
-                rate_1s: 1.5,
-                latency_count_60s: 5,
-                latency_p50_ms_60s: 2.0,
-                ..WindowMetrics::default()
-            },
-            ..ServeMetrics::default()
-        };
-        let obs = Snapshot::default();
-        let text =
-            render_exposition(&http, &[("vgg-tiny".to_string(), serve)], &obs);
-        assert!(text.contains("# TYPE antidote_http_requests_total counter"), "{text}");
-        assert!(text.contains("antidote_http_requests_total 3"), "{text}");
-        assert!(
-            text.contains("antidote_serve_completed_total{model=\"vgg-tiny\"} 5"),
-            "{text}"
+        let http = Registry::new();
+        http.counter_add("requests", 3);
+        let serve = Registry::new();
+        serve.counter_add("completed", 5);
+        serve.counter_add("admitted.standard", 3);
+        serve.hist_record("latency_ms", 2.0);
+        let obs = Registry::new();
+        obs.counter_add("fwd.layer00.macs", 7);
+        let text = render_exposition(
+            &http.snapshot(),
+            &[model("vgg-tiny", &serve)],
+            &obs.snapshot(),
         );
-        assert!(
-            text.contains(
-                "antidote_serve_admitted_total{model=\"vgg-tiny\",lane=\"standard\"} 3"
-            ),
-            "{text}"
-        );
-        assert!(
-            text.contains(
-                "antidote_serve_completion_rate{model=\"vgg-tiny\",window=\"1s\"} 1.5"
-            ),
-            "{text}"
-        );
-        assert!(
-            text.contains(
-                "antidote_serve_latency_ms_60s{model=\"vgg-tiny\",quantile=\"0.5\"} 2"
-            ),
-            "{text}"
-        );
+        for line in [
+            "# TYPE antidote_http_requests_total counter",
+            "antidote_http_requests_total 3",
+            "antidote_serve_completed_total{model=\"vgg-tiny\"} 5",
+            "antidote_serve_admitted_standard_total{model=\"vgg-tiny\"} 3",
+            "antidote_serve_completed_rate{model=\"vgg-tiny\",window=\"1s\"} 5",
+            "antidote_serve_latency_ms_bucket{model=\"vgg-tiny\",le=\"2.5\"} 1",
+            "antidote_serve_latency_ms_60s{model=\"vgg-tiny\",quantile=\"0.5\"} 2",
+            "antidote_obs_fwd_layer00_macs_total 7",
+        ] {
+            assert!(text.lines().any(|l| l == line), "missing `{line}` in\n{text}");
+        }
         // Every `# TYPE` family is unique.
         let mut seen = std::collections::HashSet::new();
         for line in text.lines().filter(|l| l.starts_with("# TYPE ")) {
@@ -193,9 +80,11 @@ mod tests {
 
     #[test]
     fn model_labels_are_escaped() {
+        let serve = Registry::new();
+        serve.counter_add("completed", 0);
         let text = render_exposition(
-            &HttpMetrics::default(),
-            &[("odd\"name".to_string(), ServeMetrics::default())],
+            &Snapshot::default(),
+            &[model("odd\"name", &serve)],
             &Snapshot::default(),
         );
         assert!(text.contains("model=\"odd\\\"name\""), "{text}");

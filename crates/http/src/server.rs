@@ -28,12 +28,12 @@ use crate::api::{
 use crate::http1::{self, read_request, write_response, RecvError};
 use crate::ratelimit::{RateConfig, RateLimiter};
 use crate::registry::{ModelEntry, ModelRegistry};
-use antidote_obs::{TraceId, TraceRecord};
+use antidote_obs::{Registry, Snapshot, TraceId, TraceRecord};
 use antidote_serve::{InferRequest, ServeError, ServeMetrics};
 use antidote_tensor::Tensor;
 use std::collections::VecDeque;
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -134,56 +134,35 @@ impl HttpConfig {
     }
 }
 
-/// Monotonic front-end counters, independent of the per-model engine
-/// metrics.
-#[derive(Debug, Default)]
-pub struct HttpMetrics {
-    /// Connections accepted.
-    pub connections: AtomicU64,
-    /// Requests fully parsed (any route).
-    pub requests: AtomicU64,
-    /// `2xx` responses written.
-    pub status_2xx: AtomicU64,
-    /// `4xx` responses written (including `429`).
-    pub status_4xx: AtomicU64,
-    /// `5xx` responses written.
-    pub status_5xx: AtomicU64,
-    /// `429` rate-limit rejections (also counted in `status_4xx`).
-    pub rate_limited: AtomicU64,
-    /// Receive failures that never became a parsed request (timeouts,
-    /// malformed framing, premature disconnects).
-    pub recv_errors: AtomicU64,
-}
+/// Front-end counters, registered at 0 when the server starts:
+/// connections accepted, requests fully parsed (any route), responses
+/// by status class (`4xx` includes `429`), `429` rate-limit rejections,
+/// and receive failures that never became a parsed request (timeouts,
+/// malformed framing, premature disconnects).
+const HTTP_COUNTERS: [&str; 7] = [
+    "connections",
+    "requests",
+    "responses_2xx",
+    "responses_4xx",
+    "responses_5xx",
+    "rate_limited",
+    "recv_errors",
+];
 
-impl HttpMetrics {
-    fn count_status(&self, status: u16) {
-        match status {
-            200..=299 => self.status_2xx.fetch_add(1, Ordering::Relaxed),
-            400..=499 => self.status_4xx.fetch_add(1, Ordering::Relaxed),
-            _ => self.status_5xx.fetch_add(1, Ordering::Relaxed),
-        };
-    }
-
-    /// Renders the counters as a JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"connections\":{},\"requests\":{},\"status_2xx\":{},\"status_4xx\":{},\"status_5xx\":{},\"rate_limited\":{},\"recv_errors\":{}}}",
-            self.connections.load(Ordering::Relaxed),
-            self.requests.load(Ordering::Relaxed),
-            self.status_2xx.load(Ordering::Relaxed),
-            self.status_4xx.load(Ordering::Relaxed),
-            self.status_5xx.load(Ordering::Relaxed),
-            self.rate_limited.load(Ordering::Relaxed),
-            self.recv_errors.load(Ordering::Relaxed),
-        )
-    }
+fn count_status(metrics: &Registry, status: u16) {
+    let class = match status {
+        200..=299 => "responses_2xx",
+        400..=499 => "responses_4xx",
+        _ => "responses_5xx",
+    };
+    metrics.counter_add(class, 1);
 }
 
 /// State shared by the acceptor, the workers, and the owning handle.
 struct Shared {
     registry: Arc<ModelRegistry>,
     limiter: RateLimiter,
-    metrics: HttpMetrics,
+    metrics: Arc<Registry>,
     config: HttpConfig,
     draining: AtomicBool,
     conns: Mutex<VecDeque<TcpStream>>,
@@ -219,10 +198,14 @@ impl HttpServer {
     pub fn start(config: HttpConfig, registry: ModelRegistry) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
+        let metrics = Arc::new(Registry::new());
+        for name in HTTP_COUNTERS {
+            metrics.counter_add(name, 0);
+        }
         let shared = Arc::new(Shared {
             registry: Arc::new(registry),
             limiter: RateLimiter::new(config.rate),
-            metrics: HttpMetrics::default(),
+            metrics,
             config,
             draining: AtomicBool::new(false),
             conns: Mutex::new(VecDeque::new()),
@@ -273,9 +256,9 @@ impl HttpServer {
         self.local_addr
     }
 
-    /// Front-end counters.
-    pub fn metrics(&self) -> &HttpMetrics {
-        &self.shared.metrics
+    /// A snapshot of the front-end counters.
+    pub fn metrics(&self) -> Snapshot {
+        self.shared.metrics.snapshot()
     }
 
     /// The registry being served.
@@ -328,7 +311,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
                     // lands here; drop it unserved.
                     return;
                 }
-                shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.counter_add("connections", 1);
                 let mut q = shared.conns.lock().unwrap_or_else(|p| p.into_inner());
                 q.push_back(stream);
                 drop(q);
@@ -381,19 +364,19 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
             Err(RecvError::Idle | RecvError::Disconnected) => {
                 // Nothing to answer: the peer left or never spoke.
                 if served == 0 {
-                    shared.metrics.recv_errors.fetch_add(1, Ordering::Relaxed);
+                    shared.metrics.counter_add("recv_errors", 1);
                 }
                 return;
             }
             Err(err) => {
-                shared.metrics.recv_errors.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.counter_add("recv_errors", 1);
                 let (status, kind) = recv_error_status(&err);
                 let body = ErrorBody::new(kind, &err).to_json();
                 respond(shared, &mut stream, status, CT_JSON, &[], &body, false);
                 return;
             }
         };
-        shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.counter_add("requests", 1);
         // Last response on a draining or exhausted connection says so.
         let keep_alive = request.keep_alive
             && served + 1 < shared.config.keepalive_max
@@ -415,7 +398,7 @@ fn respond(
     body: &str,
     keep_alive: bool,
 ) {
-    shared.metrics.count_status(status);
+    count_status(&shared.metrics, status);
     // A write failure means the client is gone; the typed response was
     // still produced and counted.
     let _ = write_response(stream, status, content_type, extra, body, keep_alive);
@@ -512,30 +495,27 @@ fn wants_prometheus(request: &http1::Request) -> bool {
     })
 }
 
-/// `GET /metrics`: front-end counters, per-model
-/// [`ServeMetrics::to_json`] snapshots, and the `antidote-obs` span /
-/// counter snapshot — one JSON object by default, or the Prometheus
-/// text exposition under content negotiation ([`wants_prometheus`]).
+/// `GET /metrics`: the front-end registry, each engine's registry and
+/// the global `antidote-obs` registry — one JSON object of
+/// [`Snapshot::to_json`]s by default, or the Prometheus text exposition
+/// under content negotiation ([`wants_prometheus`]).
 fn metrics(shared: &Shared, request: &http1::Request) -> Routed {
+    let http = shared.metrics.snapshot();
+    let models = shared.registry.metrics();
+    let obs = antidote_obs::snapshot();
     if wants_prometheus(request) {
-        let body = crate::prom::render_exposition(
-            &shared.metrics,
-            &shared.registry.metrics(),
-            &antidote_obs::snapshot(),
-        );
+        let body = crate::prom::render_exposition(&http, &models, &obs);
         return (200, vec![], body, CT_PROM);
     }
-    let models: Vec<String> = shared
-        .registry
-        .metrics()
-        .into_iter()
-        .map(|(name, m)| format!("\"{}\":{}", json_escape(&name), m.to_json()))
+    let models: Vec<String> = models
+        .iter()
+        .map(|(name, m)| format!("\"{}\":{}", json_escape(name), m.snapshot.to_json()))
         .collect();
     let body = format!(
         "{{\"http\":{},\"models\":{{{}}},\"obs\":{}}}",
-        shared.metrics.to_json(),
+        http.to_json(),
         models.join(","),
-        antidote_obs::snapshot().to_json(),
+        obs.to_json(),
     );
     (200, vec![], body, CT_JSON)
 }
@@ -587,7 +567,7 @@ fn infer(shared: &Shared, peer_ip: IpAddr, request: &http1::Request) -> Routed {
         .or_else(|| antidote_obs::enabled().then(TraceId::mint));
     let trace_hex = || trace.map(TraceId::to_hex);
     if let Err(wait) = shared.limiter.try_acquire(peer_ip) {
-        shared.metrics.rate_limited.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.counter_add("rate_limited", 1);
         let mut eb = ErrorBody::new("rate_limited", "per-client request rate exceeded");
         eb.retry_after_ms = Some(wait.as_millis() as u64);
         eb.trace_id = trace_hex();
@@ -811,15 +791,15 @@ mod tests {
 
     #[test]
     fn metrics_status_buckets() {
-        let m = HttpMetrics::default();
-        m.count_status(200);
-        m.count_status(404);
-        m.count_status(429);
-        m.count_status(503);
-        assert_eq!(m.status_2xx.load(Ordering::Relaxed), 1);
-        assert_eq!(m.status_4xx.load(Ordering::Relaxed), 2);
-        assert_eq!(m.status_5xx.load(Ordering::Relaxed), 1);
-        let json = m.to_json();
-        assert!(json.contains("\"status_4xx\":2"), "{json}");
+        let m = Registry::new();
+        for status in [200, 404, 429, 503] {
+            count_status(&m, status);
+        }
+        let snap = m.snapshot();
+        assert_eq!(snap.counter("responses_2xx"), Some(1));
+        assert_eq!(snap.counter("responses_4xx"), Some(2));
+        assert_eq!(snap.counter("responses_5xx"), Some(1));
+        let json = snap.to_json();
+        assert!(json.contains("{\"name\":\"responses_4xx\",\"value\":2}"), "{json}");
     }
 }

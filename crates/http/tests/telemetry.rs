@@ -198,7 +198,9 @@ fn trace_ids_round_trip_and_land_in_the_flight_recorder() {
 }
 
 /// Every `antidote_http_*` / `antidote_serve_*` `# TYPE` family the
-/// exposition carries after inference traffic, sorted.
+/// exposition carries after inference traffic, sorted, except the
+/// windowed `_rate` gauges (DESIGN.md §14 has the table of renames from
+/// the hand-rendered exposition this replaced).
 const PINNED_FAMILIES: &[&str] = &[
     "antidote_http_connections_total",
     "antidote_http_rate_limited_total",
@@ -208,22 +210,35 @@ const PINNED_FAMILIES: &[&str] = &[
     "antidote_http_responses_4xx_total",
     "antidote_http_responses_5xx_total",
     "antidote_serve_achieved_macs_total",
-    "antidote_serve_admitted_total",
+    "antidote_serve_admitted_batch_total",
+    "antidote_serve_admitted_interactive_total",
+    "antidote_serve_admitted_standard_total",
+    "antidote_serve_batch_live_00_total",
+    "antidote_serve_batch_live_01_total",
+    "antidote_serve_batch_live_02_total",
+    "antidote_serve_batch_live_03_total",
+    "antidote_serve_batch_live_04_total",
     "antidote_serve_batches_total",
+    "antidote_serve_budgeted_total",
+    "antidote_serve_chaos_kills",
     "antidote_serve_completed_total",
-    "antidote_serve_completion_rate",
     "antidote_serve_degraded_total",
     "antidote_serve_evicted_total",
     "antidote_serve_expired_total",
     "antidote_serve_infeasible_total",
-    "antidote_serve_lane_shed_total",
+    "antidote_serve_latency_ms",
     "antidote_serve_latency_ms_60s",
-    "antidote_serve_mean_batch_size",
+    "antidote_serve_measured_macs_total",
     "antidote_serve_panicked_total",
     "antidote_serve_queue_depth",
+    "antidote_serve_queue_wait_ms",
+    "antidote_serve_queue_wait_ms_60s",
     "antidote_serve_rejected_full_total",
+    "antidote_serve_shed_batch_total",
+    "antidote_serve_shed_interactive_total",
+    "antidote_serve_shed_standard_total",
     "antidote_serve_shed_total",
-    "antidote_serve_throughput_rps",
+    "antidote_serve_worker_panics_total",
 ];
 
 /// Splits a sample line into `(metric_name, labels, value)`.
@@ -339,13 +354,21 @@ fn prometheus_exposition_stays_valid_under_concurrent_load() {
 
     // The front-end and engine family set is pinned: a family that
     // appears or disappears here is a change to what operators scrape.
-    let mut served: Vec<&str> = families
+    // A `_rate` gauge exists only while its counter moved in the last
+    // 60 s (which batch sizes occurred is timing-dependent), so those
+    // are checked against the counters instead.
+    let (rates, mut served): (Vec<&str>, Vec<&str>) = families
         .keys()
         .map(String::as_str)
         .filter(|n| n.starts_with("antidote_http_") || n.starts_with("antidote_serve_"))
-        .collect();
+        .partition(|n| n.ends_with("_rate"));
     served.sort_unstable();
     assert_eq!(served, PINNED_FAMILIES, "{text}");
+    for rate in &rates {
+        let counter = format!("{}_total", rate.strip_suffix("_rate").unwrap());
+        assert!(families.contains_key(&counter), "{rate} windows no counter");
+    }
+    assert!(rates.contains(&"antidote_serve_completed_rate"), "{text}");
 
     // The engine's traffic showed up.
     assert_eq!(families.get("antidote_http_requests_total").map(String::as_str), Some("counter"));
@@ -355,8 +378,8 @@ fn prometheus_exposition_stays_valid_under_concurrent_load() {
     );
 
     // Histogram invariants: within each family, cumulative buckets are
-    // monotone and the +Inf bucket equals _count (per label set — our
-    // obs histograms carry no extra labels, so runs are contiguous).
+    // monotone and the +Inf bucket equals _count (per label set — one
+    // model here, so each family's bucket run is one label set).
     for (family, _) in families.iter().filter(|(_, k)| *k == "histogram") {
         let bucket_prefix = format!("{family}_bucket{{");
         let mut prev = 0.0;

@@ -9,10 +9,13 @@
 //!    (count / total / min / max) behind a mutexed map. A span whose name
 //!    is computed per call site (per-layer profiling) goes through
 //!    [`layer_span`], which skips the `format!` entirely when disabled.
-//! 2. **Metrics registry** ([`counter_add`], [`gauge_set`],
-//!    [`hist_record`]): named counters, gauges, and bounded-sample
-//!    histograms whose percentiles reuse the workspace's single
-//!    nearest-rank [`percentile`] implementation.
+//! 2. **Metrics registries** ([`Registry`]; the process-global one
+//!    behind [`counter_add`], [`gauge_set`], [`hist_record`]): named
+//!    counters, gauges, and histograms with lifetime count/sum/min/max/
+//!    buckets and bounded-sample percentiles that reuse the workspace's
+//!    single nearest-rank [`percentile`] implementation. A component
+//!    that owns its accounting (each serving engine, the HTTP
+//!    front-end) owns a `Registry` instance.
 //! 3. **Events** ([`event`] and the [`info`]/[`warn_event`]/[`debug`]
 //!    shorthands): structured JSONL records kept in a bounded in-memory
 //!    ring and optionally mirrored to a file sink
@@ -24,8 +27,8 @@
 //! ([`collect_begin`]/[`collect_end`]), a flight recorder retaining
 //! slowest-N and errored per-request records ([`record_trace`],
 //! [`traces_json`]), rotating 60×1s windows over every counter/gauge/
-//! histogram ([`window`], surfaced through [`Snapshot`]), and a
-//! Prometheus text-exposition renderer ([`prom`]).
+//! histogram (surfaced through [`Snapshot`]), and the one Prometheus
+//! text-exposition renderer ([`prom`]).
 //!
 //! Everything is **off by default**. The only cost on a hot path while
 //! disabled is one relaxed atomic load ([`enabled`]); `scripts/tier1.sh`
@@ -60,7 +63,7 @@ mod recorder;
 mod span;
 mod stats;
 mod trace;
-pub mod window;
+mod window;
 
 pub use event::{
     debug, drain_events, event, events_dropped, info, set_console_level, set_trace_path,
@@ -68,7 +71,7 @@ pub use event::{
 };
 pub use metrics::{
     counter_add, counter_value, gauge_set, hist_record, reset, snapshot, snapshot_at,
-    CounterRates, GaugeRange, HistSnapshot, Snapshot, SpanSnapshot,
+    CounterRates, GaugeRange, HistSnapshot, Registry, Snapshot, SpanSnapshot,
 };
 pub use recorder::{
     clear_recorder, record_trace, recorder_counts, recorder_dump_events, set_recorder_caps,

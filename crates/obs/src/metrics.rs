@@ -1,26 +1,36 @@
-//! Global metrics registry: counters, gauges, bounded-sample histograms,
-//! their rotating 60s windows, and the [`Snapshot`] that freezes
-//! everything (spans included) for reporting.
+//! The metrics [`Registry`]: counters, gauges, histograms, their
+//! rotating 60s windows, and the [`Snapshot`] that freezes everything
+//! (spans included) for reporting. The process-global registry behind
+//! the free functions is one instance; a component that owns its
+//! accounting (a serving engine, the HTTP front-end) owns another.
 
 use crate::json;
+use crate::prom::HIST_LE;
 use crate::span::SpanStat;
 use crate::stats::percentile;
 use crate::window::{now_tick, GaugeWindow, RateWindow, SampleWindow, WINDOW_BUCKETS};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Histograms keep at most this many recent samples (ring semantics);
-/// `count` still reflects every recorded value and evictions increment
-/// the `obs.hist_overflow` counter (plus the per-histogram `overflow`
-/// snapshot field) so truncation is never silent.
+/// Histograms keep at most this many recent samples (ring semantics)
+/// for their percentiles; count, sum, min, max and buckets are lifetime
+/// aggregates that evictions do not touch. Evictions increment the
+/// registry's `obs.hist_overflow` counter (plus the per-histogram
+/// `overflow` snapshot field) so truncation is never silent.
 const HIST_CAP: usize = 16_384;
 
+/// A set of named counters, gauges and histograms (plus span timings,
+/// which only the global registry records).
+///
+/// Every map is behind its own mutex, and every lock recovers from
+/// poisoning: a panicking recorder must not take accounting down with
+/// it.
 #[derive(Debug, Default)]
-pub(crate) struct Registry {
+pub struct Registry {
     pub(crate) spans: Mutex<BTreeMap<String, SpanStat>>,
     counters: Mutex<BTreeMap<String, CounterCell>>,
     gauges: Mutex<BTreeMap<String, GaugeCell>>,
-    hists: Mutex<BTreeMap<String, BoundedSamples>>,
+    hists: Mutex<BTreeMap<String, Histogram>>,
 }
 
 #[derive(Debug, Default)]
@@ -35,21 +45,48 @@ struct GaugeCell {
     window: GaugeWindow,
 }
 
-#[derive(Debug, Default)]
-struct BoundedSamples {
-    recent: VecDeque<f64>,
+#[derive(Debug)]
+struct Histogram {
     count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+    /// Lifetime samples per [`HIST_LE`] bucket (`le[i-1] < v <= le[i]`);
+    /// samples above the top bound land in none.
+    buckets: [u64; HIST_LE.len()],
+    recent: VecDeque<f64>,
     /// Samples evicted from the retained ring (lifetime).
     overflow: u64,
     window: SampleWindow,
 }
 
-impl BoundedSamples {
-    /// Records one sample; returns `true` when an old sample was
-    /// evicted (the caller bumps the global overflow counter outside
-    /// the hists lock).
+impl Default for Histogram {
+    fn default() -> Self {
+        Self {
+            count: 0,
+            sum: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+            buckets: [0; HIST_LE.len()],
+            recent: VecDeque::new(),
+            overflow: 0,
+            window: SampleWindow::default(),
+        }
+    }
+}
+
+impl Histogram {
+    /// Records one finite sample; returns `true` when an old sample was
+    /// evicted from the ring (the caller bumps the overflow counter
+    /// outside the hists lock).
     fn record(&mut self, tick: u64, v: f64) -> bool {
         self.count += 1;
+        self.sum += v;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+        if let Some(b) = self.buckets.get_mut(HIST_LE.partition_point(|le| *le < v)) {
+            *b += 1;
+        }
         self.window.record_at(tick, v);
         let evicted = self.recent.len() == HIST_CAP;
         if evicted {
@@ -59,8 +96,41 @@ impl BoundedSamples {
         self.recent.push_back(v);
         evicted
     }
+
+    fn snapshot(&self, name: &str, tick: u64) -> HistSnapshot {
+        let mut sorted: Vec<f64> = self.recent.iter().copied().collect();
+        sorted.sort_by(f64::total_cmp);
+        let buckets = self
+            .buckets
+            .iter()
+            .scan(0, |acc, n| {
+                *acc += n;
+                Some(*acc)
+            })
+            .collect();
+        let (w_p50, w_p95, w_p99) = self.window.percentiles_at(tick, WINDOW_BUCKETS);
+        let seen = self.count > 0;
+        HistSnapshot {
+            name: name.to_string(),
+            count: self.count,
+            sum: self.sum,
+            min: if seen { self.min } else { 0.0 },
+            max: if seen { self.max } else { 0.0 },
+            buckets,
+            p50: percentile(&sorted, 50.0),
+            p95: percentile(&sorted, 95.0),
+            p99: percentile(&sorted, 99.0),
+            overflow: self.overflow,
+            retained: sorted.len() as u64,
+            w_count: self.window.count_at(tick, WINDOW_BUCKETS),
+            w_p50,
+            w_p95,
+            w_p99,
+        }
+    }
 }
 
+/// The process-global registry.
 pub(crate) fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     REGISTRY.get_or_init(Registry::default)
@@ -72,53 +142,162 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Adds `delta` to the named monotonic counter (and its 60s rate
-/// window; when a trace collector is active on this thread the delta is
-/// mirrored there too).
+impl Registry {
+    /// An empty registry.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds `delta` to the named monotonic counter and its 60s rate
+    /// window, and returns the counter's new total. Adding 0 registers
+    /// the counter, so it reads (and renders) as 0 before its first
+    /// event.
+    pub fn counter_add(&self, name: &str, delta: u64) -> u64 {
+        let tick = now_tick();
+        let mut counters = lock(&self.counters);
+        let cell = counters.entry_or_default(name);
+        cell.total += delta;
+        cell.window.add_at(tick, delta);
+        cell.total
+    }
+
+    /// Current value of a counter (0 if never incremented).
+    pub fn counter_value(&self, name: &str) -> u64 {
+        lock(&self.counters).get(name).map_or(0, |c| c.total)
+    }
+
+    /// Sets the named gauge to `value` (last-write-wins; the 60s window
+    /// additionally tracks the min/max written each second).
+    pub fn gauge_set(&self, name: &str, value: f64) {
+        let tick = now_tick();
+        let mut gauges = lock(&self.gauges);
+        let cell = gauges.entry_or_default(name);
+        cell.value = value;
+        cell.window.set_at(tick, value);
+    }
+
+    /// Records one sample into the named histogram. Non-finite samples
+    /// are dropped with an `obs.nonfinite_dropped` counter increment;
+    /// evictions from the bounded retained ring increment
+    /// `obs.hist_overflow` (both in this registry).
+    pub fn hist_record(&self, name: &str, value: f64) {
+        if !value.is_finite() {
+            self.counter_add("obs.nonfinite_dropped", 1);
+            return;
+        }
+        let tick = now_tick();
+        let evicted = lock(&self.hists).entry_or_default(name).record(tick, value);
+        if evicted {
+            self.counter_add("obs.hist_overflow", 1);
+        }
+    }
+
+    /// Freezes every aggregate (spans, counters, gauges, histograms, and
+    /// their 60s windows) into a [`Snapshot`].
+    pub fn snapshot(&self) -> Snapshot {
+        self.snapshot_at(now_tick())
+    }
+
+    /// [`Registry::snapshot`] with an explicit window tick
+    /// (deterministic tests).
+    pub fn snapshot_at(&self, tick: u64) -> Snapshot {
+        let spans = lock(&self.spans)
+            .iter()
+            .map(|(name, s)| SpanSnapshot {
+                name: name.clone(),
+                count: s.count,
+                total_ns: s.total_ns,
+                min_ns: s.min_ns,
+                max_ns: s.max_ns,
+            })
+            .collect();
+        let (counters, counter_rates) = {
+            let guard = lock(&self.counters);
+            let counters: Vec<(String, u64)> =
+                guard.iter().map(|(n, c)| (n.clone(), c.total)).collect();
+            let rates = guard
+                .iter()
+                .filter_map(|(n, c)| {
+                    let last_60s = c.window.sum_at(tick, WINDOW_BUCKETS);
+                    if last_60s == 0 {
+                        return None;
+                    }
+                    Some(CounterRates {
+                        name: n.clone(),
+                        last_1s: c.window.sum_at(tick, 1),
+                        last_10s: c.window.sum_at(tick, 10),
+                        last_60s,
+                    })
+                })
+                .collect();
+            (counters, rates)
+        };
+        let (gauges, gauge_ranges) = {
+            let guard = lock(&self.gauges);
+            let gauges: Vec<(String, f64)> =
+                guard.iter().map(|(n, g)| (n.clone(), g.value)).collect();
+            let ranges = guard
+                .iter()
+                .filter_map(|(n, g)| {
+                    g.window.range_at(tick, WINDOW_BUCKETS).map(|(lo, hi)| GaugeRange {
+                        name: n.clone(),
+                        min_60s: lo,
+                        max_60s: hi,
+                    })
+                })
+                .collect();
+            (gauges, ranges)
+        };
+        let hists = lock(&self.hists)
+            .iter()
+            .map(|(name, h)| h.snapshot(name, tick))
+            .collect();
+        Snapshot {
+            spans,
+            counters,
+            gauges,
+            hists,
+            counter_rates,
+            gauge_ranges,
+        }
+    }
+
+    /// Clears every aggregate.
+    pub fn reset(&self) {
+        lock(&self.spans).clear();
+        lock(&self.counters).clear();
+        lock(&self.gauges).clear();
+        lock(&self.hists).clear();
+    }
+}
+
+/// Adds `delta` to the named counter of the global registry (see
+/// [`Registry::counter_add`]); when a trace collector is active on this
+/// thread the delta is mirrored there too.
 ///
 /// Counters always record (they are cheap and typically increment on
 /// rare events like dropped samples); guard calls on hot paths with
 /// [`crate::enabled`] at the call site.
 pub fn counter_add(name: &str, delta: u64) {
     crate::trace::collect_counter(name, delta);
-    let tick = now_tick();
-    let mut counters = lock(&registry().counters);
-    let cell = counters.entry_or_default(name);
-    cell.total += delta;
-    cell.window.add_at(tick, delta);
+    registry().counter_add(name, delta);
 }
 
-/// Current value of a counter (0 if never incremented).
+/// Current value of a global counter (0 if never incremented).
 pub fn counter_value(name: &str) -> u64 {
-    lock(&registry().counters).get(name).map_or(0, |c| c.total)
+    registry().counter_value(name)
 }
 
-/// Sets the named gauge to `value` (last-write-wins; the 60s window
-/// additionally tracks the min/max written each second).
+/// Sets the named gauge of the global registry (see
+/// [`Registry::gauge_set`]).
 pub fn gauge_set(name: &str, value: f64) {
-    let tick = now_tick();
-    let mut gauges = lock(&registry().gauges);
-    let cell = gauges.entry_or_default(name);
-    cell.value = value;
-    cell.window.set_at(tick, value);
+    registry().gauge_set(name, value);
 }
 
-/// Records one sample into the named histogram. Non-finite samples are
-/// dropped with a `obs.nonfinite_dropped` counter increment; evictions
-/// from the bounded retained window increment `obs.hist_overflow`.
+/// Records one sample into the named histogram of the global registry
+/// (see [`Registry::hist_record`]).
 pub fn hist_record(name: &str, value: f64) {
-    if !value.is_finite() {
-        counter_add("obs.nonfinite_dropped", 1);
-        return;
-    }
-    let tick = now_tick();
-    let evicted = {
-        let mut hists = lock(&registry().hists);
-        hists.entry_or_default(name).record(tick, value)
-    };
-    if evicted {
-        counter_add("obs.hist_overflow", 1);
-    }
+    registry().hist_record(name, value);
 }
 
 /// `BTreeMap::entry(name.to_string()).or_default()` without allocating
@@ -151,35 +330,37 @@ pub struct SpanSnapshot {
     pub max_ns: u64,
 }
 
-/// Percentile summary of one histogram at snapshot time (computed over
-/// the retained sample window, with 60s-windowed companions).
+/// One histogram at snapshot time: lifetime aggregates (count, sum,
+/// min, max, buckets), percentiles over the retained ring, and
+/// 60s-windowed companions.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HistSnapshot {
     /// Histogram name.
     pub name: String,
-    /// Total samples ever recorded (including evicted ones).
+    /// Samples ever recorded (Prometheus `_count`).
     pub count: u64,
-    /// Nearest-rank p50 of the retained window.
-    pub p50: f64,
-    /// Nearest-rank p95 of the retained window.
-    pub p95: f64,
-    /// Nearest-rank p99 of the retained window.
-    pub p99: f64,
-    /// Smallest retained sample.
+    /// Sum of every sample ever recorded (Prometheus `_sum`).
+    pub sum: f64,
+    /// Smallest sample ever recorded (0 when empty).
     pub min: f64,
-    /// Largest retained sample.
+    /// Largest sample ever recorded (0 when empty).
     pub max: f64,
+    /// Lifetime cumulative counts at each [`crate::prom::HIST_LE`]
+    /// bound (Prometheus `_bucket`); samples above the top bound count
+    /// only in `count` (the `+Inf` bucket).
+    pub buckets: Vec<u64>,
+    /// Nearest-rank p50 of the retained ring.
+    pub p50: f64,
+    /// Nearest-rank p95 of the retained ring.
+    pub p95: f64,
+    /// Nearest-rank p99 of the retained ring.
+    pub p99: f64,
     /// Samples evicted from the retained ring (the `obs.hist_overflow`
     /// contribution of this histogram).
     pub overflow: u64,
-    /// Samples currently retained (the population behind `p50`/`min`/
-    /// `max`, `sum`, and `buckets`).
+    /// Samples currently retained in the ring (the population behind
+    /// `p50`/`p95`/`p99`).
     pub retained: u64,
-    /// Sum of the retained samples (Prometheus `_sum`).
-    pub sum: f64,
-    /// Cumulative counts of retained samples at each
-    /// [`crate::prom::HIST_LE`] bound (Prometheus `_bucket`).
-    pub buckets: Vec<u64>,
     /// Samples recorded in the trailing 60s (retained or not).
     pub w_count: u64,
     /// Nearest-rank p50 over the trailing 60s.
@@ -188,6 +369,17 @@ pub struct HistSnapshot {
     pub w_p95: f64,
     /// Nearest-rank p99 over the trailing 60s.
     pub w_p99: f64,
+}
+
+impl HistSnapshot {
+    /// Lifetime mean (0 when empty).
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum / self.count as f64
+        }
+    }
 }
 
 /// Windowed sums of one counter at snapshot time.
@@ -293,9 +485,10 @@ impl Snapshot {
             .iter()
             .map(|h| {
                 format!(
-                    "{{\"name\":\"{}\",\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"min\":{},\"max\":{},\"overflow\":{},\"w_count\":{},\"w_p50\":{},\"w_p95\":{},\"w_p99\":{}}}",
+                    "{{\"name\":\"{}\",\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"min\":{},\"max\":{},\"overflow\":{},\"w_count\":{},\"w_p50\":{},\"w_p95\":{},\"w_p99\":{}}}",
                     json::escape(&h.name),
                     h.count,
+                    json::number(h.sum),
                     json::number(h.p50),
                     json::number(h.p95),
                     json::number(h.p99),
@@ -346,109 +539,21 @@ impl Snapshot {
     }
 }
 
-/// Freezes every aggregate (spans, counters, gauges, histograms, and
-/// their 60s windows) into a [`Snapshot`].
+/// Freezes every aggregate of the global registry into a
+/// [`Snapshot`].
 pub fn snapshot() -> Snapshot {
-    snapshot_at(now_tick())
+    registry().snapshot()
 }
 
 /// [`snapshot`] with an explicit window tick (deterministic tests).
 pub fn snapshot_at(tick: u64) -> Snapshot {
-    let reg = registry();
-    let spans = lock(&reg.spans)
-        .iter()
-        .map(|(name, s)| SpanSnapshot {
-            name: name.clone(),
-            count: s.count,
-            total_ns: s.total_ns,
-            min_ns: s.min_ns,
-            max_ns: s.max_ns,
-        })
-        .collect();
-    let (counters, counter_rates) = {
-        let guard = lock(&reg.counters);
-        let counters: Vec<(String, u64)> =
-            guard.iter().map(|(n, c)| (n.clone(), c.total)).collect();
-        let rates = guard
-            .iter()
-            .filter_map(|(n, c)| {
-                let last_60s = c.window.sum_at(tick, WINDOW_BUCKETS);
-                if last_60s == 0 {
-                    return None;
-                }
-                Some(CounterRates {
-                    name: n.clone(),
-                    last_1s: c.window.sum_at(tick, 1),
-                    last_10s: c.window.sum_at(tick, 10),
-                    last_60s,
-                })
-            })
-            .collect();
-        (counters, rates)
-    };
-    let (gauges, gauge_ranges) = {
-        let guard = lock(&reg.gauges);
-        let gauges: Vec<(String, f64)> =
-            guard.iter().map(|(n, g)| (n.clone(), g.value)).collect();
-        let ranges = guard
-            .iter()
-            .filter_map(|(n, g)| {
-                g.window.range_at(tick, WINDOW_BUCKETS).map(|(lo, hi)| GaugeRange {
-                    name: n.clone(),
-                    min_60s: lo,
-                    max_60s: hi,
-                })
-            })
-            .collect();
-        (gauges, ranges)
-    };
-    let hists = lock(&reg.hists)
-        .iter()
-        .map(|(name, h)| {
-            let mut sorted: Vec<f64> = h.recent.iter().copied().collect();
-            sorted.sort_by(f64::total_cmp);
-            let buckets: Vec<u64> = crate::prom::HIST_LE
-                .iter()
-                .map(|le| sorted.partition_point(|v| v <= le) as u64)
-                .collect();
-            let (w_p50, w_p95, w_p99) = h.window.percentiles_at(tick, WINDOW_BUCKETS);
-            HistSnapshot {
-                name: name.clone(),
-                count: h.count,
-                p50: percentile(&sorted, 50.0),
-                p95: percentile(&sorted, 95.0),
-                p99: percentile(&sorted, 99.0),
-                min: sorted.first().copied().unwrap_or(0.0),
-                max: sorted.last().copied().unwrap_or(0.0),
-                overflow: h.overflow,
-                retained: sorted.len() as u64,
-                sum: sorted.iter().sum(),
-                buckets,
-                w_count: h.window.count_at(tick, WINDOW_BUCKETS),
-                w_p50,
-                w_p95,
-                w_p99,
-            }
-        })
-        .collect();
-    Snapshot {
-        spans,
-        counters,
-        gauges,
-        hists,
-        counter_rates,
-        gauge_ranges,
-    }
+    registry().snapshot_at(tick)
 }
 
-/// Clears all aggregates and the event ring (the trace file sink and
-/// enabled flag are left as-is).
+/// Clears the global registry and the event ring (the trace file sink
+/// and enabled flag are left as-is).
 pub fn reset() {
-    let reg = registry();
-    lock(&reg.spans).clear();
-    lock(&reg.counters).clear();
-    lock(&reg.gauges).clear();
-    lock(&reg.hists).clear();
+    registry().reset();
     crate::event::clear_ring();
 }
 
@@ -563,6 +668,39 @@ mod tests {
         }
         assert!(h.buckets.windows(2).all(|w| w[0] <= w[1]));
         reset();
+    }
+
+    #[test]
+    fn a_poisoned_metrics_mutex_keeps_serving() {
+        let reg = std::sync::Arc::new(Registry::new());
+        let holder = std::sync::Arc::clone(&reg);
+        let _ = std::thread::spawn(move || {
+            let _guard = holder.counters.lock().unwrap();
+            panic!("poison the counters mutex");
+        })
+        .join();
+        assert!(reg.counters.is_poisoned());
+        assert_eq!(reg.counter_add("shed", 1), 1);
+        assert_eq!(reg.snapshot().counter("shed"), Some(1));
+    }
+
+    #[test]
+    fn registry_instances_are_independent_of_the_global_one() {
+        let _guard = test_lock::hold();
+        reset();
+        let reg = Registry::new();
+        assert_eq!(reg.counter_add("t.own", 0), 0, "adding 0 registers");
+        assert_eq!(reg.counter_add("t.own", 2), 2);
+        reg.gauge_set("t.own.gauge", 3.0);
+        reg.hist_record("t.own.hist", f64::NAN);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("t.own"), Some(2));
+        assert_eq!(snap.gauge("t.own.gauge"), Some(3.0));
+        assert_eq!(snap.counter("obs.nonfinite_dropped"), Some(1));
+        assert_eq!(counter_value("t.own"), 0);
+        assert_eq!(counter_value("obs.nonfinite_dropped"), 0);
+        reg.reset();
+        assert_eq!(reg.snapshot(), Snapshot::default());
     }
 
     #[test]

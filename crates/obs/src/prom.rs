@@ -1,10 +1,11 @@
 //! Prometheus text-exposition rendering (text format version 0.0.4).
 //!
-//! [`PromDoc`] is a small document builder the HTTP layer fills with
-//! samples from its own counters, per-model serve metrics, and the obs
-//! registry ([`render_snapshot`]). It guarantees the structural
-//! invariants scrapers (and our own exposition lint in
-//! `crates/http/tests`) rely on:
+//! [`PromDoc`] is a small document builder; [`render_snapshot`] fills it
+//! from one registry [`Snapshot`] under a name prefix and a label set.
+//! The HTTP layer renders every registry it exposes — its own, each
+//! engine's, the global one — through that one function. The builder
+//! guarantees the structural invariants scrapers (and our own
+//! exposition lint in `crates/http/tests`) rely on:
 //!
 //! - every metric family appears exactly once, with one `# TYPE` line
 //!   emitted before any of its samples;
@@ -14,8 +15,9 @@
 //! - label values are escaped per the exposition spec
 //!   ([`label_escape`]: `\\`, `\"`, `\n`);
 //! - histograms render cumulative `_bucket{le="…"}` series over the
-//!   fixed [`HIST_LE`] bounds plus `+Inf`, with `_sum`/`_count`
-//!   consistent with the retained sample window.
+//!   fixed [`HIST_LE`] bounds plus `+Inf`, with `_sum`/`_count`; all
+//!   are lifetime aggregates, so no series ever falls (a fall reads as a
+//!   counter reset to Prometheus).
 
 use crate::metrics::Snapshot;
 use std::collections::BTreeMap;
@@ -188,48 +190,49 @@ impl PromDoc {
 }
 
 /// Renders an obs [`Snapshot`] into `doc` under `prefix` (e.g.
-/// `antidote_obs_`):
+/// `antidote_obs_`), with `labels` on every sample:
 ///
 /// - counters as `{prefix}{name}_total` plus a 60s-windowed
 ///   `{prefix}{name}_rate` gauge (`window` label: `1s`/`10s`/`60s`);
 /// - gauges as `{prefix}{name}`;
 /// - spans as `{prefix}{name}_seconds_total` / `{prefix}{name}_calls_total`;
-/// - histograms as cumulative-bucket histograms over the retained
-///   window plus a `{prefix}{name}_60s` summary (windowed quantiles).
-pub fn render_snapshot(doc: &mut PromDoc, snap: &Snapshot, prefix: &str) {
+/// - histograms as lifetime cumulative-bucket histograms plus a
+///   `{prefix}{name}_60s` summary (windowed quantiles).
+pub fn render_snapshot(doc: &mut PromDoc, snap: &Snapshot, prefix: &str, labels: &[(&str, &str)]) {
+    let with = |extra: (&'static str, &'static str)| -> Vec<(&str, &str)> {
+        labels.iter().copied().chain(std::iter::once(extra)).collect()
+    };
     for (name, v) in &snap.counters {
         let base = format!("{prefix}{}", metric_name(name));
-        doc.sample(&format!("{base}_total"), "counter", &[], *v as f64);
+        doc.sample(&format!("{base}_total"), "counter", labels, *v as f64);
     }
     for w in &snap.counter_rates {
         let base = format!("{prefix}{}_rate", metric_name(&w.name));
-        doc.sample(&base, "gauge", &[("window", "1s")], w.last_1s as f64);
-        doc.sample(&base, "gauge", &[("window", "10s")], w.last_10s as f64 / 10.0);
-        doc.sample(&base, "gauge", &[("window", "60s")], w.last_60s as f64 / 60.0);
+        doc.sample(&base, "gauge", &with(("window", "1s")), w.last_1s as f64);
+        doc.sample(&base, "gauge", &with(("window", "10s")), w.last_10s as f64 / 10.0);
+        doc.sample(&base, "gauge", &with(("window", "60s")), w.last_60s as f64 / 60.0);
     }
     for (name, v) in &snap.gauges {
-        doc.sample(&format!("{prefix}{}", metric_name(name)), "gauge", &[], *v);
+        doc.sample(&format!("{prefix}{}", metric_name(name)), "gauge", labels, *v);
     }
     for s in &snap.spans {
         let base = format!("{prefix}{}", metric_name(&s.name));
         doc.sample(
             &format!("{base}_seconds_total"),
             "counter",
-            &[],
+            labels,
             s.total_ns as f64 / 1e9,
         );
-        doc.sample(&format!("{base}_calls_total"), "counter", &[], s.count as f64);
+        doc.sample(&format!("{base}_calls_total"), "counter", labels, s.count as f64);
     }
     for h in &snap.hists {
         let base = format!("{prefix}{}", metric_name(&h.name));
-        // `+Inf` counts every retained sample, including those above the
-        // top HIST_LE bound (which no finite bucket covers).
-        doc.histogram(&base, &[], &h.buckets, h.sum, h.retained);
+        doc.histogram(&base, labels, &h.buckets, h.sum, h.count);
         let wbase = format!("{base}_60s");
-        doc.sample(&wbase, "summary", &[("quantile", "0.5")], h.w_p50);
-        doc.sample(&wbase, "summary", &[("quantile", "0.95")], h.w_p95);
-        doc.sample(&wbase, "summary", &[("quantile", "0.99")], h.w_p99);
-        doc.sample_suffixed(&wbase, "summary", "_count", &[], h.w_count as f64);
+        doc.sample(&wbase, "summary", &with(("quantile", "0.5")), h.w_p50);
+        doc.sample(&wbase, "summary", &with(("quantile", "0.95")), h.w_p95);
+        doc.sample(&wbase, "summary", &with(("quantile", "0.99")), h.w_p99);
+        doc.sample_suffixed(&wbase, "summary", "_count", labels, h.w_count as f64);
     }
 }
 
@@ -276,6 +279,51 @@ mod tests {
                 "demo_total{model=\"vgg-int8\"} 4",
             ]
         );
+    }
+
+    /// `(series, value)` of every `{name}_bucket` and `{name}_count`
+    /// line of an exposition.
+    fn series<'a>(text: &'a str, name: &str) -> Vec<(&'a str, f64)> {
+        text.lines()
+            .filter(|l| l.starts_with(&format!("{name}_bucket")) || l.starts_with(&format!("{name}_count")))
+            .map(|l| {
+                let (series, v) = l.rsplit_once(' ').unwrap();
+                (series, v.parse().unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn histograms_stay_cumulative_past_the_retained_ring() {
+        let reg = crate::Registry::new();
+        let render = |reg: &crate::Registry| {
+            let mut doc = PromDoc::new();
+            render_snapshot(&mut doc, &reg.snapshot(), "", &[("model", "m")]);
+            doc.render()
+        };
+        // The lifetime max arrives first, so the ring evicts it below.
+        reg.hist_record("lat_ms", 50_000.0);
+        for _ in 1..16_384 {
+            reg.hist_record("lat_ms", 0.3);
+        }
+        let before = render(&reg);
+        for _ in 0..1_000 {
+            reg.hist_record("lat_ms", 7.0);
+        }
+        let after = render(&reg);
+        let (before, after) = (series(&before, "lat_ms"), series(&after, "lat_ms"));
+        assert_eq!(before.len(), HIST_LE.len() + 2);
+        assert_eq!(before.len(), after.len());
+        for ((name, b), (_, a)) in before.iter().zip(&after) {
+            assert!(a >= b, "{name} fell from {b} to {a}");
+        }
+        assert_eq!(after.last().unwrap(), &("lat_ms_count{model=\"m\"}", 17_384.0));
+        let h = reg.snapshot().hist("lat_ms").unwrap().clone();
+        assert_eq!((h.count, h.retained, h.overflow), (17_384, 16_384, 1_000));
+        assert_eq!(h.max, 50_000.0, "lifetime max, long evicted from the ring");
+        let mean = (50_000.0 + 16_383.0 * 0.3 + 1_000.0 * 7.0) / 17_384.0;
+        assert!((h.mean() - mean).abs() < 1e-9, "{} vs {mean}", h.mean());
+        assert_eq!(h.p50, 0.3, "percentiles stay on the ring");
     }
 
     #[test]

@@ -4,12 +4,13 @@
 ///
 /// `q` is in percent (`50.0` = median). Empty input returns `0.0`; `q`
 /// outside `[0, 100]` is clamped. This is the single percentile
-/// implementation shared across the workspace: the serving metrics, the
-/// experiment harness (`antidote-bench`) and obs histograms use it.
+/// implementation shared across the workspace: obs histograms (and so
+/// every serving engine's latency percentiles), the experiment harness
+/// (`antidote-bench`) and the benchmark use it.
 ///
 /// Callers are responsible for sorting; to be robust against NaN use
-/// `sort_by(f64::total_cmp)` and drop non-finite samples first (see
-/// `LatencySummary::from_samples_ms` in `antidote-serve`).
+/// `sort_by(f64::total_cmp)` and drop non-finite samples first (as
+/// [`crate::Registry::hist_record`] does).
 ///
 /// # Examples
 ///

@@ -11,10 +11,8 @@
 //! wrapped without traffic) are ignored on read without any background
 //! rotation thread — writes stamp, reads filter.
 //!
-//! All types expose `_at(tick, ..)` variants taking an explicit tick so
-//! unit tests (and the windowed-metrics ground-truth gates in
-//! `crates/bench`) can drive deterministic clocks; the tickless methods
-//! just call [`now_tick`].
+//! Every method takes an explicit tick: the registry stamps writes with
+//! [`now_tick`], and unit tests drive deterministic clocks.
 
 use crate::stats::percentile;
 
@@ -30,7 +28,7 @@ const SAMPLES_PER_BUCKET: usize = 256;
 const EMPTY: u64 = u64::MAX;
 
 /// Whole seconds elapsed since the process observability epoch — the
-/// tick value the tickless window methods stamp writes with.
+/// tick the registry stamps window writes with.
 pub fn now_tick() -> u64 {
     crate::event::start_instant().elapsed().as_secs()
 }
@@ -58,16 +56,6 @@ impl Default for RateWindow {
 }
 
 impl RateWindow {
-    /// An empty window.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `delta` in the current second ([`now_tick`]).
-    pub fn add(&mut self, delta: u64) {
-        self.add_at(now_tick(), delta);
-    }
-
     /// Adds `delta` in the bucket for `tick`, resetting the bucket if
     /// the ring has wrapped past it since it was last written.
     pub fn add_at(&mut self, tick: u64, delta: u64) {
@@ -78,11 +66,6 @@ impl RateWindow {
         b.1 = b.1.saturating_add(delta);
     }
 
-    /// Sum of deltas over the last `n` buckets ending at [`now_tick`].
-    pub fn sum(&self, n: usize) -> u64 {
-        self.sum_at(now_tick(), n)
-    }
-
     /// Sum of deltas over the last `n` buckets ending at `tick`
     /// (inclusive); stale buckets are excluded.
     pub fn sum_at(&self, tick: u64, n: usize) -> u64 {
@@ -91,17 +74,6 @@ impl RateWindow {
             .filter(|(stamp, _)| in_window(*stamp, tick, n.min(WINDOW_BUCKETS)))
             .map(|&(_, v)| v)
             .sum()
-    }
-
-    /// Per-second rate over the last `n` buckets ending at `tick`.
-    pub fn rate_at(&self, tick: u64, n: usize) -> f64 {
-        let n = n.clamp(1, WINDOW_BUCKETS);
-        self.sum_at(tick, n) as f64 / n as f64
-    }
-
-    /// Per-second rate over the last `n` buckets ending at [`now_tick`].
-    pub fn rate(&self, n: usize) -> f64 {
-        self.rate_at(now_tick(), n)
     }
 }
 
@@ -122,16 +94,6 @@ impl Default for GaugeWindow {
 }
 
 impl GaugeWindow {
-    /// An empty window.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a gauge write in the current second ([`now_tick`]).
-    pub fn set(&mut self, value: f64) {
-        self.set_at(now_tick(), value);
-    }
-
     /// Records a gauge write in the bucket for `tick`.
     pub fn set_at(&mut self, tick: u64, value: f64) {
         let b = &mut self.buckets[(tick % WINDOW_BUCKETS as u64) as usize];
@@ -156,11 +118,6 @@ impl GaugeWindow {
             }
         }
         range
-    }
-
-    /// `(min, max)` over the last `n` buckets ending at [`now_tick`].
-    pub fn range(&self, n: usize) -> Option<(f64, f64)> {
-        self.range_at(now_tick(), n)
     }
 }
 
@@ -195,16 +152,6 @@ impl Default for SampleWindow {
 }
 
 impl SampleWindow {
-    /// An empty window.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample in the current second ([`now_tick`]).
-    pub fn record(&mut self, value: f64) {
-        self.record_at(now_tick(), value);
-    }
-
     /// Records one sample in the bucket for `tick`. Past the per-bucket
     /// retention cap the sample still counts but is not kept for
     /// percentiles.
@@ -254,11 +201,6 @@ impl SampleWindow {
             percentile(&sorted, 99.0),
         )
     }
-
-    /// [`SampleWindow::percentiles_at`] ending at [`now_tick`].
-    pub fn percentiles(&self, n: usize) -> (f64, f64, f64) {
-        self.percentiles_at(now_tick(), n)
-    }
 }
 
 #[cfg(test)]
@@ -267,7 +209,7 @@ mod tests {
 
     #[test]
     fn rate_window_sums_and_rotates() {
-        let mut w = RateWindow::new();
+        let mut w = RateWindow::default();
         for tick in 0..5 {
             w.add_at(tick, 10);
         }
@@ -277,13 +219,11 @@ mod tests {
         // 2 ticks later, the last-1s bucket is empty and 60s still sees all.
         assert_eq!(w.sum_at(6, 1), 0);
         assert_eq!(w.sum_at(6, 60), 50);
-        // Rates are per second over the window length.
-        assert!((w.rate_at(4, 10) - 5.0).abs() < 1e-12);
     }
 
     #[test]
     fn rate_window_wraps_and_clears_stale_buckets() {
-        let mut w = RateWindow::new();
+        let mut w = RateWindow::default();
         w.add_at(3, 7);
         // Same ring slot one full revolution later must not double-count.
         w.add_at(3 + WINDOW_BUCKETS as u64, 5);
@@ -292,7 +232,7 @@ mod tests {
 
     #[test]
     fn stale_buckets_are_excluded_without_writes() {
-        let mut w = RateWindow::new();
+        let mut w = RateWindow::default();
         w.add_at(10, 42);
         // Far in the future, nothing in any window — no rotation thread
         // needed, reads filter on the stamp.
@@ -301,7 +241,7 @@ mod tests {
 
     #[test]
     fn gauge_window_tracks_min_max() {
-        let mut w = GaugeWindow::new();
+        let mut w = GaugeWindow::default();
         w.set_at(0, 5.0);
         w.set_at(0, 1.0);
         w.set_at(2, 9.0);
@@ -312,7 +252,7 @@ mod tests {
 
     #[test]
     fn sample_window_percentiles_match_ground_truth() {
-        let mut w = SampleWindow::new();
+        let mut w = SampleWindow::default();
         // 100 samples spread over 10 seconds: values 1..=100.
         for i in 0..100u64 {
             w.record_at(i / 10, (i + 1) as f64);
@@ -330,7 +270,7 @@ mod tests {
 
     #[test]
     fn sample_window_caps_retention_but_counts_all() {
-        let mut w = SampleWindow::new();
+        let mut w = SampleWindow::default();
         for i in 0..1000 {
             w.record_at(5, i as f64);
         }

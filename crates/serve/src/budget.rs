@@ -151,15 +151,19 @@ impl BudgetMapper {
     }
 
     /// MACs per image under `base` scaled by `scale`, at the keep
-    /// fractions top-k realizes: `round(p·n)/n` per tap.
+    /// fractions top-k realizes: `round(p·n)/n` per tap. The keep
+    /// fraction is [`PruneSchedule::scaled`]'s arithmetic read per tap,
+    /// so the bisection in [`BudgetMapper::plan`] allocates nothing.
     fn macs_at_scale(&self, scale: f64) -> f64 {
-        let schedule = self.base.scaled(scale);
+        let keep = |ratios: &[f64], block: usize| {
+            1.0 - ratios.get(block).map_or(0.0, |&r| (r * scale).clamp(0.0, 1.0))
+        };
         self.charge(|t| {
             let tap = &self.taps[t];
             let plane = tap.spatial * tap.spatial;
             (
-                topk_count(schedule.channel_keep(tap.block), tap.channels).1,
-                topk_count(schedule.spatial_keep(tap.block), plane).1,
+                topk_count(keep(self.base.channel_prune(), tap.block), tap.channels).1,
+                topk_count(keep(self.base.spatial_prune(), tap.block), plane).1,
             )
         })
     }

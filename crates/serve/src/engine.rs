@@ -50,18 +50,18 @@
 
 use crate::budget::{BudgetError, BudgetMapper, BudgetPlan};
 use crate::chaos::{ChaosConfig, ChaosMonkey};
-use crate::metrics::{MetricsState, ServeMetrics};
+use crate::metrics::{ServeMetrics, BATCH_LIVE};
 use crate::queue::{PushError, Scheduled, SloQueue};
 use crate::shed::{Priority, ShedConfig, ShedDecision};
 use antidote_core::report::FailureRecord;
 use antidote_core::{DynamicPruner, PruneSchedule};
 use antidote_models::Network;
 use antidote_nn::masked::MacCounter;
-use antidote_obs::{TraceId, TraceRecord, TraceSpanRec};
+use antidote_obs::{Registry, TraceId, TraceRecord, TraceSpanRec};
 use antidote_tensor::Tensor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -575,17 +575,61 @@ impl PendingResponse {
     }
 }
 
+/// Counters every engine registry carries from the start (at 0), so its
+/// exposition family set does not depend on which events have happened.
+const COUNTERS: [&str; 13] = [
+    "completed",
+    "rejected_full",
+    "expired",
+    "shed",
+    "evicted",
+    "degraded",
+    "infeasible",
+    "panicked",
+    "worker_panics",
+    "batches",
+    "measured_macs",
+    "budgeted",
+    "achieved_macs",
+];
+
+/// Per-lane admission and shed counters, indexed by [`Priority::lane`].
+const ADMITTED: [&str; Priority::COUNT] = [
+    "admitted.interactive",
+    "admitted.standard",
+    "admitted.batch",
+];
+const SHED: [&str; Priority::COUNT] = ["shed.interactive", "shed.standard", "shed.batch"];
+
+/// The engine's registry with every counter and gauge registered, and
+/// the `batch_live.NN` counter names for batch sizes `0..=max_batch`.
+fn engine_registry(max_batch: usize) -> (Arc<Registry>, Arc<[String]>) {
+    let metrics = Registry::new();
+    let batch_live: Arc<[String]> = (0..=max_batch)
+        .map(|k| format!("{BATCH_LIVE}{k:02}"))
+        .collect();
+    for name in COUNTERS.iter().chain(&ADMITTED).chain(&SHED) {
+        metrics.counter_add(name, 0);
+    }
+    for name in batch_live.iter() {
+        metrics.counter_add(name, 0);
+    }
+    metrics.gauge_set("queue_depth", 0.0);
+    metrics.gauge_set("chaos_kills", 0.0);
+    (Arc::new(metrics), batch_live)
+}
+
 /// Fails every swept-out expired ticket with a typed
 /// [`ServeError::DeadlineExceeded`] and accounts for them. Shared by
 /// admission (sweeps during push) and the worker loop (sweeps during
 /// pop), so expired requests get their terminal response from whichever
 /// thread discovered them — never stranded behind a blocked worker.
-fn fail_expired(metrics: &Mutex<MetricsState>, label: &str, expired: Vec<Ticket>) {
+fn fail_expired(metrics: &Registry, label: &str, expired: Vec<Ticket>) {
     if expired.is_empty() {
         return;
     }
     let now = Instant::now();
-    MetricsState::lock(metrics).expired += expired.len() as u64;
+    metrics.counter_add("expired", expired.len() as u64);
     for t in expired {
         let waited = now.saturating_duration_since(t.enqueued_at);
         if let Some(mut rec) = t.trace_record(label, waited) {
@@ -603,7 +647,7 @@ fn fail_expired(metrics: &Mutex<MetricsState>, label: &str, expired: Vec<Ticket>
 pub struct ServeHandle {
     queue: Arc<SloQueue<Ticket>>,
     mapper: Arc<BudgetMapper>,
-    metrics: Arc<Mutex<MetricsState>>,
+    metrics: Arc<Registry>,
     /// The served model's `(C, H, W)`; every admitted input has it, so
     /// coalesced batches always concatenate and convolve.
     input_chw: [usize; 3],
@@ -634,7 +678,7 @@ impl ServeHandle {
     /// admission.
     pub fn submit(&self, req: InferRequest) -> Result<PendingResponse, ServeError> {
         let mut plan = self.mapper.plan(req.budget).map_err(|e| {
-            MetricsState::lock(&self.metrics).infeasible += 1;
+            self.metrics.counter_add("infeasible", 1);
             ServeError::from(e)
         })?;
         let input = normalize_input(req.input, self.input_chw)?;
@@ -652,11 +696,8 @@ impl ServeHandle {
                 }
             }
             ShedDecision::Shed => {
-                {
-                    let mut m = MetricsState::lock(&self.metrics);
-                    m.shed += 1;
-                    m.shed_by_lane[req.priority.lane()] += 1;
-                }
+                self.metrics.counter_add("shed", 1);
+                self.metrics.counter_add(SHED[req.priority.lane()], 1);
                 if antidote_obs::enabled() {
                     antidote_obs::counter_add("serve.shed", 1);
                 }
@@ -690,15 +731,12 @@ impl ServeHandle {
         fail_expired(&self.metrics, &self.label, push.expired);
         match push.result {
             Ok(victim) => {
-                {
-                    let mut m = MetricsState::lock(&self.metrics);
-                    m.admitted_by_lane[req.priority.lane()] += 1;
-                    if degraded {
-                        m.degraded += 1;
-                    }
-                    if victim.is_some() {
-                        m.evicted += 1;
-                    }
+                self.metrics.counter_add(ADMITTED[req.priority.lane()], 1);
+                if degraded {
+                    self.metrics.counter_add("degraded", 1);
+                }
+                if victim.is_some() {
+                    self.metrics.counter_add("evicted", 1);
                 }
                 if let Some(v) = victim {
                     // Displaced by a higher-priority arrival at a full
@@ -718,7 +756,7 @@ impl ServeHandle {
                 Ok(PendingResponse { rx })
             }
             Err(PushError::Full(_)) => {
-                MetricsState::lock(&self.metrics).rejected_full += 1;
+                self.metrics.counter_add("rejected_full", 1);
                 Err(ServeError::QueueFull {
                     capacity: self.queue.capacity(),
                 })
@@ -743,10 +781,13 @@ impl ServeHandle {
         self.queue.pressure()
     }
 
-    /// A point-in-time metrics snapshot.
+    /// A point-in-time metrics snapshot: sets the `queue_depth` and
+    /// `chaos_kills` gauges, then snapshots the engine's registry.
     pub fn metrics(&self) -> ServeMetrics {
         let chaos_kills = self.chaos.as_ref().map_or(0, |m| m.kills());
-        MetricsState::lock(&self.metrics).snapshot(self.queue.len(), chaos_kills)
+        self.metrics.gauge_set("queue_depth", self.queue.len() as f64);
+        self.metrics.gauge_set("chaos_kills", chaos_kills as f64);
+        ServeMetrics::from_snapshot(self.metrics.snapshot())
     }
 }
 
@@ -812,7 +853,7 @@ impl ServeEngine {
             cfg.base_schedule.clone(),
         ));
         let queue = Arc::new(SloQueue::new(cfg.queue_capacity, Priority::COUNT));
-        let metrics = Arc::new(Mutex::new(MetricsState::new(cfg.max_batch)));
+        let (metrics, batch_live) = engine_registry(cfg.max_batch);
         let label: Arc<str> = Arc::from(cfg.label.as_str());
         let monkey = cfg
             .chaos
@@ -827,6 +868,7 @@ impl ServeEngine {
             .map(|(id, replica)| {
                 let queue = Arc::clone(&queue);
                 let metrics = Arc::clone(&metrics);
+                let batch_live = Arc::clone(&batch_live);
                 let mapper = Arc::clone(&mapper);
                 let factory = Arc::clone(&factory);
                 let monkey = monkey.clone();
@@ -837,8 +879,8 @@ impl ServeEngine {
                     .name(format!("antidote-serve-{id}"))
                     .spawn(move || {
                         worker_loop(
-                            id, replica, factory, queue, metrics, mapper, monkey, label,
-                            max_batch, max_wait,
+                            id, replica, factory, queue, metrics, batch_live, mapper, monkey,
+                            label, max_batch, max_wait,
                         )
                     })
                     .expect("failed to spawn serve worker")
@@ -903,7 +945,8 @@ fn worker_loop(
     mut model: Box<dyn Network>,
     factory: ModelFactory,
     queue: Arc<SloQueue<Ticket>>,
-    metrics: Arc<Mutex<MetricsState>>,
+    metrics: Arc<Registry>,
+    batch_live: Arc<[String]>,
     mapper: Arc<BudgetMapper>,
     monkey: Option<Arc<ChaosMonkey>>,
     label: Arc<str>,
@@ -942,11 +985,13 @@ fn worker_loop(
         let launched_at = Instant::now();
         let (live, expired): (Vec<Ticket>, Vec<Ticket>) =
             batch.into_iter().partition(|t| t.deadline >= launched_at);
-        let batch_id = {
-            let mut m = MetricsState::lock(&metrics);
-            m.expired += expired.len() as u64;
-            m.record_batch(live.len())
-        };
+        // The running batch count is the batch id: 1-based and unique
+        // across workers.
+        metrics.counter_add("expired", expired.len() as u64);
+        let batch_id = metrics.counter_add("batches", 1);
+        if let Some(name) = batch_live.get(live.len()) {
+            metrics.counter_add(name, 1);
+        }
         if antidote_obs::enabled() {
             // Queue depth at batch launch plus per-worker live-batch-size
             // histogram; together with the per-worker busy span below
@@ -1036,14 +1081,32 @@ fn worker_loop(
                 let fractions = pruner.keep_fractions();
                 let now = Instant::now();
                 let n = live.len();
-                let mut m = MetricsState::lock(&metrics);
-                m.measured_macs_total += measured_macs;
+                let achieved: Vec<f64> =
+                    fractions.iter().map(|f| mapper.macs_from_fractions(f)).collect();
+                // Account the batch before any response goes out, so a
+                // client reading metrics after its response sees itself.
+                metrics.counter_add("measured_macs", measured_macs);
+                metrics.counter_add("completed", n as u64);
+                metrics.counter_add(
+                    "budgeted",
+                    live.iter().filter(|t| t.budget.is_some()).count() as u64,
+                );
+                metrics.counter_add(
+                    "achieved_macs",
+                    achieved.iter().map(|a| a.round() as u64).sum(),
+                );
+                let ms = |since: Instant, t: &Ticket| {
+                    since.duration_since(t.enqueued_at).as_secs_f64() * 1e3
+                };
+                for t in &live {
+                    metrics.hist_record("latency_ms", ms(now, t));
+                    metrics.hist_record("queue_wait_ms", ms(launched_at, t));
+                }
                 for (i, t) in live.into_iter().enumerate() {
                     let item = logits.batch_item(i);
-                    let achieved = mapper.macs_from_fractions(&fractions[i]);
+                    let achieved = achieved[i];
                     let latency = now.duration_since(t.enqueued_at);
                     let queue_wait = launched_at.duration_since(t.enqueued_at);
-                    m.record_completion(latency, queue_wait, achieved, t.budget);
                     if let Some(mut rec) = t.trace_record(&label, queue_wait) {
                         rec.achieved_macs = achieved;
                         rec.total_ns = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
@@ -1071,11 +1134,8 @@ fn worker_loop(
                 }
             }
             Err(_) => {
-                {
-                    let mut m = MetricsState::lock(&metrics);
-                    m.worker_panics += 1;
-                    m.panicked += live.len() as u64;
-                }
+                metrics.counter_add("worker_panics", 1);
+                metrics.counter_add("panicked", live.len() as u64);
                 let now = Instant::now();
                 for t in live {
                     let waited = now.saturating_duration_since(t.enqueued_at);

@@ -28,10 +28,13 @@
 //!    ([`antidote_core::DynamicPruner::per_item`]). Panics are contained per batch and
 //!    replicas rebuilt; [`chaos::ChaosMonkey`] can inject such kills on
 //!    a schedule to keep that path continuously exercised.
-//! 5. **Observability** ([`metrics::ServeMetrics`]): throughput,
-//!    latency/queue-wait percentiles, rotating 60×1s traffic windows,
-//!    batch-size histogram, shed and degrade rates, achieved FLOPs vs
-//!    budget — serializable to JSON. Traced requests
+//! 5. **Observability**: each engine records into its own
+//!    [`antidote_obs::Registry`] — outcome counters, per-lane and
+//!    per-batch-size counters, achieved and measured MACs, and the
+//!    `latency_ms` / `queue_wait_ms` histograms with their 60s windows.
+//!    [`metrics::ServeMetrics`] is a read-only view of one snapshot of
+//!    it (counts, queue depth, batch histogram, shed and degrade rates);
+//!    the HTTP front-end renders the same snapshot. Traced requests
 //!    ([`InferRequest::with_trace`], or engine-minted ids while
 //!    observability is on) additionally leave complete per-request
 //!    records — queue wait, admission decision, batch id/occupancy,
@@ -90,6 +93,6 @@ pub use engine::{
     Fault, InferRequest, InferResponse, ModelFactory, PendingResponse, QuantMode, ServeConfig,
     ServeConfigError, ServeEngine, ServeError, ServeHandle,
 };
-pub use metrics::{LatencySummary, ServeMetrics, WindowMetrics};
+pub use metrics::ServeMetrics;
 pub use queue::{Scheduled, SloQueue};
 pub use shed::{Priority, ShedConfig, ShedDecision};

@@ -14,6 +14,8 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # ...and run its own unit tests, among them the check that BENCHMARK.json
 # at the root is the package's metric table.
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+# The quickstart example asserts that dynamic pruning cuts measured MACs.
+cargo run --release --example quickstart
 # The suite must pass at the exact sequential fallback AND at a fixed
 # multi-thread budget (results are bit-identical by design; the parity
 # property tests enforce it, these two runs make sure nothing is
