@@ -735,10 +735,8 @@ impl ServeHandle {
                 if degraded {
                     self.metrics.counter_add("degraded", 1);
                 }
-                if victim.is_some() {
-                    self.metrics.counter_add("evicted", 1);
-                }
                 if let Some(v) = victim {
+                    self.metrics.counter_add("evicted", 1);
                     // Displaced by a higher-priority arrival at a full
                     // queue: a typed overload rejection, not a silent drop.
                     let waited = now.saturating_duration_since(v.enqueued_at);
