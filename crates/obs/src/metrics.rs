@@ -45,6 +45,7 @@ struct GaugeCell {
     window: GaugeWindow,
 }
 
+/// One histogram; it exists only once a sample was recorded into it.
 #[derive(Debug)]
 struct Histogram {
     count: u64,
@@ -109,13 +110,12 @@ impl Histogram {
             })
             .collect();
         let (w_p50, w_p95, w_p99) = self.window.percentiles_at(tick, WINDOW_BUCKETS);
-        let seen = self.count > 0;
         HistSnapshot {
             name: name.to_string(),
             count: self.count,
             sum: self.sum,
-            min: if seen { self.min } else { 0.0 },
-            max: if seen { self.max } else { 0.0 },
+            min: self.min,
+            max: self.max,
             buckets,
             p50: percentile(&sorted, 50.0),
             p95: percentile(&sorted, 95.0),
@@ -341,9 +341,9 @@ pub struct HistSnapshot {
     pub count: u64,
     /// Sum of every sample ever recorded (Prometheus `_sum`).
     pub sum: f64,
-    /// Smallest sample ever recorded (0 when empty).
+    /// Smallest sample ever recorded.
     pub min: f64,
-    /// Largest sample ever recorded (0 when empty).
+    /// Largest sample ever recorded.
     pub max: f64,
     /// Lifetime cumulative counts at each [`crate::prom::HIST_LE`]
     /// bound (Prometheus `_bucket`); samples above the top bound count

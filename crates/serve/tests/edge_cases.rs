@@ -164,6 +164,10 @@ fn full_queue_rejects_with_backpressure() {
     assert_eq!(metrics.rejected_full, 1);
     assert_eq!(metrics.shed, 1);
     assert_eq!(metrics.completed, 3);
+    // The engine registry counts the shed per lane.
+    let shed = ["shed.interactive", "shed.standard", "shed.batch"]
+        .map(|name| metrics.snapshot.counter(name));
+    assert_eq!(shed, [Some(0), Some(1), Some(0)]);
 }
 
 #[test]

@@ -88,6 +88,10 @@ fn queue_pressure_degrades_requests_before_shedding() {
     assert_eq!(metrics.completed, 7);
     assert!(metrics.degrade_rate() > 0.0);
     assert_eq!(metrics.shed_rate(), 0.0);
+    // One latency sample per completion; the stalled request is the max.
+    let latency = metrics.snapshot.hist("latency_ms").expect("engine latency histogram");
+    assert_eq!(latency.count, 7);
+    assert!(latency.max >= 150.0 && latency.mean() < latency.max, "{latency:?}");
 }
 
 #[test]
@@ -161,6 +165,10 @@ fn interactive_arrivals_displace_batch_work_at_full_queue() {
     assert_eq!(metrics.evicted, 1);
     assert_eq!(metrics.rejected_full, 0);
     assert_eq!(metrics.completed, 5);
+    // The engine registry counts admissions per lane.
+    let admitted = ["admitted.interactive", "admitted.standard", "admitted.batch"]
+        .map(|name| metrics.snapshot.counter(name));
+    assert_eq!(admitted, [Some(1), Some(1), Some(4)]);
     assert_eq!(
         metrics.resolved(),
         6,
