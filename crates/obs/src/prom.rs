@@ -198,7 +198,12 @@ impl PromDoc {
 /// - spans as `{prefix}{name}_seconds_total` / `{prefix}{name}_calls_total`;
 /// - histograms as lifetime cumulative-bucket histograms plus a
 ///   `{prefix}{name}_60s` summary (windowed quantiles).
-pub fn render_snapshot(doc: &mut PromDoc, snap: &Snapshot, prefix: &str, labels: &[(&str, &str)]) {
+pub fn render_snapshot(
+    doc: &mut PromDoc,
+    snap: &Snapshot,
+    prefix: &str,
+    labels: &[(&str, &str)],
+) {
     let with = |extra: (&'static str, &'static str)| -> Vec<(&str, &str)> {
         labels.iter().copied().chain(std::iter::once(extra)).collect()
     };
@@ -284,8 +289,9 @@ mod tests {
     /// `(series, value)` of every `{name}_bucket` and `{name}_count`
     /// line of an exposition.
     fn series<'a>(text: &'a str, name: &str) -> Vec<(&'a str, f64)> {
+        let (bucket, count) = (format!("{name}_bucket"), format!("{name}_count"));
         text.lines()
-            .filter(|l| l.starts_with(&format!("{name}_bucket")) || l.starts_with(&format!("{name}_count")))
+            .filter(|l| l.starts_with(&bucket) || l.starts_with(&count))
             .map(|l| {
                 let (series, v) = l.rsplit_once(' ').unwrap();
                 (series, v.parse().unwrap())

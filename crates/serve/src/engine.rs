@@ -698,9 +698,6 @@ impl ServeHandle {
             ShedDecision::Shed => {
                 self.metrics.counter_add("shed", 1);
                 self.metrics.counter_add(SHED[req.priority.lane()], 1);
-                if antidote_obs::enabled() {
-                    antidote_obs::counter_add("serve.shed", 1);
-                }
                 return Err(ServeError::Overloaded {
                     pressure,
                     priority: req.priority,
