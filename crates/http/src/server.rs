@@ -162,7 +162,7 @@ fn count_status(metrics: &Registry, status: u16) {
 struct Shared {
     registry: Arc<ModelRegistry>,
     limiter: RateLimiter,
-    metrics: Arc<Registry>,
+    metrics: Registry,
     config: HttpConfig,
     draining: AtomicBool,
     conns: Mutex<VecDeque<TcpStream>>,
@@ -198,7 +198,7 @@ impl HttpServer {
     pub fn start(config: HttpConfig, registry: ModelRegistry) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        let metrics = Arc::new(Registry::new());
+        let metrics = Registry::new();
         for name in HTTP_COUNTERS {
             metrics.counter_add(name, 0);
         }
