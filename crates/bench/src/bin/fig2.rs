@@ -30,6 +30,7 @@ fn print_curves(title: &str, curves: &[SweepCurve]) {
 }
 
 fn main() {
+    antidote_obs::init_from_env();
     let scale = Scale::from_env();
     println!("== AntiDote reproduction: Fig. 2 (criterion comparison, scale {scale:?}) ==\n");
     let ratios: Vec<f64> = (0..=9).map(|i| i as f64 / 10.0).collect();

@@ -13,6 +13,7 @@ use antidote_core::trainer::{train, TrainConfig};
 use antidote_models::NoopHook;
 
 fn main() {
+    antidote_obs::init_from_env();
     let scale = Scale::from_env();
     println!("== AntiDote reproduction: Fig. 3 (block sensitivity, scale {scale:?}) ==\n");
     let ratios: Vec<f64> = vec![0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9];

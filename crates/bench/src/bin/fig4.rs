@@ -17,6 +17,7 @@ use antidote_core::{DynamicPruner, PruneSchedule};
 use antidote_models::NoopHook;
 
 fn main() {
+    antidote_obs::init_from_env();
     let scale = Scale::from_env();
     println!("== AntiDote reproduction: Fig. 4 (redundancy composition, scale {scale:?}) ==\n");
     let mut report = ExperimentReport::new("fig4");

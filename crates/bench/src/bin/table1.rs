@@ -19,6 +19,7 @@ use antidote_core::settings::{proposed_settings, Workload};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn main() {
+    antidote_obs::init_from_env();
     let scale = Scale::from_env();
     println!("== AntiDote reproduction: Table I (scale {scale:?}) ==\n");
     println!(

@@ -30,9 +30,10 @@
 //!   request tracing (`x-antidote-trace` in/out), and graceful drain
 //!   (finish everything accepted, then drain the engines).
 //!
-//! Every knob is an `ANTIDOTE_HTTP_*` environment variable following
-//! the repo's warn-and-ignore convention; see [`HttpConfig`]. DESIGN.md
-//! §13 documents the architecture and the full error mapping.
+//! Configuration is typed: the embedding program builds an
+//! [`HttpConfig`] and one [`antidote_serve::ServeConfig`] per model
+//! (the crate reads no environment). DESIGN.md §13 documents the
+//! architecture and the full error mapping.
 //!
 //! # Quickstart
 //!
@@ -44,21 +45,26 @@
 //!
 //! let mut specs = vec![ModelSpec {
 //!     name: "vgg-tiny-fp32".into(),
-//!     config: ServeConfig::from_env(),
+//!     config: ServeConfig { workers: 4, ..ServeConfig::default() },
 //!     factory: Arc::new(|_| {
 //!         let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(7);
 //!         Box::new(Vgg::new(&mut rng, VggConfig::vgg_tiny(32, 4)))
 //!     }),
 //!     source: ModelSource::Built,
 //! }];
-//! // Cold-start any `.adm` artifacts under `ANTIDOTE_HTTP_MODEL_DIR`.
-//! specs.extend(ModelRegistry::specs_from_env().expect("model dir"));
+//! // Cold-start every `.adm` artifact in `models/`, tuning each engine
+//! // before it starts.
+//! for mut spec in ModelRegistry::specs_from_dir("models").expect("model dir") {
+//!     spec.config.max_batch = 16;
+//!     specs.push(spec);
+//! }
 //! let registry = ModelRegistry::start(specs).expect("registry");
-//! let server = HttpServer::start(HttpConfig::from_env(), registry).expect("bind");
+//! let config = HttpConfig { addr: "127.0.0.1:8080".into(), ..HttpConfig::default() };
+//! let server = HttpServer::start(config, registry).expect("bind");
 //! println!("listening on {}", server.local_addr());
 //! // ... serve traffic ...
 //! let final_metrics = server.shutdown();
-//! assert_eq!(final_metrics.len(), 1);
+//! println!("drained {} engines", final_metrics.len());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -73,7 +79,5 @@ pub mod server;
 
 pub use api::{serve_error_body, serve_error_status, ErrorBody, InferApiRequest, InferApiResponse};
 pub use ratelimit::{RateConfig, RateLimiter};
-pub use registry::{
-    ModelEntry, ModelRegistry, ModelSource, ModelSpec, RegistryError, MODEL_DIR_ENV,
-};
+pub use registry::{ModelEntry, ModelRegistry, ModelSource, ModelSpec, RegistryError};
 pub use server::{HttpConfig, HttpServer};

@@ -8,8 +8,7 @@
 //! next token, which the server surfaces as `429` with a `Retry-After`
 //! header.
 //!
-//! Knobs: `ANTIDOTE_HTTP_RPS` / `ANTIDOTE_HTTP_BURST` (see
-//! [`crate::HttpConfig`]).
+//! The rate and burst are set through [`crate::HttpConfig::rate`].
 
 use std::collections::HashMap;
 use std::net::IpAddr;
@@ -36,7 +35,7 @@ impl Default for RateConfig {
 }
 
 impl RateConfig {
-    /// `true` when both knobs are usable (finite, positive).
+    /// `true` when both fields are usable (finite, positive).
     pub fn is_valid(&self) -> bool {
         self.rps.is_finite() && self.rps > 0.0 && self.burst.is_finite() && self.burst >= 1.0
     }

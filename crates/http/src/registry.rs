@@ -16,10 +16,6 @@ use antidote_serve::{
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Environment knob naming a directory of `.adm` artifacts to register
-/// at startup (see [`ModelRegistry::specs_from_env`]).
-pub const MODEL_DIR_ENV: &str = "ANTIDOTE_HTTP_MODEL_DIR";
-
 /// Where a registered variant's replicas come from. Surfaces in the
 /// `model_not_found` 404 body and the `http.model_registered` event so
 /// operators can tell a baked-in model from one cold-started off disk.
@@ -280,11 +276,12 @@ impl ModelRegistry {
     /// Builds one spec per `.adm` artifact in `dir`, sorted by file
     /// name for a stable registration order. The registry name is the
     /// file stem (`models/vgg-int8.adm` registers as `vgg-int8`); the
-    /// engine config is [`ServeConfig::from_env`] with `quant` forced
-    /// to the artifact's dtype so metrics and traces report the true
-    /// numeric domain. Each artifact is fully validated (checksums and
-    /// all) at this point — a corrupt file refuses to register instead
-    /// of serving garbled weights.
+    /// engine config is [`ServeConfig::default`] with `quant` set to
+    /// the artifact's dtype so metrics and traces report the true
+    /// numeric domain; callers tune `spec.config` before
+    /// [`ModelRegistry::start`]. Each artifact is fully validated
+    /// (checksums and all) at this point — a corrupt file refuses to
+    /// register instead of serving garbled weights.
     ///
     /// # Errors
     ///
@@ -314,11 +311,11 @@ impl ModelRegistry {
                 .and_then(|s| s.to_str())
                 .unwrap_or("model")
                 .to_string();
-            let mut config = ServeConfig::from_env();
-            config.quant = match artifact.dtype() {
+            let quant = match artifact.dtype() {
                 ModelDtype::F32 => QuantMode::Off,
                 ModelDtype::Int8 => QuantMode::Int8,
             };
+            let config = ServeConfig { quant, ..ServeConfig::default() };
             let weight_bytes = artifact.weight_bytes();
             let factory: ModelFactory = Arc::new(move |_worker| artifact.build_network());
             specs.push(ModelSpec {
@@ -329,23 +326,6 @@ impl ModelRegistry {
             });
         }
         Ok(specs)
-    }
-
-    /// Specs from the directory named by `ANTIDOTE_HTTP_MODEL_DIR`
-    /// ([`MODEL_DIR_ENV`]), or an empty list when the knob is unset or
-    /// empty — front-ends call this unconditionally and append the
-    /// result to their built-in specs.
-    ///
-    /// # Errors
-    ///
-    /// [`RegistryError::Artifact`] as for
-    /// [`ModelRegistry::specs_from_dir`]; a *set* knob pointing at a
-    /// bad directory is a startup error, not a warn-and-ignore.
-    pub fn specs_from_env() -> Result<Vec<ModelSpec>, RegistryError> {
-        match std::env::var(MODEL_DIR_ENV) {
-            Ok(dir) if !dir.is_empty() => Self::specs_from_dir(dir),
-            _ => Ok(Vec::new()),
-        }
     }
 
     /// All entries, registration order.

@@ -37,28 +37,24 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Server configuration, every field backed by an `ANTIDOTE_HTTP_*`
-/// knob following the repo-wide warn-and-ignore convention.
+/// Server configuration: a typed value the embedding program builds
+/// (the library reads no environment).
 #[derive(Debug, Clone)]
 pub struct HttpConfig {
-    /// Bind address (`ANTIDOTE_HTTP_ADDR`). Port `0` picks a free port;
-    /// read the result back from [`HttpServer::local_addr`].
+    /// Bind address. Port `0` picks a free port; read the result back
+    /// from [`HttpServer::local_addr`].
     pub addr: String,
-    /// Dedicated connection-worker threads
-    /// (`ANTIDOTE_HTTP_CONN_WORKERS`).
+    /// Dedicated connection-worker threads.
     pub conn_workers: usize,
-    /// Request body byte cap (`ANTIDOTE_HTTP_MAX_BODY`) → `413` beyond.
+    /// Request body byte cap → `413` beyond.
     pub max_body: usize,
-    /// Absolute per-request read deadline
-    /// (`ANTIDOTE_HTTP_READ_TIMEOUT_MS`): a request must arrive in full
+    /// Absolute per-request read deadline: a request must arrive in full
     /// within this window regardless of how slowly bytes drip → `408`.
     pub read_timeout: Duration,
     /// Requests served per connection before forcing `Connection:
-    /// close` (`ANTIDOTE_HTTP_KEEPALIVE_MAX`) — bounds how long one
-    /// client can pin a worker.
+    /// close` — bounds how long one client can pin a worker.
     pub keepalive_max: usize,
-    /// Per-client-IP token bucket (`ANTIDOTE_HTTP_RPS` /
-    /// `ANTIDOTE_HTTP_BURST`) → `429` when empty.
+    /// Per-client-IP token bucket → `429` when empty.
     pub rate: RateConfig,
 }
 
@@ -75,62 +71,6 @@ impl Default for HttpConfig {
             keepalive_max: 256,
             rate: RateConfig::default(),
         }
-    }
-}
-
-impl HttpConfig {
-    /// Defaults with the `ANTIDOTE_HTTP_*` environment overrides
-    /// applied (see [`HttpConfig::with_env_overrides`]).
-    pub fn from_env() -> Self {
-        Self::default().with_env_overrides()
-    }
-
-    /// Applies the `ANTIDOTE_HTTP_*` environment overrides on top of
-    /// `self`:
-    ///
-    /// - `ANTIDOTE_HTTP_ADDR` — bind address;
-    /// - `ANTIDOTE_HTTP_CONN_WORKERS` — connection worker threads;
-    /// - `ANTIDOTE_HTTP_MAX_BODY` — body byte cap;
-    /// - `ANTIDOTE_HTTP_READ_TIMEOUT_MS` — full-request read deadline;
-    /// - `ANTIDOTE_HTTP_KEEPALIVE_MAX` — requests per connection;
-    /// - `ANTIDOTE_HTTP_RPS` / `ANTIDOTE_HTTP_BURST` — per-client
-    ///   token bucket.
-    ///
-    /// Unparseable or out-of-range values warn on stderr and keep the
-    /// prior value (the [`antidote_obs::env`] convention).
-    pub fn with_env_overrides(mut self) -> Self {
-        if let Ok(addr) = std::env::var("ANTIDOTE_HTTP_ADDR") {
-            self.addr = addr;
-        }
-        if let Some(v) = antidote_obs::env::positive::<u64>("ANTIDOTE_HTTP_CONN_WORKERS") {
-            self.conn_workers = v as usize;
-        }
-        if let Some(v) = antidote_obs::env::positive::<u64>("ANTIDOTE_HTTP_MAX_BODY") {
-            self.max_body = v as usize;
-        }
-        if let Some(v) = antidote_obs::env::positive::<u64>("ANTIDOTE_HTTP_READ_TIMEOUT_MS") {
-            self.read_timeout = Duration::from_millis(v);
-        }
-        if let Some(v) = antidote_obs::env::positive::<u64>("ANTIDOTE_HTTP_KEEPALIVE_MAX") {
-            self.keepalive_max = v as usize;
-        }
-        let mut rate = self.rate;
-        if let Some(v) = antidote_obs::env::positive::<f64>("ANTIDOTE_HTTP_RPS") {
-            rate.rps = v;
-        }
-        if let Some(v) = antidote_obs::env::positive::<f64>("ANTIDOTE_HTTP_BURST") {
-            rate.burst = v;
-        }
-        if rate.is_valid() {
-            self.rate = rate;
-        } else {
-            antidote_obs::env::warn_ignored(
-                "ANTIDOTE_HTTP_RPS/ANTIDOTE_HTTP_BURST",
-                &format!("rps={} burst={}", rate.rps, rate.burst),
-                "rate limit must have rps > 0 and burst >= 1",
-            );
-        }
-        self
     }
 }
 
@@ -194,8 +134,15 @@ impl HttpServer {
     ///
     /// # Errors
     ///
-    /// [`std::io::Error`] if the address cannot be bound.
+    /// [`std::io::Error`] if the address cannot be bound, or of kind
+    /// `InvalidInput` if `config.rate` fails [`RateConfig::is_valid`].
     pub fn start(config: HttpConfig, registry: ModelRegistry) -> std::io::Result<Self> {
+        if !config.rate.is_valid() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("rate limit needs rps > 0 and burst >= 1, got {:?}", config.rate),
+            ));
+        }
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let metrics = Registry::new();

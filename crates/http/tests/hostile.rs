@@ -19,18 +19,21 @@ use std::time::Duration;
 
 const IMAGE_SIZE: usize = 16;
 
-fn start_server() -> HttpServer {
+fn registry() -> ModelRegistry {
     let factory: ModelFactory = Arc::new(|_| {
         let mut rng = SmallRng::seed_from_u64(3);
         Box::new(Vgg::new(&mut rng, VggConfig::vgg_tiny(IMAGE_SIZE, 4)))
     });
-    let registry = ModelRegistry::start(vec![ModelSpec {
+    ModelRegistry::start(vec![ModelSpec {
         name: "only".to_string(),
         config: ServeConfig { workers: 1, ..ServeConfig::default() },
         factory,
         source: ModelSource::Built,
     }])
-    .expect("registry");
+    .expect("registry")
+}
+
+fn start_server() -> HttpServer {
     let config = HttpConfig {
         // Short read deadline so the slow-loris test concludes quickly;
         // small body cap so the oversize test needs little traffic.
@@ -40,7 +43,7 @@ fn start_server() -> HttpServer {
         conn_workers: 2,
         ..HttpConfig::default()
     };
-    HttpServer::start(config, registry).expect("bind")
+    HttpServer::start(config, registry()).expect("bind")
 }
 
 fn valid_body() -> String {
@@ -272,4 +275,13 @@ fn unsupported_routes_and_framing_are_typed() {
     assert_eq!(error_kind(&body), "malformed_request");
     assert_still_serving(addr);
     server.shutdown();
+}
+
+#[test]
+fn invalid_rate_limit_refuses_to_start() {
+    for rate in [RateConfig { rps: 0.0, burst: 1.0 }, RateConfig { rps: 1.0, burst: 0.5 }] {
+        let config = HttpConfig { rate, ..HttpConfig::default() };
+        let err = HttpServer::start(config, registry()).expect_err("invalid rate limit");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    }
 }

@@ -1,14 +1,10 @@
-//! `ANTIDOTE_HTTP_MODEL_DIR` end to end: `.adm` artifacts on disk →
-//! `specs_from_env` → live server → infer over a real socket, with the
+//! A model directory end to end: `.adm` artifacts on disk →
+//! `specs_from_dir` → live server → infer over a real socket, with the
 //! detailed 404 body naming dtype and file source.
-//!
-//! This file holds exactly one test on purpose: it mutates the real
-//! `ANTIDOTE_HTTP_MODEL_DIR` variable, and a dedicated integration-test
-//! binary is the only place that mutation cannot race other tests.
 
 use antidote_core::checkpoint::Checkpoint;
 use antidote_core::quant::CalibrationMethod;
-use antidote_http::{HttpConfig, HttpServer, ModelRegistry, MODEL_DIR_ENV};
+use antidote_http::{HttpConfig, HttpServer, ModelRegistry};
 use antidote_modelfile::ModelArtifact;
 use antidote_models::{Vgg, VggConfig};
 use rand::rngs::SmallRng;
@@ -46,11 +42,7 @@ fn post(addr: std::net::SocketAddr, body: &str) -> (u16, String) {
 }
 
 #[test]
-fn model_dir_env_cold_starts_and_serves_over_sockets() {
-    // Unset, the knob contributes nothing.
-    std::env::remove_var(MODEL_DIR_ENV);
-    assert!(ModelRegistry::specs_from_env().unwrap().is_empty());
-
+fn model_dir_cold_starts_and_serves_over_sockets() {
     // Publish fp32 + int8 artifacts the way `convert` would.
     let dir = std::env::temp_dir().join(format!("adm_http_e2e_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -64,10 +56,9 @@ fn model_dir_env_cold_starts_and_serves_over_sockets() {
     let (fp32_bytes, int8_bytes) = (fp32.weight_bytes(), int8.weight_bytes());
     assert!(int8_bytes < fp32_bytes);
 
-    std::env::set_var(MODEL_DIR_ENV, &dir);
     antidote_obs::set_enabled(true);
     let _ = antidote_obs::drain_events();
-    let specs = ModelRegistry::specs_from_env().unwrap();
+    let specs = ModelRegistry::specs_from_dir(&dir).unwrap();
     assert_eq!(specs.len(), 2, "one spec per .adm file");
     let registry = ModelRegistry::start(specs).unwrap();
 
@@ -116,6 +107,5 @@ fn model_dir_env_cold_starts_and_serves_over_sockets() {
     assert!(body.contains("tiny-int8 (int8, file:"), "404 lacks int8 source: {body}");
 
     server.shutdown();
-    std::env::remove_var(MODEL_DIR_ENV);
     let _ = std::fs::remove_dir_all(dir);
 }

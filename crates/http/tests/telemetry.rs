@@ -369,6 +369,18 @@ fn prometheus_exposition_stays_valid_under_concurrent_load() {
         assert!(families.contains_key(&counter), "{rate} windows no counter");
     }
     assert!(rates.contains(&"antidote_serve_completed_rate"), "{text}");
+    // The engine records its queue depth, chaos kills and live batch
+    // sizes in its own registry only: the global obs registry holds no
+    // twin of them.
+    let twins: Vec<&String> = families
+        .keys()
+        .filter(|n| {
+            n.starts_with("antidote_obs_serve_queue_depth")
+                || n.starts_with("antidote_obs_serve_chaos_kills_total")
+                || (n.starts_with("antidote_obs_serve_worker") && n.contains("_batch_live"))
+        })
+        .collect();
+    assert!(twins.is_empty(), "global twins of engine metrics: {twins:?}");
 
     // The engine's traffic showed up.
     assert_eq!(families.get("antidote_http_requests_total").map(String::as_str), Some("counter"));

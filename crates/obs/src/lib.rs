@@ -74,7 +74,7 @@ pub use metrics::{
     CounterRates, GaugeRange, HistSnapshot, Registry, Snapshot, SpanSnapshot,
 };
 pub use recorder::{
-    clear_recorder, record_trace, recorder_counts, recorder_dump_events, set_recorder_caps,
+    clear_recorder, record_trace, recorder_counts, recorder_dump_events,
     traces_json, TraceRecord, TraceSpanRec, DEFAULT_ERROR_CAP, DEFAULT_SLOW_CAP,
 };
 pub use span::{layer_span, span, SpanGuard, SpanStat};
@@ -100,18 +100,15 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Applies the `ANTIDOTE_OBS`, `ANTIDOTE_TRACE`, `ANTIDOTE_LOG`, and
-/// `ANTIDOTE_OBS_RECORDER_*` environment knobs (idempotent; subsequent
-/// calls are no-ops).
+/// Applies the `ANTIDOTE_OBS`, `ANTIDOTE_TRACE` and `ANTIDOTE_LOG`
+/// environment knobs (idempotent; subsequent calls are no-ops). Every
+/// binary calls it first in `main`.
 ///
 /// - `ANTIDOTE_OBS=1|true|on` enables collection ([`set_enabled`]);
 /// - `ANTIDOTE_TRACE=path` mirrors events to a JSONL file
 ///   ([`set_trace_path`]), warn-and-ignore if the file cannot be opened;
 /// - `ANTIDOTE_LOG=off|warn|info|debug` sets the console sink threshold
-///   (default `warn`), warn-and-ignore on anything else;
-/// - `ANTIDOTE_OBS_RECORDER_SLOW` / `ANTIDOTE_OBS_RECORDER_ERRORS`
-///   (positive integers) size the flight recorder's slowest-N and
-///   errored retention ([`set_recorder_caps`]).
+///   (default `warn`), warn-and-ignore on anything else.
 ///
 /// It also sweeps the environment once for *unrecognized* `ANTIDOTE_*`
 /// variables ([`env::warn_unknown`]) so a typo'd knob warns instead of
@@ -134,14 +131,6 @@ pub fn init_from_env() {
                 "debug" => set_console_level(Some(Level::Debug)),
                 _ => event::warn_ignored_env("ANTIDOTE_LOG", &raw, "must be off|warn|info|debug"),
             }
-        }
-        let slow = env::positive::<usize>("ANTIDOTE_OBS_RECORDER_SLOW");
-        let errors = env::positive::<usize>("ANTIDOTE_OBS_RECORDER_ERRORS");
-        if slow.is_some() || errors.is_some() {
-            set_recorder_caps(
-                slow.unwrap_or(DEFAULT_SLOW_CAP),
-                errors.unwrap_or(DEFAULT_ERROR_CAP),
-            );
         }
     });
 }

@@ -8,9 +8,9 @@
 //! [`record_trace`]. Retention is two independent bounded sets:
 //!
 //! - **slow**: the N highest-`total_ns` records with `outcome == "ok"`
-//!   (cap `ANTIDOTE_OBS_RECORDER_SLOW`, default 16);
+//!   (cap [`DEFAULT_SLOW_CAP`], 16);
 //! - **errored**: the most recent records with any other outcome
-//!   (ring semantics, cap `ANTIDOTE_OBS_RECORDER_ERRORS`, default 64).
+//!   (ring semantics, cap [`DEFAULT_ERROR_CAP`], 64).
 //!
 //! [`traces_json`] renders both sets for `GET /debug/traces`;
 //! [`recorder_dump_events`] flushes summaries into the JSONL event ring
@@ -22,9 +22,9 @@ use crate::json;
 use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
 
-/// Default cap for the slowest-N set.
+/// Cap of the slowest-N set.
 pub const DEFAULT_SLOW_CAP: usize = 16;
-/// Default cap for the errored ring.
+/// Cap of the errored ring.
 pub const DEFAULT_ERROR_CAP: usize = 64;
 
 /// One span inside a [`TraceRecord`], in nanoseconds relative to the
@@ -176,7 +176,7 @@ impl TraceRecord {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct RecorderState {
     /// Highest-latency successful records, sorted descending by
     /// `total_ns`.
@@ -185,43 +185,11 @@ struct RecorderState {
     errored: VecDeque<TraceRecord>,
     recorded: u64,
     evicted: u64,
-    slow_cap: usize,
-    err_cap: usize,
-}
-
-impl Default for RecorderState {
-    fn default() -> Self {
-        Self {
-            slow: Vec::new(),
-            errored: VecDeque::new(),
-            recorded: 0,
-            evicted: 0,
-            slow_cap: DEFAULT_SLOW_CAP,
-            err_cap: DEFAULT_ERROR_CAP,
-        }
-    }
 }
 
 fn state() -> &'static Mutex<RecorderState> {
     static STATE: OnceLock<Mutex<RecorderState>> = OnceLock::new();
     STATE.get_or_init(|| Mutex::new(RecorderState::default()))
-}
-
-/// Overrides the retention caps (both clamped to at least 1). Applied
-/// from `ANTIDOTE_OBS_RECORDER_SLOW` / `ANTIDOTE_OBS_RECORDER_ERRORS`
-/// by [`crate::init_from_env`].
-pub fn set_recorder_caps(slow: usize, errors: usize) {
-    let mut st = crate::metrics::lock(state());
-    st.slow_cap = slow.max(1);
-    st.err_cap = errors.max(1);
-    while st.slow.len() > st.slow_cap {
-        st.slow.pop();
-        st.evicted += 1;
-    }
-    while st.errored.len() > st.err_cap {
-        st.errored.pop_front();
-        st.evicted += 1;
-    }
 }
 
 /// Retains `rec` per the exemplar policy. A no-op while observability
@@ -233,15 +201,15 @@ pub fn record_trace(rec: TraceRecord) {
     let mut st = crate::metrics::lock(state());
     st.recorded += 1;
     if rec.is_error() {
-        if st.errored.len() == st.err_cap {
+        if st.errored.len() == DEFAULT_ERROR_CAP {
             st.errored.pop_front();
             st.evicted += 1;
         }
         st.errored.push_back(rec);
         return;
     }
-    let cap = st.slow_cap;
-    if st.slow.len() == cap && st.slow.last().is_some_and(|l| rec.total_ns <= l.total_ns) {
+    let full = st.slow.len() == DEFAULT_SLOW_CAP;
+    if full && st.slow.last().is_some_and(|l| rec.total_ns <= l.total_ns) {
         st.evicted += 1;
         return;
     }
@@ -250,7 +218,7 @@ pub fn record_trace(rec: TraceRecord) {
         .binary_search_by(|r| rec.total_ns.cmp(&r.total_ns))
         .unwrap_or_else(|p| p);
     st.slow.insert(pos, rec);
-    if st.slow.len() > cap {
+    if st.slow.len() > DEFAULT_SLOW_CAP {
         st.slow.pop();
         st.evicted += 1;
     }
@@ -282,8 +250,8 @@ pub fn traces_json() -> String {
         "{{\"recorded\":{},\"evicted\":{},\"slow_cap\":{},\"error_cap\":{},\"slow\":[{}],\"errored\":[{}]}}",
         st.recorded,
         st.evicted,
-        st.slow_cap,
-        st.err_cap,
+        DEFAULT_SLOW_CAP,
+        DEFAULT_ERROR_CAP,
         slow.join(","),
         errored.join(",")
     )
@@ -330,26 +298,33 @@ mod tests {
         let _guard = test_lock::hold();
         reset();
         clear_recorder();
-        set_recorder_caps(2, 2);
         set_enabled(true);
+        // DEFAULT_SLOW_CAP + 2 ok traces: the slowest cap stay, "aa" is
+        // pushed out and "dd" is too fast to enter.
         record_trace(rec("aa", "ok", 10));
-        record_trace(rec("bb", "ok", 30));
-        record_trace(rec("cc", "ok", 20));
+        for i in 0..DEFAULT_SLOW_CAP as u64 {
+            record_trace(rec(&format!("s{i}"), "ok", 100 + i));
+        }
         record_trace(rec("dd", "ok", 5)); // too fast: evicted
-        record_trace(rec("e1", "deadline_exceeded", 1));
-        record_trace(rec("e2", "overloaded", 1));
-        record_trace(rec("e3", "overloaded", 1)); // evicts e1
+        // DEFAULT_ERROR_CAP + 1 errored traces: the oldest, "e0", goes.
+        for i in 0..=DEFAULT_ERROR_CAP {
+            let outcome = if i == 0 { "deadline_exceeded" } else { "overloaded" };
+            record_trace(rec(&format!("e{i}"), outcome, 1));
+        }
         set_enabled(false);
         let js = traces_json();
-        assert!(js.contains("\"bb\"") && js.contains("\"cc\""), "{js}");
+        let last_slow = format!("\"s{}\"", DEFAULT_SLOW_CAP - 1);
+        assert!(js.contains("\"s0\"") && js.contains(&last_slow), "{js}");
         assert!(!js.contains("\"aa\"") && !js.contains("\"dd\""), "{js}");
-        assert!(js.contains("\"e2\"") && js.contains("\"e3\""), "{js}");
-        assert!(!js.contains("\"e1\""), "{js}");
+        let last_error = format!("\"e{DEFAULT_ERROR_CAP}\"");
+        assert!(js.contains("\"e1\"") && js.contains(&last_error), "{js}");
+        assert!(!js.contains("\"e0\""), "{js}");
+        let caps = format!("\"slow_cap\":{DEFAULT_SLOW_CAP},\"error_cap\":{DEFAULT_ERROR_CAP}");
+        assert!(js.contains(&caps), "{js}");
         let (recorded, evicted) = recorder_counts();
-        assert_eq!(recorded, 7);
+        assert_eq!(recorded as usize, DEFAULT_SLOW_CAP + 2 + DEFAULT_ERROR_CAP + 1);
         assert_eq!(evicted, 3);
         clear_recorder();
-        set_recorder_caps(DEFAULT_SLOW_CAP, DEFAULT_ERROR_CAP);
         reset();
     }
 

@@ -1,6 +1,6 @@
 //! Chaos mode: deterministic replica killing under load.
 //!
-//! When enabled (programmatically or via the `ANTIDOTE_CHAOS_*` knobs),
+//! When enabled (a [`ChaosConfig`] in [`crate::ServeConfig::chaos`]),
 //! a [`ChaosMonkey`] periodically selects a victim worker; the next
 //! batch that worker processes panics mid-flight. The engine's existing
 //! panic containment turns that into typed
@@ -8,13 +8,6 @@
 //! replica rebuild from the model factory — chaos mode exists to prove,
 //! continuously and under CI, that this recovery path holds its p99 and
 //! error-rate bounds while traffic keeps arriving.
-//!
-//! Knobs (all read through [`antidote_obs::env`], warn-and-ignore):
-//!
-//! - `ANTIDOTE_CHAOS_KILL_EVERY_MS` — kill period in milliseconds;
-//!   setting it is what enables chaos mode;
-//! - `ANTIDOTE_CHAOS_KILLS` — maximum number of kills (0 = unlimited);
-//! - `ANTIDOTE_CHAOS_SEED` — seed for the victim-selection RNG.
 //!
 //! Victim selection uses a tiny xorshift generator so the serve crate
 //! stays free of non-std dependencies and a given seed kills the same
@@ -33,19 +26,6 @@ pub struct ChaosConfig {
     pub max_kills: u64,
     /// Seed for victim selection.
     pub seed: u64,
-}
-
-impl ChaosConfig {
-    /// Reads the `ANTIDOTE_CHAOS_*` knobs. Returns `None` — chaos off —
-    /// unless `ANTIDOTE_CHAOS_KILL_EVERY_MS` is set to a positive value.
-    pub fn from_env() -> Option<Self> {
-        let ms = antidote_obs::env::positive::<u64>("ANTIDOTE_CHAOS_KILL_EVERY_MS")?;
-        Some(Self {
-            kill_every: Duration::from_millis(ms),
-            max_kills: antidote_obs::env::parse_or("ANTIDOTE_CHAOS_KILLS", 0u64),
-            seed: antidote_obs::env::parse_or("ANTIDOTE_CHAOS_SEED", 0x00C0_FFEE_u64),
-        })
-    }
 }
 
 #[derive(Debug)]
@@ -108,7 +88,6 @@ impl ChaosMonkey {
             st.kills += 1;
             st.next_kill = Instant::now() + self.cfg.kill_every;
             if antidote_obs::enabled() {
-                antidote_obs::counter_add("serve.chaos_kills", 1);
                 antidote_obs::warn_event(
                     "chaos.kill",
                     &[("worker", antidote_obs::Value::U64(worker as u64))],
@@ -179,12 +158,5 @@ mod tests {
             victims
         };
         assert_eq!(run(99), run(99));
-    }
-
-    #[test]
-    fn env_parsing_requires_period() {
-        // No ANTIDOTE_CHAOS_KILL_EVERY_MS set in the test environment:
-        // chaos stays off even if the other knobs are irrelevant.
-        assert_eq!(ChaosConfig::from_env(), None);
     }
 }

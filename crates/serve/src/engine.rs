@@ -34,7 +34,7 @@
 //! degraded to cheaper [`PruneSchedule`] scales (serve at reduced MACs
 //! rather than fail), then — above the shed watermark — low-priority
 //! requests are rejected with typed [`ServeError::Overloaded`] errors.
-//! Chaos mode ([`ChaosConfig`], `ANTIDOTE_CHAOS_*`) periodically panics
+//! Chaos mode ([`ChaosConfig`], `ServeConfig::chaos`) periodically panics
 //! a worker mid-batch to continuously exercise the panic-containment +
 //! replica-rebuild path under load.
 //!
@@ -42,7 +42,7 @@
 //! conv/GEMM kernels a worker executes fan out over the shared
 //! `antidote-par` pool (`ANTIDOTE_THREADS`, see DESIGN.md §10).
 //! Replica workers are ordinary threads — not pool tasks — so their
-//! kernels *do* use the pool; when `ANTIDOTE_SERVE_WORKERS` already
+//! kernels *do* use the pool; when `ServeConfig::workers` already
 //! saturates the machine, set `ANTIDOTE_THREADS=1` to keep the engine
 //! purely throughput-oriented, or lower the worker count and let
 //! intra-op parallelism cut per-request latency instead. Results are
@@ -87,18 +87,6 @@ pub enum QuantMode {
     Int8,
 }
 
-impl std::str::FromStr for QuantMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "off" | "fp32" => Ok(Self::Off),
-            "int8" => Ok(Self::Int8),
-            other => Err(format!("unknown quant mode `{other}`")),
-        }
-    }
-}
-
 impl std::fmt::Display for QuantMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
@@ -108,9 +96,8 @@ impl std::fmt::Display for QuantMode {
     }
 }
 
-/// Engine configuration. Environment overrides use the
-/// `ANTIDOTE_SERVE_*` knobs (see [`ServeConfig::from_env`]), consistent
-/// with the repo-wide `ANTIDOTE_*` convention.
+/// Engine configuration: a typed value the embedding program builds
+/// (the library reads no environment). [`ServeEngine::start`] validates it.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads (model replicas).
@@ -129,12 +116,10 @@ pub struct ServeConfig {
     /// The artifact's dtype, set by the registry. Informational: no
     /// factory reads it.
     pub quant: QuantMode,
-    /// Degrade-before-shed watermarks
-    /// (`ANTIDOTE_SERVE_SHED_DEGRADE_WATERMARK` /
-    /// `ANTIDOTE_SERVE_SHED_WATERMARK`).
+    /// Degrade-before-shed watermarks.
     pub shed: ShedConfig,
     /// Chaos mode: periodically panic a worker mid-batch to exercise the
-    /// recovery path (`ANTIDOTE_CHAOS_*`). `None` — the default — is off.
+    /// recovery path. `None` — the default — is off.
     pub chaos: Option<ChaosConfig>,
     /// Model route label stamped into flight-recorder trace records
     /// (`GET /debug/traces`); empty by default for engines without a
@@ -160,72 +145,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Reads overrides from the environment on top of the defaults:
-    ///
-    /// - `ANTIDOTE_SERVE_WORKERS` — worker threads;
-    /// - `ANTIDOTE_SERVE_MAX_BATCH` — batch size ceiling;
-    /// - `ANTIDOTE_SERVE_MAX_WAIT_MS` — batch window, milliseconds;
-    /// - `ANTIDOTE_SERVE_QUEUE_CAP` — queue capacity;
-    /// - `ANTIDOTE_SERVE_DEADLINE_MS` — default request deadline, ms;
-    /// - `ANTIDOTE_SERVE_SHED_DEGRADE_WATERMARK` /
-    ///   `ANTIDOTE_SERVE_SHED_WATERMARK` — degrade-before-shed pressure
-    ///   watermarks, fractions of queue capacity in `(0, 1]`;
-    /// - `ANTIDOTE_CHAOS_KILL_EVERY_MS` / `ANTIDOTE_CHAOS_KILLS` /
-    ///   `ANTIDOTE_CHAOS_SEED` — chaos mode (see
-    ///   [`ChaosConfig::from_env`]).
-    ///
-    /// Unparseable or zero values are ignored with a warning on stderr,
-    /// keeping the defaults (the shared warn-and-ignore convention of
-    /// [`antidote_obs::env`]).
-    pub fn from_env() -> Self {
-        Self::default().with_env_overrides()
-    }
-
-    /// Applies the `ANTIDOTE_SERVE_*` environment overrides (see
-    /// [`ServeConfig::from_env`]) on top of `self`, so binaries can set
-    /// their own defaults while staying operator-tunable.
-    pub fn with_env_overrides(mut self) -> Self {
-        let positive = antidote_obs::env::positive::<u64>;
-        if let Some(v) = positive("ANTIDOTE_SERVE_WORKERS") {
-            self.workers = v as usize;
-        }
-        if let Some(v) = positive("ANTIDOTE_SERVE_MAX_BATCH") {
-            self.max_batch = v as usize;
-        }
-        if let Some(v) = positive("ANTIDOTE_SERVE_MAX_WAIT_MS") {
-            self.max_wait = Duration::from_millis(v);
-        }
-        if let Some(v) = positive("ANTIDOTE_SERVE_QUEUE_CAP") {
-            self.queue_capacity = v as usize;
-        }
-        if let Some(v) = positive("ANTIDOTE_SERVE_DEADLINE_MS") {
-            self.default_deadline = Duration::from_millis(v);
-        }
-        for (key, slot) in [
-            (
-                "ANTIDOTE_SERVE_SHED_DEGRADE_WATERMARK",
-                &mut self.shed.degrade_watermark,
-            ),
-            ("ANTIDOTE_SERVE_SHED_WATERMARK", &mut self.shed.shed_watermark),
-        ] {
-            if let Some(v) = antidote_obs::env::positive::<f64>(key) {
-                if v <= 1.0 {
-                    *slot = v;
-                } else {
-                    antidote_obs::env::warn_ignored(
-                        key,
-                        &v.to_string(),
-                        "must be a fraction of capacity in (0, 1]",
-                    );
-                }
-            }
-        }
-        if let Some(chaos) = ChaosConfig::from_env() {
-            self.chaos = Some(chaos);
-        }
-        self
-    }
-
     fn validate(&self) -> Result<(), ServeConfigError> {
         if self.workers == 0 {
             return Err(ServeConfigError::ZeroWorkers);
@@ -987,16 +906,6 @@ fn worker_loop(
         if let Some(name) = batch_live.get(live.len()) {
             metrics.counter_add(name, 1);
         }
-        if antidote_obs::enabled() {
-            // Queue depth at batch launch plus per-worker live-batch-size
-            // histogram; together with the per-worker busy span below
-            // these expose backlog and worker utilization.
-            antidote_obs::gauge_set("serve.queue_depth", queue.len() as f64);
-            antidote_obs::hist_record(
-                &format!("serve.worker{id:02}.batch_live"),
-                live.len() as f64,
-            );
-        }
         for t in expired {
             let waited = launched_at.duration_since(t.enqueued_at);
             if let Some(mut rec) = t.trace_record(&label, waited) {
@@ -1182,36 +1091,8 @@ mod tests {
 
     #[test]
     fn quant_mode_parses_and_roundtrips() {
-        assert_eq!("off".parse::<QuantMode>(), Ok(QuantMode::Off));
-        assert_eq!("FP32".parse::<QuantMode>(), Ok(QuantMode::Off));
-        assert_eq!("Int8".parse::<QuantMode>(), Ok(QuantMode::Int8));
-        assert!("int4".parse::<QuantMode>().is_err());
         assert_eq!(QuantMode::Int8.to_string(), "int8");
         assert_eq!(QuantMode::default(), QuantMode::Off);
-    }
-
-    #[test]
-    fn shed_and_chaos_env_overrides_apply() {
-        std::env::set_var("ANTIDOTE_SERVE_SHED_DEGRADE_WATERMARK", "0.3");
-        std::env::set_var("ANTIDOTE_SERVE_SHED_WATERMARK", "0.6");
-        std::env::set_var("ANTIDOTE_CHAOS_KILL_EVERY_MS", "25");
-        let cfg = ServeConfig::default().with_env_overrides();
-        assert_eq!(cfg.shed.degrade_watermark, 0.3);
-        assert_eq!(cfg.shed.shed_watermark, 0.6);
-        assert_eq!(
-            cfg.chaos.map(|c| c.kill_every),
-            Some(Duration::from_millis(25))
-        );
-        // Out-of-range watermark (> 1) is warn-and-ignored.
-        std::env::set_var("ANTIDOTE_SERVE_SHED_WATERMARK", "1.5");
-        let cfg = ServeConfig::default().with_env_overrides();
-        assert_eq!(cfg.shed.shed_watermark, ShedConfig::default().shed_watermark);
-        std::env::remove_var("ANTIDOTE_SERVE_SHED_DEGRADE_WATERMARK");
-        std::env::remove_var("ANTIDOTE_SERVE_SHED_WATERMARK");
-        std::env::remove_var("ANTIDOTE_CHAOS_KILL_EVERY_MS");
-        let cfg = ServeConfig::default().with_env_overrides();
-        assert_eq!(cfg.shed, ShedConfig::default());
-        assert_eq!(cfg.chaos, None);
     }
 
     #[test]

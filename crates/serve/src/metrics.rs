@@ -40,8 +40,8 @@ pub struct ServeMetrics {
     pub panicked: u64,
     /// Worker panics observed (one panic can fail a whole batch).
     pub worker_panics: u64,
-    /// Chaos-mode replica kills fired (0 unless `ANTIDOTE_CHAOS_*` is
-    /// enabled).
+    /// Chaos-mode replica kills fired (0 unless
+    /// [`crate::ServeConfig::chaos`] is set).
     pub chaos_kills: u64,
     /// Queue depth at snapshot time.
     pub queue_depth: usize,

@@ -140,7 +140,7 @@ impl<T: Scheduled> SloQueue<T> {
     }
 
     /// Queue depth as a fraction of capacity — the load-shedding
-    /// pressure signal (mirrors the `serve.queue_depth` gauge).
+    /// pressure signal (the engine's `queue_depth` gauge reads the same depth).
     pub fn pressure(&self) -> f64 {
         self.len() as f64 / self.capacity as f64
     }

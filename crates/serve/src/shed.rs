@@ -6,7 +6,7 @@
 //! mode is therefore *not* an immediate rejection — it is a cheaper
 //! schedule. This module encodes that policy as a pure function of
 //! queue pressure (depth / capacity, the signal already exported as the
-//! `serve.queue_depth` gauge):
+//! engine's `queue_depth` gauge):
 //!
 //! 1. below `degrade_watermark`: admit unchanged;
 //! 2. between the watermarks: admit, but raise the request's schedule
@@ -18,9 +18,8 @@
 //!    shed at admission — at a genuinely full queue it displaces queued
 //!    lower-priority work instead (see [`crate::queue::SloQueue`]).
 //!
-//! The watermarks are operator knobs
-//! (`ANTIDOTE_SERVE_SHED_DEGRADE_WATERMARK` /
-//! `ANTIDOTE_SERVE_SHED_WATERMARK`, fractions of queue capacity).
+//! The watermarks are fractions of queue capacity, set through
+//! [`crate::ServeConfig::shed`].
 
 /// Request priority lane. Lower lanes are scheduled first and shed
 /// last; within a lane the queue serves earliest deadline first.
