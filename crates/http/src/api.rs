@@ -152,6 +152,7 @@ impl ErrorBody {
 /// | `DeadlineExceeded` |    408 | `deadline_exceeded`  |
 /// | `Budget`           |    422 | `budget_infeasible`  |
 /// | `BadInput`         |    400 | `bad_input`          |
+/// | `NonFiniteInput`   |    400 | `bad_input`          |
 /// | `WorkerPanicked`   |    500 | `worker_panicked`    |
 /// | `Disconnected`     |    500 | `internal`           |
 pub fn serve_error_status(e: &ServeError) -> (u16, &'static str) {
@@ -161,7 +162,7 @@ pub fn serve_error_status(e: &ServeError) -> (u16, &'static str) {
         ServeError::ShuttingDown => (503, "shutting_down"),
         ServeError::DeadlineExceeded { .. } => (408, "deadline_exceeded"),
         ServeError::Budget(_) => (422, "budget_infeasible"),
-        ServeError::BadInput { .. } => (400, "bad_input"),
+        ServeError::BadInput { .. } | ServeError::NonFiniteInput { .. } => (400, "bad_input"),
         ServeError::WorkerPanicked { .. } => (500, "worker_panicked"),
         ServeError::Disconnected => (500, "internal"),
     }
@@ -240,6 +241,7 @@ mod tests {
             ),
             (ServeError::Budget(BudgetError::Invalid { budget: -1.0 }), 422),
             (ServeError::BadInput { dims: vec![2, 2] }, 400),
+            (ServeError::NonFiniteInput { index: 3 }, 400),
             (ServeError::WorkerPanicked { worker: 1 }, 500),
             (ServeError::Disconnected, 500),
         ];

@@ -36,7 +36,6 @@ fn start_server() -> HttpServer {
         config: ServeConfig {
             workers: 2,
             max_batch: 4,
-            max_wait: Duration::from_millis(1),
             queue_capacity: 64,
             base_schedule: PruneSchedule::channel_only(vec![0.7, 0.7]),
             ..ServeConfig::default()

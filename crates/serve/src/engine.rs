@@ -4,8 +4,8 @@
 //! ```text
 //!  clients ──submit──▶ [BudgetMapper] ─▶ [ShedConfig] ─▶ [SloQueue] ──pop──▶ workers (N replicas)
 //!                          │ infeasible      │ shed          │ full / expired     │
-//!                          ▼ typed reject    ▼ typed reject  ▼ typed reject       ▼ batch ≤ max_batch,
-//!                                            │ degrade                       window ≤ max_wait
+//!                          ▼ typed reject    ▼ typed reject  ▼ typed reject       ▼ batch = what is queued,
+//!                                            │ degrade                         ≤ max_batch
 //!                                            ▼ cheaper schedule                   │
 //!                        responses ◀── per-item logits + achieved FLOPs ◀─────────┘
 //!                                            │
@@ -18,12 +18,11 @@
 //! `antidote_models::Network`'s threading notes). What a replica owns is
 //! its activations: replicas cloned from one network share its immutable
 //! weight buffers, so N workers keep one copy of the weights resident.
-//! Workers coalesce
-//! requests into micro-batches: the batch window opens when the first
-//! request is popped and closes after `max_wait` or when `max_batch`
-//! requests have been collected, whichever is first. Waiting overlaps
-//! with other workers' compute, which is why multiple workers raise
-//! throughput even on a single core.
+//! Workers are
+//! work-conserving: a worker blocks for a batch's first request, then
+//! takes whatever else is already queued, up to `max_batch`, and
+//! launches at once — it never waits for a batch to fill. Batches grow
+//! only under load, when requests arrive while every worker is busy.
 //!
 //! **Overload behavior** (DESIGN.md §12). The queue is SLO-aware
 //! ([`SloQueue`]): priority lanes with earliest-deadline-first order, and
@@ -104,9 +103,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Maximum requests coalesced into one forward pass.
     pub max_batch: usize,
-    /// Batch window: how long a worker waits for the batch to fill after
-    /// popping its first request.
-    pub max_wait: Duration,
     /// Bounded queue capacity (admission control).
     pub queue_capacity: usize,
     /// Deadline applied to requests that do not carry their own.
@@ -132,7 +128,6 @@ impl Default for ServeConfig {
         Self {
             workers: 2,
             max_batch: 8,
-            max_wait: Duration::from_millis(2),
             queue_capacity: 64,
             default_deadline: Duration::from_secs(5),
             base_schedule: PruneSchedule::none(),
@@ -316,6 +311,12 @@ pub enum ServeError {
         /// The offending tensor dimensions.
         dims: Vec<usize>,
     },
+    /// Admission rejected: the input holds a NaN or an infinity, which
+    /// would turn the request's logits into NaN.
+    NonFiniteInput {
+        /// Flat index of the first non-finite value.
+        index: usize,
+    },
     /// The deadline passed while the request was queued or batching. The
     /// request never consumed a batch slot.
     DeadlineExceeded {
@@ -351,7 +352,7 @@ impl ServeError {
         match self {
             ServeError::QueueFull { .. } => "admission-queue",
             ServeError::Budget(_) => "admission-budget",
-            ServeError::BadInput { .. } => "admission-input",
+            ServeError::BadInput { .. } | ServeError::NonFiniteInput { .. } => "admission-input",
             ServeError::DeadlineExceeded { .. } => "deadline",
             ServeError::Overloaded { .. } => "overload-shed",
             ServeError::WorkerPanicked { .. } => "worker-panic",
@@ -383,6 +384,9 @@ impl std::fmt::Display for ServeError {
                     f,
                     "input must be one (C,H,W) image of the model's input shape, got shape {dims:?}"
                 )
+            }
+            ServeError::NonFiniteInput { index } => {
+                write!(f, "input value at flat index {index} is not finite")
             }
             ServeError::DeadlineExceeded { waited } => {
                 write!(f, "deadline exceeded after waiting {waited:?}")
@@ -592,7 +596,7 @@ impl ServeHandle {
     /// # Errors
     ///
     /// [`ServeError::Budget`], [`ServeError::BadInput`],
-    /// [`ServeError::Overloaded`], [`ServeError::QueueFull`], or
+    /// [`ServeError::NonFiniteInput`], [`ServeError::Overloaded`], [`ServeError::QueueFull`], or
     /// [`ServeError::ShuttingDown`] — all decided synchronously at
     /// admission.
     pub fn submit(&self, req: InferRequest) -> Result<PendingResponse, ServeError> {
@@ -706,19 +710,24 @@ impl ServeHandle {
 }
 
 /// Reshapes `(C,H,W)` to `(1,C,H,W)`, rejecting anything that is not
-/// one image of the model's `chw`: a wrong-shape input admitted here
-/// would panic the worker and fail every request coalesced with it.
+/// one image of the model's `chw` (a wrong-shape input admitted here
+/// would panic the worker and fail every request coalesced with it) and
+/// any input holding a NaN or an infinity.
 fn normalize_input(input: Tensor, chw: [usize; 3]) -> Result<Tensor, ServeError> {
     let dims = input.dims().to_vec();
     let batched = [1, chw[0], chw[1], chw[2]];
-    if dims == batched {
-        Ok(input)
+    let input = if dims == batched {
+        input
     } else if dims == chw {
         input
             .reshape(&batched)
-            .map_err(|_| ServeError::BadInput { dims })
+            .map_err(|_| ServeError::BadInput { dims })?
     } else {
-        Err(ServeError::BadInput { dims })
+        return Err(ServeError::BadInput { dims });
+    };
+    match input.data().iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(ServeError::NonFiniteInput { index }),
+        None => Ok(input),
     }
 }
 
@@ -788,13 +797,12 @@ impl ServeEngine {
                 let monkey = monkey.clone();
                 let label = Arc::clone(&label);
                 let max_batch = cfg.max_batch;
-                let max_wait = cfg.max_wait;
                 std::thread::Builder::new()
                     .name(format!("antidote-serve-{id}"))
                     .spawn(move || {
                         worker_loop(
                             id, replica, factory, queue, metrics, batch_live, mapper, monkey,
-                            label, max_batch, max_wait,
+                            label, max_batch,
                         )
                     })
                     .expect("failed to spawn serve worker")
@@ -847,8 +855,8 @@ impl Drop for ServeEngine {
     }
 }
 
-/// One worker: pop → coalesce → (maybe) fail injected faults → forward →
-/// respond. Panics — injected, chaos-induced, or genuine — are contained
+/// One worker: pop → take what is queued → (maybe) fail injected faults →
+/// forward → respond. Panics — injected, chaos-induced, or genuine — are contained
 /// per batch; the replica is rebuilt from the factory afterwards so later
 /// batches never see a half-updated model. Expired requests swept out by
 /// the queue are failed with typed errors as soon as they surface and
@@ -865,13 +873,12 @@ fn worker_loop(
     monkey: Option<Arc<ChaosMonkey>>,
     label: Arc<str>,
     max_batch: usize,
-    max_wait: Duration,
 ) {
     loop {
         // Block for the batch's first request, delivering typed errors
         // for any expired entries the queue sweeps out while we wait.
         let first = loop {
-            let pop = queue.pop_until(None);
+            let pop = queue.pop();
             fail_expired(&metrics, &label, pop.expired);
             if let Some(t) = pop.item {
                 break t;
@@ -880,20 +887,15 @@ fn worker_loop(
                 return;
             }
         };
-        // The batch window opens with the first request and closes after
-        // max_wait or once the batch is full.
-        let window_end = Instant::now() + max_wait;
+        // Work-conserving: the batch is what is already queued, up to
+        // max_batch; waiting for more would only delay the first request.
         let mut batch = vec![first];
         while batch.len() < max_batch {
-            let pop = queue.pop_until(Some(window_end));
+            let pop = queue.try_pop();
             fail_expired(&metrics, &label, pop.expired);
             match pop.item {
                 Some(t) => batch.push(t),
-                // An empty pop with expired entries returned early so
-                // their rejections went out promptly; keep collecting
-                // until the window genuinely closes.
-                None if pop.closed || Instant::now() >= window_end => break,
-                None => {}
+                None => break,
             }
         }
         let launched_at = Instant::now();

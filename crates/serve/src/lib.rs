@@ -22,9 +22,10 @@
 //!    passes while queued is rejected with a typed `DeadlineExceeded`
 //!    at dequeue and never wastes a batch slot.
 //! 4. **Micro-batcher + worker pool** ([`ServeEngine`]): `N`
-//!    `std::thread` workers, each owning a private model replica, pop
-//!    requests and coalesce them up to `max_batch`/`max_wait`, then run
-//!    one masked forward pass with per-item schedules
+//!    `std::thread` workers, each owning a private model replica, block
+//!    for a request, take whatever else is already queued up to
+//!    `max_batch` without waiting for more, then run one masked forward
+//!    pass with per-item schedules
 //!    ([`antidote_core::DynamicPruner::per_item`]). Panics are contained per batch and
 //!    replicas rebuilt; [`chaos::ChaosMonkey`] can inject such kills on
 //!    a schedule to keep that path continuously exercised.

@@ -3,9 +3,9 @@
 //! This is the admission-control stage of the serving engine: producers
 //! ([`crate::ServeHandle::submit`]) never block — a full queue is a typed
 //! rejection, so load beyond capacity surfaces as backpressure instead of
-//! unbounded memory growth. Consumers (the worker pool) block with
-//! deadlines, which is what lets the micro-batcher coalesce requests for
-//! up to `max_wait` without spinning.
+//! unbounded memory growth. Consumers (the worker pool) block for a
+//! batch's first entry and then take what is already queued without
+//! waiting, so no request waits for a batch to fill.
 //!
 //! [`SloQueue`] is the engine's scheduling queue — priority lanes with
 //! earliest-deadline-first order inside each lane, **eager expiry** (an
@@ -66,11 +66,10 @@ pub struct SloPush<T> {
     pub expired: Vec<T>,
 }
 
-/// Result of one [`SloQueue::pop_until`].
+/// Result of one [`SloQueue::pop`] or [`SloQueue::try_pop`].
 #[derive(Debug)]
 pub struct SloPop<T> {
-    /// The most urgent live entry, if any arrived before the wait
-    /// deadline.
+    /// The most urgent live entry, if one was queued.
     pub item: Option<T>,
     /// Entries rejected at dequeue because their deadline passed while
     /// queued — they never reach a batch; the caller must fail each with
@@ -218,61 +217,37 @@ impl<T: Scheduled> SloQueue<T> {
         }
     }
 
-    /// Dequeues the most urgent live entry, blocking until one arrives,
-    /// `wait_until` passes (`None` waits indefinitely), or the queue is
-    /// closed and drained.
+    /// Dequeues the most urgent live entry, blocking until one arrives
+    /// or the queue is closed and drained.
     ///
     /// Returns early — with an empty `item` — whenever the sweep finds
     /// expired entries, so their typed rejections are delivered promptly
-    /// instead of after the batch window.
-    pub fn pop_until(&self, wait_until: Option<Instant>) -> SloPop<T> {
+    /// instead of after the next arrival.
+    pub fn pop(&self) -> SloPop<T> {
+        self.pop_inner(true)
+    }
+
+    /// Dequeues the most urgent live entry if one is queued, without
+    /// waiting; expired entries are swept out either way.
+    pub fn try_pop(&self) -> SloPop<T> {
+        self.pop_inner(false)
+    }
+
+    fn pop_inner(&self, block: bool) -> SloPop<T> {
         let mut expired = Vec::new();
         let mut st = self.state.lock().expect("queue lock poisoned");
         loop {
-            let now = Instant::now();
-            Self::sweep_expired(&mut st, now, &mut expired);
-            if let Some(item) = Self::take_front(&mut st) {
+            Self::sweep_expired(&mut st, Instant::now(), &mut expired);
+            let item = Self::take_front(&mut st);
+            if item.is_some() || st.closed || !expired.is_empty() || !block {
+                let closed = item.is_none() && st.closed;
                 return SloPop {
-                    item: Some(item),
+                    item,
                     expired,
-                    closed: false,
+                    closed,
                 };
             }
-            if st.closed {
-                return SloPop {
-                    item: None,
-                    expired,
-                    closed: true,
-                };
-            }
-            if !expired.is_empty() {
-                return SloPop {
-                    item: None,
-                    expired,
-                    closed: false,
-                };
-            }
-            match wait_until {
-                Some(deadline) => {
-                    let Some(remaining) =
-                        deadline.checked_duration_since(now).filter(|d| !d.is_zero())
-                    else {
-                        return SloPop {
-                            item: None,
-                            expired,
-                            closed: false,
-                        };
-                    };
-                    let (guard, _) = self
-                        .not_empty
-                        .wait_timeout(st, remaining)
-                        .expect("queue lock poisoned");
-                    st = guard;
-                }
-                None => {
-                    st = self.not_empty.wait(st).expect("queue lock poisoned");
-                }
-            }
+            st = self.not_empty.wait(st).expect("queue lock poisoned");
         }
     }
 
@@ -329,7 +304,7 @@ mod tests {
         push_ok(&q, job(3, 1, 1_000));
         push_ok(&q, job(4, 0, 7_000));
         let order: Vec<u32> = (0..4)
-            .map(|_| q.pop_until(Some(Instant::now())).item.expect("queued item").id)
+            .map(|_| q.try_pop().item.expect("queued item").id)
             .collect();
         // Lane 0 first, then lane 1 in deadline order, then lane 2.
         assert_eq!(order, vec![4, 3, 2, 1]);
@@ -348,7 +323,7 @@ mod tests {
             deadline: Instant::now() - Duration::from_millis(1),
         });
         assert!(matches!(out.result, Ok(None)));
-        let pop = q.pop_until(Some(Instant::now()));
+        let pop = q.try_pop();
         assert_eq!(pop.item.as_ref().map(|j| j.id), Some(2), "live item served");
         assert_eq!(pop.expired.len(), 1, "expired item swept at dequeue");
         assert_eq!(pop.expired[0].id, 1);
@@ -392,12 +367,13 @@ mod tests {
     }
 
     #[test]
-    fn slo_pop_times_out_when_empty_and_closes() {
+    fn slo_try_pop_never_blocks_and_pop_sees_close() {
         let q: SloQueue<Job> = SloQueue::new(2, 1);
-        let pop = q.pop_until(Some(Instant::now() + Duration::from_millis(10)));
-        assert!(pop.item.is_none() && !pop.closed);
+        let pop = q.try_pop();
+        assert!(pop.item.is_none() && pop.expired.is_empty() && !pop.closed);
         q.close();
-        let pop = q.pop_until(None);
+        assert!(q.try_pop().closed);
+        let pop = q.pop();
         assert!(pop.closed);
         let out = q.try_push(job(1, 0, 1_000));
         assert!(matches!(out.result, Err(PushError::Closed(_))));
@@ -409,7 +385,7 @@ mod tests {
         let consumer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || loop {
-                let pop = q.pop_until(None);
+                let pop = q.pop();
                 if let Some(j) = pop.item {
                     return j.id;
                 }

@@ -39,7 +39,6 @@ fn config(workers: usize, chaos: Option<ChaosConfig>) -> ServeConfig {
     ServeConfig {
         workers,
         max_batch: 4,
-        max_wait: Duration::from_millis(1),
         queue_capacity: 64,
         default_deadline: Duration::from_secs(30),
         base_schedule: PruneSchedule::channel_only(vec![0.7, 0.7]),

@@ -5,8 +5,8 @@
 use antidote_core::PruneSchedule;
 use antidote_models::{Vgg, VggConfig};
 use antidote_serve::{
-    Fault, InferRequest, ModelFactory, Priority, ServeConfig, ServeConfigError, ServeEngine,
-    ServeError,
+    Fault, InferRequest, ModelFactory, PendingResponse, Priority, ServeConfig, ServeConfigError,
+    ServeEngine, ServeError, ServeHandle,
 };
 use antidote_tensor::Tensor;
 use rand::rngs::SmallRng;
@@ -25,11 +25,28 @@ fn input() -> Tensor {
     Tensor::from_fn([3, 8, 8], |i| (i % 7) as f32 * 0.1)
 }
 
+/// Submits a request that stalls the engine's one worker for `ms` and
+/// returns once the worker has launched it as a batch of its own, so
+/// whatever is submitted next queues behind it.
+fn park(handle: &ServeHandle, ms: u64) -> PendingResponse {
+    let batches = || handle.metrics().snapshot.counter("batches").unwrap_or(0);
+    let before = batches();
+    let parked = handle
+        .submit(InferRequest {
+            fault: Some(Fault::SleepMs(ms)),
+            ..InferRequest::new(input())
+        })
+        .unwrap();
+    while batches() == before {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    parked
+}
+
 fn base_config() -> ServeConfig {
     ServeConfig {
         workers: 1,
         max_batch: 4,
-        max_wait: Duration::from_millis(1),
         queue_capacity: 4,
         default_deadline: Duration::from_secs(5),
         base_schedule: PruneSchedule::channel_only(vec![0.8, 0.8]),
@@ -65,15 +82,8 @@ fn deadline_expiry_while_queued_is_typed_and_never_consumes_batch_slots() {
     // no batch slot (and no zero-live batch) is ever spent on them.
     let engine = ServeEngine::start(base_config(), tiny_factory(2)).unwrap();
     let handle = engine.handle();
-    let slow = handle
-        .submit(InferRequest {
-            fault: Some(Fault::SleepMs(150)),
-            ..InferRequest::new(input())
-        })
-        .unwrap();
-    // Give the worker time to pop the stalled request so the next ones
-    // sit in the queue for its whole sleep.
-    std::thread::sleep(Duration::from_millis(30));
+    // The next requests sit in the queue for the stalled batch's sleep.
+    let slow = park(&handle, 150);
     let doomed: Vec<_> = (0..2)
         .map(|_| {
             handle
@@ -126,13 +136,7 @@ fn full_queue_rejects_with_backpressure() {
     let engine = ServeEngine::start(cfg, tiny_factory(3)).unwrap();
     let handle = engine.handle();
     // Stall the worker so subsequent submissions stack up in the queue.
-    let stalled = handle
-        .submit(InferRequest {
-            fault: Some(Fault::SleepMs(200)),
-            ..InferRequest::new(input())
-        })
-        .unwrap();
-    std::thread::sleep(Duration::from_millis(30));
+    let stalled = park(&handle, 200);
     // Fill the queue with interactive (never-shed) requests so admission
     // reaches the queue itself rather than the shed policy.
     let q1 = handle
@@ -253,16 +257,16 @@ fn shutdown_drains_queued_requests() {
 
 #[test]
 fn bad_input_shapes_are_rejected_at_admission_without_failing_their_batch() {
-    // A window long enough that, were the offender admitted, it would be
-    // coalesced with the innocent request behind it: the batch closes as
-    // soon as it holds both.
+    // Everything admitted while the worker is parked shares its next
+    // batch, so an admitted offender would be coalesced with the
+    // innocent request behind it.
     let cfg = ServeConfig {
         max_batch: 2,
-        max_wait: Duration::from_secs(2),
         ..base_config()
     };
     let engine = ServeEngine::start(cfg, tiny_factory(7)).unwrap();
     let handle = engine.handle();
+    let parked = park(&handle, 100);
     // Rank is fine and the shape is self-consistent; it is just not the
     // model's (3, 8, 8).
     for dims in [vec![1, 8, 8], vec![2, 3, 8, 8], vec![3, 8, 4]] {
@@ -273,12 +277,59 @@ fn bad_input_shapes_are_rejected_at_admission_without_failing_their_batch() {
     }
     let innocent = handle.submit(InferRequest::new(input())).unwrap();
     let filler = handle.submit(InferRequest::new(input())).unwrap();
-    assert!(
-        innocent.wait().is_ok(),
-        "a neighbour's bad input must not fail this request"
-    );
+    assert!(parked.try_wait().is_none(), "both were queued while the worker was parked");
+    assert!(parked.wait().is_ok());
+    let innocent = innocent
+        .wait()
+        .expect("a neighbour's bad input must not fail this request");
+    assert_eq!(innocent.batch_size, 2, "the two requests share one batch");
     assert!(filler.wait().is_ok());
     let metrics = engine.shutdown();
     assert_eq!(metrics.worker_panics, 0);
-    assert_eq!(metrics.completed, 2);
+    assert_eq!(metrics.completed, 3);
+}
+
+#[test]
+fn non_finite_inputs_are_rejected_at_admission() {
+    let engine = ServeEngine::start(base_config(), tiny_factory(8)).unwrap();
+    let handle = engine.handle();
+    for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut x = input();
+        x.data_mut()[17] = v;
+        let err = handle.submit(InferRequest::new(x)).unwrap_err();
+        assert_eq!(err, ServeError::NonFiniteInput { index: 17 });
+        assert_eq!(err.stage(), "admission-input");
+    }
+    let ok = handle.submit(InferRequest::new(input())).unwrap().wait().unwrap();
+    assert!(ok.logits.iter().all(|v| v.is_finite()));
+    assert_eq!(engine.shutdown().completed, 1);
+}
+
+#[test]
+fn a_parked_worker_drains_the_queue_in_full_batches() {
+    // The worker takes what is queued, up to max_batch, and never waits
+    // for a batch to fill: max_batch + 2 queued requests launch as one
+    // full batch and then a batch of the two left.
+    let cfg = ServeConfig {
+        queue_capacity: 16,
+        ..base_config()
+    };
+    let max_batch = cfg.max_batch;
+    let engine = ServeEngine::start(cfg, tiny_factory(9)).unwrap();
+    let handle = engine.handle();
+    let parked = park(&handle, 200);
+    let pending: Vec<_> = (0..max_batch + 2)
+        .map(|_| handle.submit(InferRequest::new(input())).unwrap())
+        .collect();
+    assert!(parked.try_wait().is_none(), "all were queued while the worker was parked");
+    assert!(parked.wait().is_ok());
+    let sizes: Vec<usize> = pending
+        .into_iter()
+        .map(|p| p.wait().unwrap().batch_size)
+        .collect();
+    let mut want = vec![max_batch; max_batch];
+    want.extend([2, 2]);
+    assert_eq!(sizes, want);
+    let metrics = engine.shutdown();
+    assert_eq!(metrics.batch_histogram, [0, 1, 1, 0, 1], "parked, then 4, then 2");
 }

@@ -30,7 +30,6 @@ fn queue_pressure_degrades_requests_before_shedding() {
     let cfg = ServeConfig {
         workers: 1,
         max_batch: 2,
-        max_wait: Duration::from_millis(1),
         queue_capacity: 8,
         default_deadline: Duration::from_secs(10),
         base_schedule: PruneSchedule::channel_only(vec![0.5, 0.5]),
@@ -99,7 +98,6 @@ fn interactive_arrivals_displace_batch_work_at_full_queue() {
     let cfg = ServeConfig {
         workers: 1,
         max_batch: 2,
-        max_wait: Duration::from_millis(1),
         queue_capacity: 4,
         default_deadline: Duration::from_secs(10),
         base_schedule: PruneSchedule::channel_only(vec![0.5, 0.5]),

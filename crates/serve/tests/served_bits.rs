@@ -2,9 +2,9 @@
 //! through a seeded `vgg_small` fp32 engine and its int8 twin.
 //!
 //! Four requests with budgets `{none, floor, mid, 0.9·dense}` are
-//! submitted together to a one-worker engine with `max_batch` 4 and a
-//! long `max_wait`, so they share one forward pass with four different
-//! per-item schedules. The checksum is FNV-1a over each response's logit
+//! queued behind a one-worker engine's stalled batch; the engine takes
+//! what is queued up to `max_batch` 4, so they share one forward pass
+//! with four different per-item schedules. The checksum is FNV-1a over each response's logit
 //! bits and the bits of its `achieved_macs`, `scheduled_macs` and
 //! `schedule_scale`, in submission order: it moves if the masks, the
 //! item-to-schedule pairing, or the MAC charge move. The same constants
@@ -17,7 +17,7 @@ use antidote_core::PruneSchedule;
 use antidote_data::SynthConfig;
 use antidote_models::{Network, Vgg, VggConfig};
 use antidote_nn::Mode;
-use antidote_serve::{InferRequest, ModelFactory, ServeConfig, ServeEngine};
+use antidote_serve::{Fault, InferRequest, ModelFactory, ServeConfig, ServeEngine};
 use antidote_tensor::Tensor;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -46,7 +46,6 @@ fn served_checksum(net: Vgg) -> u64 {
     let cfg = ServeConfig {
         workers: 1,
         max_batch: 4,
-        max_wait: Duration::from_secs(1),
         queue_capacity: 8,
         base_schedule: PruneSchedule::new(
             vec![0.2, 0.2, 0.6, 0.9, 0.9],
@@ -58,6 +57,17 @@ fn served_checksum(net: Vgg) -> u64 {
     let engine = ServeEngine::start(cfg, factory).expect("engine starts");
     let handle = engine.handle();
     let (floor, dense) = (handle.floor_macs(), handle.dense_macs());
+    // Park the worker inside a stalled batch of its own, so the four
+    // requests are all queued when it next pops.
+    let parker = handle
+        .submit(InferRequest {
+            fault: Some(Fault::SleepMs(300)),
+            ..InferRequest::new(Tensor::zeros([3, IMAGE, IMAGE]))
+        })
+        .expect("queue has room");
+    while handle.metrics().snapshot.counter("batches") != Some(1) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let budgets = [
         None,
         Some(floor),
@@ -76,6 +86,8 @@ fn served_checksum(net: Vgg) -> u64 {
             handle.submit(req).expect("queue has room")
         })
         .collect();
+    assert!(parker.try_wait().is_none(), "the four were queued while the worker was parked");
+    parker.wait().expect("the stalled request is served");
     let mut hash = fnv1a(&[]);
     let mut scales = Vec::new();
     for p in pending {

@@ -19,7 +19,6 @@ use antidote_tensor::Tensor;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
 /// Both tests read the process-global enabled flag; serialize them.
 fn obs_lock() -> MutexGuard<'static, ()> {
@@ -52,7 +51,6 @@ fn traced_requests_reach_the_flight_recorder_with_spans_and_outcomes() {
     let cfg = ServeConfig {
         workers: 1,
         max_batch: 2,
-        max_wait: Duration::from_millis(1),
         queue_capacity: 8,
         base_schedule: base_schedule(),
         label: "vgg-tiny".to_string(),

@@ -19,13 +19,14 @@ cargo run --release --example quickstart
 # The suite must pass at the exact sequential fallback AND at a fixed
 # multi-thread budget (results are bit-identical by design; the parity
 # property tests enforce it, these two runs make sure nothing is
-# budget-sensitive).
-ANTIDOTE_THREADS=1 cargo test -q
-ANTIDOTE_THREADS=4 cargo test -q
+# budget-sensitive). `--no-fail-fast`: one failing test binary must not
+# hide the results of the others.
+ANTIDOTE_THREADS=1 cargo test -q --no-fail-fast
+ANTIDOTE_THREADS=4 cargo test -q --no-fail-fast
 # ...and once with the kernel backend pinned to the scalar reference:
 # the SIMD backends are bit-exact against it by property test, so this
 # run proves no code path *depends* on a SIMD backend being selected.
-ANTIDOTE_KERNEL_BACKEND=scalar cargo test -q
+ANTIDOTE_KERNEL_BACKEND=scalar cargo test -q --no-fail-fast
 cargo clippy --workspace --all-targets -- -D warnings
 # Documentation gate: rustdoc must build warning-clean (broken intra-doc
 # links are errors; antidote-tensor/par/obs deny missing docs).

@@ -11,8 +11,8 @@
 //!    identical seeds give identical aggregate accuracy on 1 worker and
 //!    on 4;
 //! 4. on the same seeded workload, 4 workers achieve strictly higher
-//!    throughput than 1 — the micro-batcher's coalescing window
-//!    overlaps other workers' compute instead of serializing with it.
+//!    throughput than 1 — concurrent clients' requests run on separate
+//!    replicas at once instead of queueing for one.
 
 use antidote_core::PruneSchedule;
 use antidote_data::{Split, SynthConfig};
@@ -34,14 +34,10 @@ fn factory(seed: u64, image_size: usize) -> ModelFactory {
     })
 }
 
-fn config(workers: usize, max_wait: Duration) -> ServeConfig {
+fn config(workers: usize) -> ServeConfig {
     ServeConfig {
         workers,
-        // Clients stay below max_batch so a batch never fills early: the
-        // coalescing window always runs its full course, which is what
-        // makes worker-count effects observable on a single core.
         max_batch: 8,
-        max_wait,
         queue_capacity: 64,
         default_deadline: Duration::from_secs(10),
         base_schedule: PruneSchedule::channel_only(vec![0.6, 0.6]),
@@ -81,12 +77,11 @@ fn client_items(split: &Split, c: usize) -> Vec<(usize, Tensor, usize)> {
 /// clients; returns (aggregate accuracy, elapsed, served count).
 fn serve_split(
     workers: usize,
-    max_wait: Duration,
     seed: u64,
     image_size: usize,
     split: &Split,
 ) -> (f64, Duration, usize) {
-    let engine = ServeEngine::start(config(workers, max_wait), factory(seed, image_size))
+    let engine = ServeEngine::start(config(workers), factory(seed, image_size))
         .expect("engine start");
     let handle = engine.handle();
     let floor = handle.floor_macs();
@@ -139,7 +134,7 @@ fn serve_split(
 #[test]
 fn mixed_budget_clients_are_served_or_typed_rejected() {
     let split = test_split(8);
-    let engine = ServeEngine::start(config(2, Duration::from_millis(1)), factory(11, 8))
+    let engine = ServeEngine::start(config(2), factory(11, 8))
         .expect("engine start");
     let handle = engine.handle();
     let floor = handle.floor_macs();
@@ -198,8 +193,8 @@ fn mixed_budget_clients_are_served_or_typed_rejected() {
 #[test]
 fn worker_count_is_invisible_to_accuracy() {
     let split = test_split(8);
-    let (acc1, _, served1) = serve_split(1, Duration::from_millis(1), 33, 8, &split);
-    let (acc4, _, served4) = serve_split(4, Duration::from_millis(1), 33, 8, &split);
+    let (acc1, _, served1) = serve_split(1, 33, 8, &split);
+    let (acc4, _, served4) = serve_split(4, 33, 8, &split);
     assert_eq!(served1, split.labels.len());
     assert_eq!(served4, split.labels.len());
     // Identical seeds and per-item masks: batching and worker count must
@@ -209,18 +204,19 @@ fn worker_count_is_invisible_to_accuracy() {
 
 #[test]
 fn four_workers_outrun_one_worker_on_the_same_workload() {
-    // 64x64 inputs make per-item compute (~1ms) a meaningful fraction of
-    // the 4ms batch window. With 1 worker the window serializes with
-    // compute; with 4 workers the windows overlap other replicas'
-    // compute, so wall-clock drops even on a single core. Scheduler
-    // noise on loaded machines can still blur one measurement, so take
-    // the best of 3 attempts before judging.
+    // 64x64 inputs make per-item compute (~1ms) dominate each request.
+    // The conv executors run batch items one after another, so with 1
+    // worker the three clients' requests run in turn on one replica,
+    // and the replica idles while each client hands its next request
+    // over; with 4 workers they run on separate replicas at once, so
+    // one replica's compute overlaps another's, and the clients'
+    // hand-offs. Scheduler noise on loaded machines can still blur one
+    // measurement, so take the best of 3 attempts before judging.
     let split = test_split(64);
-    let wait = Duration::from_millis(4);
     let mut best_speedup = 0.0f64;
     for attempt in 0..3 {
-        let (acc1, t1, _) = serve_split(1, wait, 91, 64, &split);
-        let (acc4, t4, _) = serve_split(4, wait, 91, 64, &split);
+        let (acc1, t1, _) = serve_split(1, 91, 64, &split);
+        let (acc4, t4, _) = serve_split(4, 91, 64, &split);
         assert_eq!(acc1, acc4);
         let speedup = t1.as_secs_f64() / t4.as_secs_f64().max(1e-9);
         best_speedup = best_speedup.max(speedup);
