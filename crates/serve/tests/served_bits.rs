@@ -4,12 +4,12 @@
 //! Four requests with budgets `{none, floor, mid, 0.9·dense}` are
 //! queued behind a one-worker engine's stalled batch; the engine takes
 //! what is queued up to `max_batch` 4, so they share one forward pass
-//! with four different per-item schedules. The checksum is FNV-1a over each response's logit
-//! bits and the bits of its `achieved_macs`, `scheduled_macs` and
-//! `schedule_scale`, in submission order: it moves if the masks, the
-//! item-to-schedule pairing, or the MAC charge move. The same constants
-//! must come out at thread budgets 1 and 4 and on the scalar kernel
-//! backend.
+//! with four different per-item schedules. The checksum is FNV-1a over
+//! each response's logit bits and the bits of its `achieved_macs`,
+//! `scheduled_macs` and `schedule_scale`, in submission order: it moves
+//! if the masks, the item-to-schedule pairing, or the MAC charge move.
+//! The same constants must come out at thread budgets 1 and 4 and on
+//! the scalar kernel backend.
 
 use antidote_core::checkpoint::{fnv1a, fnv1a_extend};
 use antidote_core::quant::{quantize_vgg, CalibrationMethod};
